@@ -242,6 +242,7 @@ def cmd_optimize(args) -> int:
             ["c", repr(solution.c)],
             ["t_bar", repr(solution.t_bar)],
             ["pivots", str(solution.pivots)],
+            ["rows_used", str(solution.rows_used)],
             ["verified_threshold", repr(solution.verified_threshold)],
             ["fine_grid_min_slack", repr(solution.fine_grid_min_slack)]]
     for t, w in solution.tau.support():

@@ -3,9 +3,12 @@
 For a target channel quality c, the cheapest mixture (smallest mean
 capability) whose DE recursion still contracts is the solution of a small
 LP: minimize sum_t tau_t * t subject to sum_t tau_t = 1, tau >= 0, and the
-contraction constraint discretized on a grid of M points.  Solutions are
-post-verified on a finer grid and by an actual threshold run, since the
-discretization admits hairline supercriticality between grid points.
+contraction constraint discretized on a grid of M points.  Only a few grid
+rows bind at the optimum, so the LP is solved by row generation: the simplex
+sees a small subset of rows that grows by the most violated ones until the
+point satisfies the whole grid.  Solutions are post-verified on a finer grid
+and by an actual threshold run, since the discretization admits hairline
+supercriticality between grid points.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from .poisson import (
     initial_loss_mixture,
     poisson_tail_block,
 )
-from .simplex import INFEASIBLE, OPTIMAL, SimplexResult, solve_lp
+from .simplex import _TOL, INFEASIBLE, OPTIMAL, SimplexResult, solve_lp
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_DEGENERATE = "degenerate-warning"
+
+_START_ROWS = 20  # evenly spaced grid rows in the first restricted LP
+_BATCH_ROWS = 20  # most violated rows added per re-solve
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Result of :func:`solve`, optionally refined by :func:`post_verify`.
+
+    ``pivots`` is the total over all restricted simplex solves, and
+    ``rows_used`` the number of inequality rows in the last one.
+    """
+
     status: str
     c: float
     grid_m: int
@@ -57,6 +69,7 @@ class LpSolution:
     t_bar: float | None
     raw_weights: np.ndarray | None
     pivots: int
+    rows_used: int = 0
     verified_threshold: float | None = None
     fine_grid_min_slack: float | None = None
 
@@ -93,20 +106,40 @@ def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Run the two-phase simplex on the tableau.
+    """Solve the LP by row generation on the two-phase simplex.
 
-    The returned mixture has tiny negative weights clipped and is
-    renormalized; ``raw_weights`` keeps the untouched solver output so the
-    solver-side invariants stay checkable.
+    Starts from a few evenly spaced grid rows, then repeatedly adds the most
+    violated rows of the full grid and re-solves until the point satisfies
+    every row (Kelley's cutting-plane method).  The returned mixture has tiny
+    negative weights clipped and is renormalized; ``raw_weights`` keeps the
+    untouched solver output so the solver-side invariants stay checkable.
     """
-    result: SimplexResult = solve_lp(
-        problem.objective,
-        a_ub=problem.a_ub,
-        b_ub=problem.b_ub,
-        a_eq=problem.a_eq,
-        b_eq=problem.b_eq,
-    )
+    m = problem.a_ub.shape[0]
+    active = np.zeros(m, dtype=bool)
+    active[np.linspace(0, m - 1, min(_START_ROWS, m)).round().astype(int)] = True
+    pivots = 0
+    while True:
+        result: SimplexResult = solve_lp(
+            problem.objective,
+            a_ub=problem.a_ub[active],
+            b_ub=problem.b_ub[active],
+            a_eq=problem.a_eq,
+            b_eq=problem.b_eq,
+        )
+        pivots += result.pivots
+        if result.status != OPTIMAL:
+            break
+        slack = problem.b_ub - problem.a_ub @ result.x
+        # rows already in the LP are never re-added, so the loop ends
+        slack[active] = np.inf
+        # a row counts as violated beyond the simplex's own tolerance
+        violated = np.flatnonzero(slack < -_TOL)
+        if violated.size == 0:
+            break
+        active[violated[np.argsort(slack[violated])[:_BATCH_ROWS]]] = True
+    rows_used = int(active.sum())
     if result.status == INFEASIBLE:
+        # a subset of the rows relaxes the LP, so the full LP is infeasible too
         return LpSolution(
             status=STATUS_INFEASIBLE,
             c=problem.c,
@@ -116,7 +149,8 @@ def solve(problem: LpProblem) -> LpSolution:
             tau=None,
             t_bar=None,
             raw_weights=None,
-            pivots=result.pivots,
+            pivots=pivots,
+            rows_used=rows_used,
         )
     if result.status != OPTIMAL:
         raise RuntimeError(f"simplex failed: {result.status}")
@@ -136,7 +170,8 @@ def solve(problem: LpProblem) -> LpSolution:
         tau=tau,
         t_bar=tau.mean(),
         raw_weights=raw,
-        pivots=result.pivots,
+        pivots=pivots,
+        rows_used=rows_used,
     )
 
 

@@ -3,8 +3,9 @@
 Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  Pivoting
 uses the most-negative reduced cost, falling back to Bland's smallest-index
 rule after a run of degenerate pivots so the method cannot cycle.  Sized for
-the mixture-design programs in this package (about 50 variables and a few
-thousand rows); no sparsity, no revised formulation.
+the restricted programs of the mixture-design row generation (about 50
+variables and at most a few hundred rows); no sparsity, no revised
+formulation.
 """
 
 from __future__ import annotations

@@ -170,6 +170,8 @@ class TestOptimizeCmd:
         text = out.read_text()
         assert "status,optimal" in text
         assert "tau_" in text
+        keys = [line.split(",")[0] for line in text.splitlines()]
+        assert keys.index("rows_used") == keys.index("pivots") + 1
 
     def test_infeasible_exit(self, tmp_path, capsys):
         code = main(["optimize", "--c", "9.0", "--grid", "100", "--t-min", "4",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from gpclab.optimizer import (
     sweep_tradeoff,
 )
 from gpclab.poisson import CapabilityDistribution, poisson_tail
+from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
 
 
@@ -61,8 +64,11 @@ class TestSolve:
 
     def test_raw_solution_invariants(self):
         for c in (6.0, 9.5, 13.4):
-            sol = solve(build_lp(c, grid_m=400, t_max=30))
+            problem = build_lp(c, grid_m=400, t_max=30)
+            sol = solve(problem)
             assert sol.status == STATUS_OPTIMAL
+            # feasible for every grid row, not only the generated ones
+            assert (problem.b_ub - problem.a_ub @ sol.raw_weights).min() >= -1e-9
             assert abs(sol.raw_weights.sum() - 1.0) <= 1e-10
             assert (sol.raw_weights >= -1e-12).all()
             assert sol.t_bar >= c / 2.0
@@ -76,6 +82,44 @@ class TestSolve:
         sol = solve(build_lp(9.0, grid_m=200, t_max=4))
         assert sol.status == STATUS_INFEASIBLE
         assert sol.tau is None
+
+
+def _full_solve(problem):
+    return solve_lp(problem.objective, a_ub=problem.a_ub, b_ub=problem.b_ub,
+                    a_eq=problem.a_eq, b_eq=problem.b_eq)
+
+
+class TestRowGeneration:
+    @pytest.mark.parametrize("c, grid_m, t_max", [(6.0, 200, 10), (26.0, 300, 40)])
+    def test_agrees_with_full_solve(self, c, grid_m, t_max):
+        problem = build_lp(c, grid_m=grid_m, t_max=t_max)
+        sol = solve(problem)
+        full = _full_solve(problem)
+        assert sol.status == STATUS_OPTIMAL and full.status == OPTIMAL
+        assert problem.objective @ sol.raw_weights == pytest.approx(full.objective, abs=1e-12)
+        assert np.abs(sol.raw_weights - full.x).max() <= 1e-9
+        assert sol.rows_used < grid_m
+
+    def test_infeasible_row_outside_start_rows(self):
+        problem = build_lp(6.0, grid_m=200, t_max=10)
+        a_ub, b_ub = problem.a_ub.copy(), problem.b_ub.copy()
+        # 20 evenly spaced starting rows of 200 lie about 10.5 apart: row 5 is
+        # not among them; sum_t tau_t = 1 cannot meet sum_t tau_t <= 0.5
+        a_ub[5], b_ub[5] = 1.0, 0.5
+        bad = replace(problem, a_ub=a_ub, b_ub=b_ub)
+        assert _full_solve(bad).status == INFEASIBLE
+        sol = solve(bad)
+        assert sol.status == STATUS_INFEASIBLE
+        assert sol.tau is None and sol.raw_weights is None
+        assert sol.rows_used > 20
+
+    def test_fewer_rows_than_start_subset(self):
+        problem = build_lp(6.0, grid_m=10, t_max=10)
+        sol = solve(problem)
+        full = _full_solve(problem)
+        assert sol.rows_used == 10
+        assert sol.pivots == full.pivots
+        assert np.array_equal(sol.raw_weights, full.x)
 
 
 class TestPostVerify:
