@@ -5,6 +5,12 @@ unresolved after a given number of decoding iterations, and z, the fraction
 of component codes that would declare failure.  Includes scheduled variants
 (frozen positions carry their state forward), threshold search, and the
 analytic bounds used to sanity-check and design capability mixtures.
+
+``de_run`` updates chains of at least ``VECTOR_MIN_POSITIONS`` positions
+with array operations over all positions (one ``poisson_tail_table`` per
+iteration) and shorter ones position by position, which is faster there
+because each numpy call has a fixed cost; both share the stopping rules.
+The single-step functions and the contraction check always use the table.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codespec import GpcSpec, mean_capability, require_valid
+from .codespec import GpcSpec, erasure_scaling, mean_capability, require_valid
 from .poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
     poisson_tail_block,
+    poisson_tail_table,
 )
 
 CONVERGED = "converged_to_zero"
@@ -30,6 +37,14 @@ ITERATION_CAP = "iteration_cap"
 DEFAULT_ELL_MAX = 20000
 DEFAULT_SUCCESS_EPSILON = 1e-8
 DEFAULT_X_TOLERANCE = 1e-13
+
+# de_run steps chains of at least this many positions with array operations;
+# their fixed numpy cost (~30 us per iteration) exceeds the scalar loop below
+# about 16-24 positions.
+VECTOR_MIN_POSITIONS = 16
+# Grid points per tail table in the contraction check, which bounds its
+# arrays to a few hundred kB whatever the grid size.
+SLACK_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -106,24 +121,33 @@ class DeTrajectory:
         return rows
 
 
-class _CompiledSpec:
-    """Per-position adjacency and capability support lists for fast stepping."""
+class _PositionArrays:
+    """Neighbour lists padded to the largest degree (padding weight 0) and
+    capability weights zero-padded to the spec's t_max, as arrays."""
 
-    __slots__ = ("L", "neighbors", "supports", "t_maxes")
+    __slots__ = ("nbr", "nbr_w", "tau_w", "gamma", "t_max")
 
     def __init__(self, spec: GpcSpec):
-        self.L = spec.num_positions
-        self.neighbors = []
-        for i in range(self.L):
-            self.neighbors.append(
-                [(j, float(spec.gamma[j])) for j in range(self.L) if spec.eta[i, j]]
-            )
-        self.supports = [d.support() for d in spec.tau]
-        self.t_maxes = [d.t_max for d in spec.tau]
+        L, self.t_max = spec.num_positions, spec.t_max
+        rows, cols = np.nonzero(spec.eta)
+        degree = np.bincount(rows, minlength=L)
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.nbr = np.zeros((L, int(degree.max())), dtype=np.intp)
+        self.nbr_w = np.zeros(self.nbr.shape)
+        self.nbr[rows, slot] = cols
+        self.nbr_w[rows, slot] = spec.gamma[cols]
+        self.tau_w = np.zeros((L, self.t_max))
+        for i, d in enumerate(spec.tau):
+            self.tau_w[i, : d.t_max] = d.weights
+        self.gamma = spec.gamma
 
+    def means(self, x: np.ndarray, c: float) -> np.ndarray:
+        """lam_i = c * sum_j eta_ij gamma_j x_j."""
+        return c * np.einsum("ij,ij->i", self.nbr_w, x[self.nbr])
 
-def _means(comp: _CompiledSpec, x: Sequence[float], c: float) -> list[float]:
-    return [c * sum(w * x[j] for j, w in comp.neighbors[i]) for i in range(comp.L)]
+    def mix(self, tails: np.ndarray) -> np.ndarray:
+        """sum_t tau_t(i) * tails[i, t-1] for every position i."""
+        return np.einsum("it,it->i", self.tau_w, tails)
 
 
 def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
@@ -132,13 +156,9 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     everything to zero (an erasure-free channel resolves instantly)."""
     if c < 0.0:
         raise ValueError(f"effective channel quality must be >= 0, got {c}")
-    comp = _CompiledSpec(spec)
-    lam = _means(comp, x, c)
-    out = np.empty(comp.L)
-    for i in range(comp.L):
-        tails = poisson_tail_block(comp.t_maxes[i], lam[i])
-        out[i] = sum(w * tails[t - 1] for t, w in comp.supports[i])
-    return out
+    pos = _PositionArrays(spec)
+    lam = pos.means(np.asarray(x, dtype=float), c)
+    return pos.mix(poisson_tail_table(lam, pos.t_max))
 
 
 def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
@@ -146,15 +166,10 @@ def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
 
     Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
     more than t of its erasures survive the round."""
-    comp = _CompiledSpec(spec)
-    lam = _means(comp, x, c)
-    total = 0.0
-    for i in range(comp.L):
-        tails = poisson_tail_block(comp.t_maxes[i] + 1, lam[i])
-        total += float(spec.gamma[i]) * sum(
-            w * tails[t] for t, w in comp.supports[i]
-        )
-    return total
+    pos = _PositionArrays(spec)
+    lam = pos.means(np.asarray(x, dtype=float), c)
+    tails = poisson_tail_table(lam, pos.t_max + 1)
+    return float(pos.gamma @ pos.mix(tails[:, 1:]))
 
 
 def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:
@@ -171,20 +186,76 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
     x_typed = np.asarray(x_typed, dtype=float)
     if x_typed.shape != (L, t_max):
         raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
-    out = np.zeros_like(x_typed)
+    pos = _PositionArrays(spec)
     # collapse the incoming typed state per position, then fan back out
-    agg = np.zeros(L)
-    for j in range(L):
-        for t, w in spec.tau[j].support():
-            agg[j] += w * x_typed[j, t - 1]
-    for i in range(L):
-        lam = c * sum(
-            float(spec.gamma[j]) * agg[j] for j in range(L) if spec.eta[i, j]
-        )
-        tails = poisson_tail_block(t_max, lam)
-        for t, _ in spec.tau[i].support():
-            out[i, t - 1] = tails[t - 1]
-    return out
+    tails = poisson_tail_table(pos.means(pos.mix(x_typed), c), t_max)
+    return np.where(pos.tau_w > 0.0, tails, 0.0)
+
+
+def _scalar_step(spec: GpcSpec, c: float):
+    """Per-position loop over Poisson tail blocks; see ``_vector_step``."""
+    gamma = [float(g) for g in spec.gamma]
+    positions = [
+        ([(int(j), gamma[j]) for j in np.nonzero(row)[0]], d.t_max + 1, d.support())
+        for row, d in zip(spec.eta, spec.tau)
+    ]
+    z_pos = [1.0] * len(positions)  # per-position failure fraction; 1 before decoding
+
+    def step(x, active):
+        new_x = list(x)
+        max_change = 0.0
+        for i, (neighbors, t_top, support) in enumerate(positions):
+            if active is not None and i not in active:
+                continue
+            lam = c * sum(w * x[j] for j, w in neighbors)
+            tails = poisson_tail_block(t_top, lam)
+            xi = 0.0
+            zi = 0.0
+            for t, w in support:
+                xi += w * tails[t - 1]
+                zi += w * tails[t]
+            new_x[i] = xi
+            z_pos[i] = zi
+            change = abs(x[i] - xi)
+            if change > max_change:
+                max_change = change
+        z = sum(g * zp for g, zp in zip(gamma, z_pos))
+        return new_x, z, max(new_x), max_change
+
+    return step
+
+
+def _vector_step(spec: GpcSpec, c: float):
+    """One DE iteration as array operations over all positions.
+
+    ``step(x, active)`` returns the new x (positions outside ``active`` keep
+    theirs bitwise), the failure fraction z, max(x) and the largest change
+    of x.  Schedule masks are built once per distinct active set.
+    """
+    pos = _PositionArrays(spec)
+    L = spec.num_positions
+    z_pos = np.ones(L)
+    masks: dict[frozenset[int], np.ndarray] = {}
+
+    def step(x, active):
+        nonlocal z_pos
+        x = np.asarray(x, dtype=float)
+        tails = poisson_tail_table(pos.means(x, c), pos.t_max + 1)
+        new_x = pos.mix(tails[:, :-1])
+        new_z = pos.mix(tails[:, 1:])
+        if active is None:
+            z_pos = new_z
+        else:
+            mask = masks.get(active)
+            if mask is None:
+                mask = masks[active] = np.zeros(L, dtype=bool)
+                mask[list(active)] = True
+            new_x = np.where(mask, new_x, x)
+            z_pos = np.where(mask, new_z, z_pos)
+        max_change = float(np.abs(new_x - x).max())
+        return new_x, float(pos.gamma @ z_pos), float(new_x.max()), max_change
+
+    return step
 
 
 def de_run(
@@ -200,58 +271,37 @@ def de_run(
     With a schedule, iteration l updates only the active positions; frozen
     positions keep x and their per-position failure term bitwise unchanged,
     and the run executes the whole schedule (stall detection is meaningless
-    while positions wait to be activated).
+    while positions wait to be activated).  Specs with at least
+    ``VECTOR_MIN_POSITIONS`` positions step all positions as arrays, shorter
+    ones position by position; the two agree to rounding.
     """
     require_valid(spec)
     if c < 0.0:
         raise ValueError(f"effective channel quality must be >= 0, got {c}")
-    comp = _CompiledSpec(spec)
-    L = comp.L
+    L = spec.num_positions
     if schedule is not None:
         if not schedule.covers(L):
             raise ValueError("schedule must cover every position")
         steps = min(ell_max, len(schedule))
     else:
         steps = ell_max
-    gamma = [float(g) for g in spec.gamma]
+    step = (_vector_step if L >= VECTOR_MIN_POSITIONS else _scalar_step)(spec, c)
 
     x = [1.0] * L
-    z_pos = [1.0] * L  # per-position failure fraction; 1 before any decoding
-    xs = [list(x)]
+    xs = [x]
     zs = [1.0]
     verdict = ITERATION_CAP
-    it = 0
     for it in range(1, steps + 1):
         active = schedule.active_sets[it - 1] if schedule is not None else None
-        lam = _means(comp, x, c)
-        new_x = list(x)
-        max_change = 0.0
-        for i in range(L):
-            if active is not None and i not in active:
-                continue
-            tails = poisson_tail_block(comp.t_maxes[i] + 1, lam[i])
-            xi = 0.0
-            zi = 0.0
-            for t, w in comp.supports[i]:
-                xi += w * tails[t - 1]
-                zi += w * tails[t]
-            new_x[i] = xi
-            z_pos[i] = zi
-            change = abs(x[i] - xi)
-            if change > max_change:
-                max_change = change
-        x = new_x
-        xs.append(list(x))
-        zs.append(sum(g * zp for g, zp in zip(gamma, z_pos)))
-        x_max = max(x)
+        x, z, x_max, max_change = step(x, active)
+        xs.append(x)
+        zs.append(z)
         if x_max <= success_epsilon:
             verdict = CONVERGED
             break
         if schedule is None and max_change < x_tolerance * x_max:
             verdict = STUCK
             break
-    else:
-        it = steps
     return DeTrajectory(
         x=np.array(xs), z=np.array(zs), iterations_run=len(xs) - 1, verdict=verdict
     )
@@ -279,18 +329,28 @@ def success_condition(
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    support = tau.support()
-    t_max = tau.t_max
     min_slack = math.inf
     worst_x = math.nan
-    for i in range(1, grid_points + 1):
-        x = i / grid_points
-        tails = poisson_tail_block(t_max, c * x)
-        slack = x - sum(w * tails[t - 1] for t, w in support)
-        if slack < min_slack:
-            min_slack = slack
-            worst_x = x
+    for x, slack in _grid_slack(tau, c, 1.0, grid_points):
+        k = int(np.argmin(slack))
+        if slack[k] < min_slack:
+            min_slack = float(slack[k])
+            worst_x = float(x[k])
     return SuccessCheck(min_slack > -noise_floor, min_slack, worst_x)
+
+
+def _grid_slack(tau: CapabilityDistribution, c: float, top: float, points: int):
+    """Contraction slack x - sum_t tau_t P(Pois(c x) >= t) on the grid
+    x = top * i / points, i = 1..points, as (x, slack) blocks of at most
+    ``SLACK_BLOCK`` points."""
+    support = tau.support()
+    for start in range(1, points + 1, SLACK_BLOCK):
+        x = top * np.arange(start, min(start + SLACK_BLOCK, points + 1)) / points
+        tails = poisson_tail_table(c * x, tau.t_max)
+        mixed = 0.0
+        for t, w in support:
+            mixed = mixed + w * tails[:, t - 1]
+        yield x, x - mixed
 
 
 def _collapsed_mixture(spec: GpcSpec) -> CapabilityDistribution | None:
@@ -329,16 +389,9 @@ def _run_converges(
     if tau is None:
         return False
     x_end = float(traj.final_x[0])
-    support = tau.support()
-    t_max = tau.t_max
-    grid = 2000
-    for i in range(1, grid + 1):
-        x = x_end * i / grid
-        tails = poisson_tail_block(t_max, c * x)
-        slack = x - sum(w * tails[t - 1] for t, w in support)
-        if slack < -1e-12:
-            return False
-    return True
+    return not any(
+        (slack < -1e-12).any() for _, slack in _grid_slack(tau, c, x_end, 2000)
+    )
 
 
 @dataclass(frozen=True)
@@ -380,13 +433,15 @@ def threshold(
     Starts from [t_bar/2, 2*t_bar] (the analytic containment bracket) unless
     explicit endpoints are given, expanding by doubling/halving when an
     endpoint is on the wrong side.  Raises BracketError when no sign change
-    exists inside [1e-3, 4 * t_max].
+    exists inside [1e-3, 4 * t_max * erasure_scaling(spec)]: coupled chains
+    have raw thresholds about erasure_scaling times their normalized ones
+    (3.6x for a staircase of 6 positions, about L/2 for long staircases).
     """
     require_valid(spec)
     tbar = mean_capability(spec)
     lo = c_lo if c_lo is not None else tbar / 2.0
     hi = c_hi if c_hi is not None else 2.0 * tbar
-    floor, ceil = 1e-3, 4.0 * spec.t_max
+    floor, ceil = 1e-3, 4.0 * spec.t_max * erasure_scaling(spec)
 
     def conv(c: float) -> bool:
         return _run_converges(spec, c, ell_max, success_epsilon, x_tolerance)

@@ -2,6 +2,8 @@
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
+``poisson_tail_table`` is the vectorized kernel behind density evolution;
+``poisson_tail_block`` is its scalar counterpart for one rate.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 _LOG_FACT_SIZE = 4096
 _LOG_FACT = [0.0] * _LOG_FACT_SIZE
@@ -63,10 +67,8 @@ def poisson_tail(t: int, lam: float) -> float:
 def poisson_tail_block(t_max: int, lam: float) -> list[float]:
     """[P(X >= 1), ..., P(X >= t_max)] from a single cumulative pmf pass.
 
-    Shares the running pmf across all thresholds; this is the hot path of the
-    density-evolution inner loop.  Requires lam small enough that exp(-lam)
-    does not underflow (lam < ~700), which holds for every DE argument since
-    lam <= c <= 2 * t_max there.
+    Shares the running pmf across all thresholds.  Rates beyond 600, where
+    exp(-lam) nears underflow, fall back to the log-space ``poisson_tail``.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
@@ -85,6 +87,36 @@ def poisson_tail_block(t_max: int, lam: float) -> list[float]:
         cdf += pmf
         out[i] = 1.0 - cdf
     return out
+
+
+def poisson_tail_table(lam: np.ndarray, t_max: int) -> np.ndarray:
+    """Tails of many rates at once: row i is [P(Pois(lam[i]) >= 1), ...,
+    P(Pois(lam[i]) >= t_max)], shape ``lam.shape + (t_max,)``.
+
+    The same recursion as ``poisson_tail_block`` (pmf_0 = exp(-lam),
+    pmf_k = pmf_{k-1} * lam / k, tail = 1 - running cdf), one array
+    operation per threshold, so rows agree with the scalar block up to the
+    last-ulp difference between ``np.exp`` and ``math.exp``.  A running cdf
+    that rounds above 1 would give a tail of about -2e-16; such entries read
+    0, so the table stays a probability and DE rates stay nonnegative.  Once
+    exp(-lam) underflows (lam > ~745) every tail reads 1, within rounding of
+    the truth while t_max stays well below lam.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    if (lam < 0.0).any():
+        raise ValueError("Poisson rates must be nonnegative")
+    # threshold-major, so each step writes one contiguous row
+    out = np.empty((t_max,) + lam.shape)
+    if t_max > 0:
+        pmf = np.exp(-lam)
+        cdf = pmf.copy()
+        np.subtract(1.0, cdf, out=out[0])
+        for k in range(1, t_max):
+            pmf *= lam / k
+            cdf += pmf
+            np.subtract(1.0, cdf, out=out[k])
+        np.maximum(out, 0.0, out=out)
+    return np.moveaxis(out, 0, -1)
 
 
 def initial_loss(t: int, c: float) -> float:
@@ -195,7 +227,3 @@ def tail_integral(t: int, c: float) -> float:
         raise ValueError(f"effective channel quality must be > 0, got {c}")
     return c - t + initial_loss(t, c)
 
-
-def truncation_horizon(lam: float) -> int:
-    """Index beyond which the Poisson(lam) tail is negligible (< 1e-12)."""
-    return int(lam + 40.0 * math.sqrt(lam) + 50.0)

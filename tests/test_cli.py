@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpclab
 from gpclab.cli import (
     EXIT_INPUT,
     EXIT_NONCONVERGED,
@@ -124,6 +129,18 @@ class TestThresholdCmd:
         c_star = float(row[header.index("c_star")])
         assert abs(c_star - 6.8) <= 0.1
 
+    def test_readme_staircase(self, tmp_path):
+        # the README's preset and threshold commands on a coupled chain
+        spec_path = str(tmp_path / "stair.json")
+        assert main(["preset", "staircase", "--L", "6", "--n", "36", "--t", "3",
+                     "--out", spec_path]) == EXIT_OK
+        out = tmp_path / "threshold.csv"
+        assert main(["threshold", "--spec", spec_path, "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().strip().splitlines()
+        row = dict(zip(lines[1].split(","), lines[2].split(",")))
+        # normalized threshold 4.97 times the staircase's CN scaling 3.6
+        assert abs(float(row["c_star"]) - 4.97 * 3.6) <= 0.05
+
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_hpc(100, 4))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -212,3 +229,17 @@ class TestJobsResolution:
 
         monkeypatch.setenv("GPCLAB_JOBS", "7")
         assert _jobs({"jobs": 5}, Args()) == 5
+
+
+class TestRuntimeDependencies:
+    def test_numpy_is_the_only_third_party_import(self):
+        # scipy, mpmath and hypothesis are test-only dependencies
+        src = Path(gpclab.__file__).resolve().parents[1]
+        code = ("import sys, gpclab, gpclab.cli; "
+                "print(' '.join(m for m in ('scipy', 'mpmath', 'hypothesis') "
+                "if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""

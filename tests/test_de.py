@@ -4,8 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpclab import de
-from gpclab.codespec import preset_hpc, preset_pc, preset_staircase
-from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail
+from gpclab.codespec import (
+    GpcSpec,
+    erasure_scaling,
+    preset_braided,
+    preset_hpc,
+    preset_pc,
+    preset_staircase,
+    staircase_eta,
+)
+from gpclab.poisson import (
+    CapabilityDistribution,
+    initial_loss_mixture,
+    poisson_tail,
+    poisson_tail_block,
+)
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_spec
 
 
@@ -190,6 +203,57 @@ class TestDeRun:
         assert len(rows) == traj.iterations_run + 2
 
 
+class TestVectorPath:
+    """de_run steps long chains as arrays and short ones position by
+    position; both must reach the same run, up to rounding."""
+
+    @staticmethod
+    def both_paths(monkeypatch, spec, c, **kwargs):
+        assert spec.num_positions >= de.VECTOR_MIN_POSITIONS
+        vector = de.de_run(spec, c, **kwargs)
+        monkeypatch.setattr(de, "VECTOR_MIN_POSITIONS", spec.num_positions + 1)
+        scalar = de.de_run(spec, c, **kwargs)
+        monkeypatch.undo()
+        assert vector.verdict == scalar.verdict
+        assert vector.iterations_run == scalar.iterations_run
+        assert np.max(np.abs(vector.x - scalar.x)) <= 1e-12
+        assert np.max(np.abs(vector.z - scalar.z)) <= 1e-12
+        return vector
+
+    @pytest.mark.parametrize("c_norm,verdict", [(5.0, de.CONVERGED), (6.0, de.STUCK)])
+    def test_staircase(self, monkeypatch, c_norm, verdict):
+        spec = preset_staircase(20, 200, 3)
+        traj = self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec))
+        assert traj.verdict == verdict
+
+    @pytest.mark.parametrize("c_norm,verdict", [(5.0, de.CONVERGED), (6.0, de.STUCK)])
+    def test_braided(self, monkeypatch, c_norm, verdict):
+        spec = preset_braided(20, 200, 3)
+        traj = self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec))
+        assert traj.verdict == verdict
+
+    def test_window_schedule(self, monkeypatch):
+        spec = preset_staircase(20, 200, 3)
+        sched = de.window_schedule(20, width=5, steps_per_slide=4)
+        traj = self.both_paths(monkeypatch, spec, 5.4 * erasure_scaling(spec),
+                               schedule=sched)
+        assert traj.iterations_run == len(sched)
+        for k, active in enumerate(sched.active_sets):
+            frozen = sorted(set(range(20)) - active)
+            assert np.array_equal(traj.x[k + 1][frozen], traj.x[k][frozen])
+
+    def test_mixed_capabilities(self, monkeypatch):
+        # capability mixtures of different t_max per position
+        L = 18
+        taus = [MIX_TBAR7, MIX_TBAR7_MIN4, CapabilityDistribution.point_mass(2)]
+        spec = GpcSpec(eta=staircase_eta(L), gamma=np.full(L, 1.0 / L),
+                       tau=tuple(taus[i % 3] for i in range(L)), n=1800,
+                       tau_assignment="random")
+        for c_norm in (7.0, 12.0):
+            self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec),
+                            ell_max=500)
+
+
 class TestSchedule:
     def test_union_must_cover(self):
         spec = preset_pc(10, (0.5, 0.5), 2)
@@ -222,6 +286,16 @@ class TestThreshold:
         # both endpoints on the convergent side: hi must auto-expand
         res = de.threshold(preset_hpc(100, 4), c_lo=2.0, c_hi=3.0)
         assert abs(res.c_star - 6.8) <= 0.1
+
+    @pytest.mark.parametrize("spec,expected", [
+        (preset_staircase(6, 36, 3), 4.97),
+        (preset_braided(8, 800, 3), 5.08),
+    ])
+    def test_coupled_normalized_threshold(self, spec, expected):
+        # raw thresholds of coupled chains lie above 4 * t_max; the bracket
+        # ceiling scales with the coupling
+        res = de.threshold(spec)
+        assert res.c_star / erasure_scaling(spec) == pytest.approx(expected, abs=0.01)
 
     def test_no_bracket_error(self):
         # a starved iteration cap on a capability-1 chain leaves no c
@@ -323,6 +397,25 @@ class TestSuccessCondition:
         assert check.ok
         assert 0.0 < check.min_slack < 1.0
         assert 0.0 < check.worst_x <= 1.0
+
+    @pytest.mark.parametrize("tau,c", [
+        (CapabilityDistribution.point_mass(4), 5.0),
+        (CapabilityDistribution.point_mass(4), 6.9),
+        (MIX_TBAR7, 13.0),
+        (MIX_TBAR7, 13.6),
+    ])
+    def test_matches_scalar_loop(self, tau, c):
+        grid = 10000
+        min_slack, worst_x = np.inf, np.nan
+        for i in range(1, grid + 1):
+            x = i / grid
+            tails = poisson_tail_block(tau.t_max, c * x)
+            slack = x - sum(w * tails[t - 1] for t, w in tau.support())
+            if slack < min_slack:
+                min_slack, worst_x = slack, x
+        check = de.success_condition(tau, c, grid_points=grid)
+        assert check.worst_x == worst_x
+        assert check.min_slack == pytest.approx(min_slack, abs=1e-15)
 
     @given(
         st.integers(min_value=1, max_value=12),

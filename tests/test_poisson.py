@@ -13,8 +13,8 @@ from gpclab.poisson import (
     poisson_pmf,
     poisson_tail,
     poisson_tail_block,
+    poisson_tail_table,
     tail_integral,
-    truncation_horizon,
 )
 from conftest import MIX_TBAR7
 
@@ -47,9 +47,9 @@ class TestPmf:
             poisson_tail(1, -2.0)
 
     def test_pmf_sums_to_one(self):
+        # the mass beyond 200 is below 1e-100 for every rate here
         for lam in (0.3, 1.0, 7.7, 25.0):
-            horizon = truncation_horizon(lam)
-            total = sum(poisson_pmf(i, lam) for i in range(horizon + 1))
+            total = sum(poisson_pmf(i, lam) for i in range(200))
             assert abs(total - 1.0) < 1e-10
 
 
@@ -85,9 +85,39 @@ class TestTail:
     def test_expectation_identity(self):
         # sum_{i>=0} P(X >= i+1) telescopes to the mean
         for lam in (0.5, 3.0, 12.0):
-            horizon = truncation_horizon(lam)
-            total = sum(poisson_tail(i + 1, lam) for i in range(horizon + 1))
+            total = sum(poisson_tail(i + 1, lam) for i in range(200))
             assert abs(total - lam) < 1e-10
+
+
+class TestTailTable:
+    RATES = (0.0, 1e-6, 0.05, 2.5, 31.0, 650.0)
+
+    @pytest.mark.parametrize("t_max", [1, 2, 4, 11, 50])
+    def test_rows_match_block(self, t_max):
+        # same recursion; only np.exp vs math.exp (last ulp) may differ,
+        # carried along the running cdf
+        table = poisson_tail_table(np.array(self.RATES), t_max)
+        assert table.shape == (len(self.RATES), t_max)
+        for row, lam in zip(table, self.RATES):
+            block = np.array(poisson_tail_block(t_max, lam))
+            assert np.max(np.abs(row - block)) <= 1e-15
+
+    def test_shape_follows_rates(self):
+        lam = np.full((3, 2), 1.5)
+        assert poisson_tail_table(lam, 4).shape == (3, 2, 4)
+        assert poisson_tail_table(np.array([1.0, 2.0]), 0).shape == (2, 0)
+
+    def test_tails_never_negative(self):
+        # at small rates the running cdf can round above 1
+        table = poisson_tail_table(np.geomspace(1e-8, 1e-1, 2000), 12)
+        assert (table >= 0.0).all()
+
+    def test_zero_rate_has_no_tail(self):
+        assert not poisson_tail_table(np.zeros(4), 6).any()
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_tail_table(np.array([1.0, -0.5]), 3)
 
 
 class TestInitialLoss:
