@@ -195,7 +195,9 @@ def survival_mc(
     Vectorized level-by-level over batches of trees: the realized per-node
     offspring counts are drawn per (position, capability) type and the
     survival bits are folded bottom-up, which avoids materializing the last
-    generation (its nodes always survive, only their counts matter).
+    generation (its nodes always survive, only their counts matter).  Raises
+    TreeSizeLimit once a batch would exceed ``node_budget`` nodes, before the
+    level that would exceed it is allocated.
     """
     require_valid(spec)
     if ell < 0 or trees < 1:
@@ -222,40 +224,29 @@ def survival_mc(
             cap = np.full(b, root_type[1], dtype=np.int64)
         levels = [(pos, cap, None)]  # (positions, capabilities, parent indices)
         nodes_seen = b
-        # expand levels 0 .. ell-2 with typed children
+        # expand levels 0 .. ell-2 with typed children; a level's offspring
+        # counts are drawn and summed against the budget before it is built
         for d in range(ell - 1):
-            pos_d, cap_d, _ = levels[d]
-            cnt = pos_d.shape[0]
-            if cnt == 0:
+            pos_d = levels[d][0]
+            if pos_d.shape[0] == 0:
                 break
-            kid_pos, kid_cap, kid_par = [], [], []
+            draws = []  # (parent indices, child counts, child position, capability)
             for i in range(L):
                 sel = np.nonzero(pos_d == i)[0]
-                if sel.size == 0:
-                    continue
-                for j, t, mean in rates[i]:
-                    counts = rng.poisson(mean, size=sel.size)
-                    tot = int(counts.sum())
-                    if tot == 0:
-                        continue
-                    kid_par.append(np.repeat(sel, counts))
-                    kid_pos.append(np.full(tot, j, dtype=np.int64))
-                    kid_cap.append(np.full(tot, t, dtype=np.int64))
-            if kid_par:
-                par = np.concatenate(kid_par)
-                levels.append(
-                    (np.concatenate(kid_pos), np.concatenate(kid_cap), par)
-                )
-            else:
-                levels.append(
-                    (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                     np.empty(0, dtype=np.int64))
-                )
-            nodes_seen += levels[-1][0].shape[0]
+                if sel.size:
+                    draws.extend((sel, rng.poisson(mean, size=sel.size), j, t)
+                                 for j, t, mean in rates[i])
+            nodes_seen += sum(int(k.sum()) for _, k, _, _ in draws)
             if nodes_seen > node_budget:
                 raise TreeSizeLimit(
                     f"batch exceeded {node_budget} nodes; lower ell, c, or batch_size"
                 )
+            kids = [(np.repeat(sel, k), j, t) for sel, k, j, t in draws]
+            levels.append((
+                np.concatenate([np.full(par.size, j, dtype=np.int64) for par, j, _ in kids]),
+                np.concatenate([np.full(par.size, t, dtype=np.int64) for par, _, t in kids]),
+                np.concatenate([par for par, _, _ in kids]),
+            ))
         # bottom level (depth ell-1): children counts suffice, all grandkids survive
         deepest = len(levels) - 1
         pos_d, cap_d, _ = levels[deepest]
@@ -268,16 +259,13 @@ def survival_mc(
         # fold upward: node survives iff enough children survive
         for d in range(deepest, 0, -1):
             pos_u, cap_u, _ = levels[d - 1]
-            par = levels[d][2]
-            agg = np.zeros(pos_u.shape[0], dtype=np.int64)
-            if par.size:
-                np.add.at(agg, par, survive.astype(np.int64))
+            agg = np.bincount(levels[d][2], weights=survive, minlength=pos_u.shape[0])
             need = cap_u + (1 if d - 1 == 0 else 0)
             survive = agg >= need
         survived += int(survive.sum())
         done += b
     p_hat = survived / trees
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / trees)
+    se = math.sqrt(p_hat * (1.0 - p_hat) / trees)
     return SurvivalEstimate(p_hat, se, trees)
 
 

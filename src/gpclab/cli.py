@@ -260,16 +260,17 @@ def cmd_oracle(args) -> int:
     ell = int(config.get("ell", 4))
     trees = int(config.get("trees", 100000))
     seed = int(config.get("seed", 0))
-    rows = [["ell", "z_de", "z_mc", "stderr", "diff_over_se"]]
+    rows = [["ell", "z_de", "z_mc", "stderr", "diff_over_se", "cp95_bound"]]
     traj = de.de_run(spec, c, ell_max=ell)
     for depth in range(1, ell + 1):
         z_de = float(traj.z[min(depth, traj.iterations_run)])
         est = branching.survival_mc(spec, c, depth, trees, seed)
-        se = est.stderr if est.stderr > 0 else float("inf")
-        rows.append(
-            [str(depth), repr(z_de), repr(est.mean), repr(est.stderr),
-             repr(abs(est.mean - z_de) / se)]
-        )
+        if 0.0 < est.mean < 1.0:
+            compare = [repr(abs(est.mean - z_de) / est.stderr), ""]
+        else:  # stderr is 0: one-sided 95% Clopper-Pearson bound instead
+            edge = 0.05 ** (1.0 / est.trees)
+            compare = ["", repr(1.0 - edge if est.mean == 0.0 else edge)]
+        rows.append([str(depth), repr(z_de), repr(est.mean), repr(est.stderr)] + compare)
     _emit(rows, config, args)
     return EXIT_OK
 

@@ -3,15 +3,20 @@
 The residual graph of a GPC after a binary erasure channel keeps one vertex
 per component code and one edge per erased bit.  Decoding is the parallel
 peeling process: every round removes all vertices whose current degree is at
-most their capability.  A sequential removal oracle and a deterministic
-worked example back the tests.
+most their capability.  Peeling keeps degrees incrementally on a CSR
+incidence, so a round reads only the edges of the vertices it removes: O(E)
+edge work over the whole run for E edges, plus one O(n) scan of the vertex
+flags per round.  A sequential removal oracle over the same incidence and a
+deterministic worked example back the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -197,62 +202,44 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
     return _sample(spec, c, _trial_rng(seed, 0))
 
 
-def _alive_degrees(graph: ResidualGraph, alive: np.ndarray, edge_alive: np.ndarray) -> np.ndarray:
-    live = graph.edges[edge_alive]
-    return np.bincount(live.ravel(), minlength=graph.num_vertices)
+def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
+    joins v to nbr[s] by edge eid[s]; a vertex lists its edges in edge order."""
+    ends = graph.edges.astype(np.int64).ravel()
+    m = ends.size
+    # the stable argsort of ends; sorting unique (end, slot) keys is faster
+    order = np.sort(ends * m + np.arange(m)) % m
+    start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
+    return start, ends[order ^ 1], order // 2
 
 
-def peel(graph: ResidualGraph, ell: int | None = None) -> PeelingResult:
-    """Parallel peeling: each round removes, simultaneously, every vertex
-    whose degree is at most its capability; stops at the round cap or at a
-    fixpoint (a round that would remove nothing)."""
+def _peel(
+    graph: ResidualGraph, masks: Iterable[np.ndarray], stop_when_idle: bool
+) -> PeelingResult:
+    """One parallel round per vertex mask, on degrees kept incrementally: a
+    round reads only the incidence slots of the vertices it removes."""
     n = graph.num_vertices
-    alive = np.ones(n, dtype=bool)
-    edge_alive = np.ones(graph.num_edges, dtype=bool)
-    removed: list[int] = []
-    while ell is None or len(removed) < ell:
-        deg = _alive_degrees(graph, alive, edge_alive)
-        eligible = alive & (deg <= graph.vertex_capability)
-        cnt = int(eligible.sum())
-        if cnt == 0:
-            break
-        alive[eligible] = False
-        edge_alive &= alive[graph.edges[:, 0]] & alive[graph.edges[:, 1]]
-        removed.append(cnt)
-    return PeelingResult(
-        failed_fraction=float(alive.sum()) / n if n else 0.0,
-        removed_per_round=tuple(removed),
-        surviving_edges=int(edge_alive.sum()),
-        rounds_run=len(removed),
-        survivors=np.nonzero(alive)[0],
-    )
-
-
-def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
-    """Peeling under a decoding schedule.
-
-    Round l touches only vertices at active positions; a frozen vertex keeps
-    the failure status from the last round its position was active, so the
-    reported failed fraction reflects per-vertex last-active outcomes.
-    """
-    n = graph.num_vertices
-    L = int(graph.vertex_position.max()) + 1 if n else 0
-    if not schedule.covers(L):
-        raise ValueError("schedule must cover every position present in the graph")
+    start, nbr, eid = _incidence(graph)
+    deg = np.diff(start)
     alive = np.ones(n, dtype=bool)
     edge_alive = np.ones(graph.num_edges, dtype=bool)
     failed = np.ones(n, dtype=bool)  # before any decoding, everything fails
     removed: list[int] = []
-    for active in schedule.active_sets:
-        mask = np.isin(graph.vertex_position, list(active))
-        deg = _alive_degrees(graph, alive, edge_alive)
-        eligible = alive & mask & (deg <= graph.vertex_capability)
-        cnt = int(eligible.sum())
-        if cnt:
-            alive[eligible] = False
-            edge_alive &= alive[graph.edges[:, 0]] & alive[graph.edges[:, 1]]
-        removed.append(cnt)
-        failed[mask] = alive[mask]
+    for mask in masks:
+        gone = np.flatnonzero(alive & mask & (deg <= graph.vertex_capability))
+        if stop_when_idle and gone.size == 0:
+            break
+        alive[gone] = False
+        lo = start[gone]
+        size = start[gone + 1] - lo
+        slots = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        edge_alive[eid[slots]] = False
+        # a slot reaching a live neighbour holds a live edge; degrees of dead
+        # vertices are never read again, so every slot may count
+        deg -= np.bincount(nbr[slots], minlength=n)
+        removed.append(gone.size)
+        np.copyto(failed, alive, where=mask)
         if not alive.any():
             break
     return PeelingResult(
@@ -264,33 +251,53 @@ def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
     )
 
 
+def peel(graph: ResidualGraph, ell: int | None = None) -> PeelingResult:
+    """Parallel peeling: each round removes, simultaneously, every vertex
+    whose degree is at most its capability; stops at the round cap or at a
+    fixpoint (a round that would remove nothing)."""
+    everyone = np.ones(graph.num_vertices, dtype=bool)
+    rounds = itertools.repeat(everyone) if ell is None else itertools.repeat(everyone, ell)
+    return _peel(graph, rounds, True)
+
+
+def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
+    """Peeling under a decoding schedule.
+
+    Round l touches only vertices at active positions; a frozen vertex keeps
+    the failure status from the last round its position was active, so the
+    reported failed fraction reflects per-vertex last-active outcomes.
+    """
+    L = int(graph.vertex_position.max()) + 1 if graph.num_vertices else 0
+    if not schedule.covers(L):
+        raise ValueError("schedule must cover every position present in the graph")
+    positions = np.arange(L)
+    masks = (np.isin(positions, list(active))[graph.vertex_position]
+             for active in schedule.active_sets)
+    return _peel(graph, masks, False)
+
+
 def core_oracle(graph: ResidualGraph) -> np.ndarray:
     """Sequential-removal fixpoint: keep deleting any one vertex with degree
     at most its capability until none qualifies.  Monotone peeling is
     confluent, so this equals the parallel fixpoint exactly."""
     n = graph.num_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in graph.edges:
-        adj[u].append(int(v))
-        adj[v].append(int(u))
-    deg = np.array([len(a) for a in adj], dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    caps = graph.vertex_capability
-    stack = [v for v in range(n) if deg[v] <= caps[v]]
-    queued = np.zeros(n, dtype=bool)
-    queued[stack] = True
+    start, nbr, _ = _incidence(graph)
+    deg = np.diff(start).tolist()
+    start, nbr = start.tolist(), nbr.tolist()
+    caps = graph.vertex_capability.tolist()
+    alive = [True] * n
+    queued = [d <= t for d, t in zip(deg, caps)]
+    stack = [v for v in range(n) if queued[v]]
     while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
+        v = stack.pop()  # each vertex is queued at most once
         alive[v] = False
-        for u in adj[v]:
+        for u in nbr[start[v] : start[v + 1]]:
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] <= caps[u] and not queued[u]:
                     queued[u] = True
                     stack.append(u)
-    return np.nonzero(alive)[0]
+    return np.flatnonzero(alive)
 
 
 def _mc_trial(args: tuple) -> tuple[float, float, float]:

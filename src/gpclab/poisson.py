@@ -67,8 +67,11 @@ def poisson_tail(t: int, lam: float) -> float:
 def poisson_tail_block(t_max: int, lam: float) -> list[float]:
     """[P(X >= 1), ..., P(X >= t_max)] from a single cumulative pmf pass.
 
-    Shares the running pmf across all thresholds.  Rates beyond 600, where
-    exp(-lam) nears underflow, fall back to the log-space ``poisson_tail``.
+    Shares the running pmf across all thresholds.  Once the running cdf
+    rounds to 1 or above, the remaining tails read 0 (1 - cdf would give
+    about -1e-16 there), as in ``poisson_tail_table``, and the pass stops.
+    Rates beyond 600, where exp(-lam) nears underflow, fall back to the
+    log-space ``poisson_tail``.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
@@ -85,6 +88,8 @@ def poisson_tail_block(t_max: int, lam: float) -> list[float]:
     for i in range(1, t_max):
         pmf *= lam / i
         cdf += pmf
+        if cdf >= 1.0:  # this and every later tail rounds to <= 0: leave 0
+            break
         out[i] = 1.0 - cdf
     return out
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,27 @@ class TestSurvivalMc:
             est = survival_mc(spec, c, ell, trees=60_000, master_seed=9,
                               root_type=(i, 2))
             assert abs(est.mean - z_typed) <= 3 * est.stderr + 1e-12
+
+    def test_over_budget_level_is_never_built(self):
+        # levels of 100, 3e3 and 9e4 nodes fit the budget; the next one,
+        # about 2.7e6 nodes (65 MB of node arrays), must raise unbuilt
+        budget = 100_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeSizeLimit):
+                survival_mc(preset_hpc(1000, 3), 30.0, 5, trees=100, master_seed=1,
+                            node_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a node takes 24 bytes (position, capability, parent as int64); a
+        # level is copied once while it is concatenated
+        assert peak < 64 * budget
+
+    def test_certain_estimate_has_zero_stderr(self):
+        est = survival_mc(preset_hpc(100, 3), 0.01, 2, trees=1000, master_seed=3)
+        assert est.mean == 0.0
+        assert est.stderr == 0.0
 
     def test_depth_zero(self):
         est = survival_mc(preset_hpc(10, 2), 1.0, 0, trees=10, master_seed=0)

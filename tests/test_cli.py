@@ -204,8 +204,25 @@ class TestOracleCmd:
                      "--trees", "5000", "--seed", "1", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
-        assert lines[1] == "ell,z_de,z_mc,stderr,diff_over_se"
+        assert lines[1] == "ell,z_de,z_mc,stderr,diff_over_se,cp95_bound"
         assert len(lines) == 4  # two depths
+        for line in lines[2:]:
+            *_, diff, bound = line.split(",")
+            assert float(diff) >= 0.0 and bound == ""
+
+    @pytest.mark.parametrize("c, z_mc, bound", [
+        ("0.01", "0.0", 1.0 - 0.05 ** (1 / 1000)),
+        ("60.0", "1.0", 0.05 ** (1 / 1000)),
+    ])
+    def test_certain_estimate_reports_clopper_pearson_bound(self, tmp_path, c, z_mc, bound):
+        spec_path = write_spec(tmp_path, preset_hpc(100, 3))
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle", "--spec", spec_path, "--c", c, "--ell", "1",
+                     "--trees", "1000", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        row = out.read_text().strip().splitlines()[2].split(",")
+        assert row[2:5] == [z_mc, "0.0", ""]
+        assert float(row[5]) == pytest.approx(bound, rel=1e-15)
 
 
 class TestJobsResolution:

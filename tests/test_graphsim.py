@@ -10,6 +10,7 @@ from gpclab.codespec import cn_counts, cn_degrees, preset_hpc, preset_pc, preset
 from gpclab.graphsim import (
     ResidualGraph,
     _bernoulli_indices,
+    _incidence,
     _unrank_triangle,
     core_oracle,
     hpc_demo_graph,
@@ -33,6 +34,61 @@ def make_graph(edges, caps):
         edges=np.sort(edges, axis=1) if len(edges) else np.empty((0, 2), np.int64),
         origin_edge_count=len(edges),
     )
+
+
+def recount_peel(graph, ell=None):
+    """The parallel peeling reference: recounts every live edge each round."""
+    n = graph.num_vertices
+    alive = np.ones(n, dtype=bool)
+    edge_alive = np.ones(graph.num_edges, dtype=bool)
+    removed = []
+    while ell is None or len(removed) < ell:
+        deg = np.bincount(graph.edges[edge_alive].ravel(), minlength=n)
+        eligible = alive & (deg <= graph.vertex_capability)
+        cnt = int(eligible.sum())
+        if cnt == 0:
+            break
+        alive[eligible] = False
+        edge_alive &= alive[graph.edges[:, 0]] & alive[graph.edges[:, 1]]
+        removed.append(cnt)
+    return (float(alive.sum()) / n if n else 0.0, tuple(removed),
+            int(edge_alive.sum()), len(removed), np.nonzero(alive)[0].tolist())
+
+
+def recount_peel_scheduled(graph, schedule):
+    """Scheduled peeling reference with the same full recount per round."""
+    n = graph.num_vertices
+    alive = np.ones(n, dtype=bool)
+    edge_alive = np.ones(graph.num_edges, dtype=bool)
+    failed = np.ones(n, dtype=bool)
+    removed = []
+    for active in schedule.active_sets:
+        mask = np.isin(graph.vertex_position, list(active))
+        deg = np.bincount(graph.edges[edge_alive].ravel(), minlength=n)
+        eligible = alive & mask & (deg <= graph.vertex_capability)
+        cnt = int(eligible.sum())
+        if cnt:
+            alive[eligible] = False
+            edge_alive &= alive[graph.edges[:, 0]] & alive[graph.edges[:, 1]]
+        removed.append(cnt)
+        failed[mask] = alive[mask]
+        if not alive.any():
+            break
+    return (float(failed.sum()) / n if n else 0.0, tuple(removed),
+            int(edge_alive.sum()), len(removed), np.nonzero(alive)[0].tolist())
+
+
+def fields(result):
+    return (result.failed_fraction, result.removed_per_round, result.surviving_edges,
+            result.rounds_run, result.survivors.tolist())
+
+
+# (spec, c below threshold, c above threshold where peeling gets stuck)
+REFERENCE_FAMILIES = [
+    (preset_hpc(400, 4), 5.0, 7.5),
+    (preset_pc(400, (0.5, 0.5), 3), 7.0, 13.0),
+    (preset_staircase(6, 60, 3), 12.0, 24.0),
+]
 
 
 class TestDemoFixture:
@@ -198,6 +254,42 @@ class TestPeeling:
             assert np.array_equal(np.nonzero(alive)[0], result.survivors)
 
 
+class TestIncrementalPeeling:
+    def test_incidence_matches_edge_list(self, rng):
+        graphs = [make_graph([], [1, 1]), hpc_demo_graph(1)]
+        graphs += [sample_residual(random_spec(rng, n_scale=8), 3.0, seed=k)
+                   for k in range(6)]
+        for graph in graphs:
+            start, nbr, eid = _incidence(graph)
+            n = graph.num_vertices
+            assert np.array_equal(np.diff(start),
+                                  np.bincount(graph.edges.ravel(), minlength=n))
+            for v in range(n):
+                slots = range(start[v], start[v + 1])
+                want = sorted(int(u if w == v else w) for u, w in graph.edges
+                              if v in (u, w))
+                assert sorted(nbr[slots].tolist()) == want
+                # each slot's edge joins v to its listed neighbour
+                for s in slots:
+                    assert sorted(graph.edges[eid[s]].tolist()) == sorted([v, nbr[s]])
+
+    @pytest.mark.parametrize("family", range(len(REFERENCE_FAMILIES)))
+    def test_matches_full_recount(self, family):
+        spec, c_low, c_high = REFERENCE_FAMILIES[family]
+        stuck = 0
+        for seed, c in itertools.product(range(3), (c_low, c_high)):
+            graph = sample_residual(spec, c, seed=seed)
+            for ell in (None, 1, 3, 10):
+                assert fields(peel(graph, ell)) == recount_peel(graph, ell)
+            L = spec.num_positions
+            for schedule in (de.full_schedule(L, 12),
+                             de.window_schedule(L, width=min(2, L), steps_per_slide=3)):
+                assert (fields(peel_scheduled(graph, schedule))
+                        == recount_peel_scheduled(graph, schedule))
+            stuck += peel(graph).survivors.size > 0
+        assert stuck >= 3  # the above-threshold graphs keep a core
+
+
 class TestScheduledPeeling:
     def test_full_schedule_matches_plain(self, rng):
         for k in range(8):
@@ -276,6 +368,15 @@ class TestCoreOracle:
     def test_tree_fully_peels(self):
         edges = [(0, 1), (1, 2), (2, 3), (1, 4)]
         assert core_oracle(make_graph(edges, [1] * 5)).size == 0
+
+    @pytest.mark.parametrize("family", range(len(REFERENCE_FAMILIES)))
+    def test_matches_nonempty_parallel_core(self, family):
+        spec, _, c_high = REFERENCE_FAMILIES[family]
+        for seed in range(3):
+            graph = sample_residual(spec, c_high, seed=seed)
+            core = core_oracle(graph)
+            assert core.size > 0
+            assert np.array_equal(core, peel(graph).survivors)
 
     def test_matches_parallel_fixpoint(self, rng):
         for k in range(60):

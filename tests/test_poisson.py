@@ -82,6 +82,11 @@ class TestTail:
             for t in range(1, 13):
                 assert block[t - 1] == pytest.approx(poisson_tail(t, lam), abs=1e-13)
 
+    def test_block_tails_never_negative(self):
+        # at small rates the running cdf can round above 1
+        for lam in np.geomspace(1e-8, 1e-1, 2000):
+            assert min(poisson_tail_block(12, float(lam))) >= 0.0
+
     def test_expectation_identity(self):
         # sum_{i>=0} P(X >= i+1) telescopes to the mean
         for lam in (0.5, 3.0, 12.0):
