@@ -31,13 +31,11 @@ def main() -> int:
     parser.add_argument("--grid-m", type=int, default=FrontierConfig.grid_m)
     parser.add_argument("--t-max", type=int, default=FrontierConfig.t_max)
     parser.add_argument("--t-min", type=int, default=FrontierConfig.t_min)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
     cfg = FrontierConfig(grid_m=args.grid_m, t_max=args.t_max, t_min=args.t_min)
 
-    points = optimizer.sweep_tradeoff(list(cfg.c_grid), cfg.grid_m, cfg.t_max,
-                                      cfg.t_min, jobs=args.jobs)
+    points = optimizer.sweep_tradeoff(list(cfg.c_grid), cfg.grid_m, cfg.t_max, cfg.t_min)
     rows = [",".join(r) for r in optimizer.frontier_csv_rows(points)]
     rows.append("# regular point-mass thresholds: t,c_star,gap")
     for t in cfg.regular_ts:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import GpcSpec, require_valid
-from .graphsim import ResidualGraph
+from .graphsim import ResidualGraph, _stream_rng
 
 
 class TreeSizeLimit(RuntimeError):
@@ -38,14 +38,6 @@ class TypedTree:
     @property
     def max_depth(self) -> int:
         return int(self.depth.max()) if self.num_nodes else 0
-
-
-def _rng(master_seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(
-            key=np.random.SeedSequence((master_seed, stream)).generate_state(2, np.uint64)
-        )
-    )
 
 
 def _offspring_types(spec: GpcSpec, c: float) -> list[list[tuple[int, int, float]]]:
@@ -93,7 +85,7 @@ def sample_tree(
     require_valid(spec)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    rng = _rng(seed)
+    rng = _stream_rng(seed, 0)
     rates = _offspring_types(spec, c)
     if root_type is None:
         ps, ts, probs = _root_types(spec)
@@ -213,7 +205,7 @@ def survival_mc(
     batch_idx = 0
     while done < trees:
         b = min(batch_size, trees - done)
-        rng = _rng(master_seed, batch_idx)
+        rng = _stream_rng(master_seed, batch_idx)
         batch_idx += 1
         if root_type is None:
             ks = rng.choice(len(probs), size=b, p=probs)
@@ -300,7 +292,7 @@ def total_progeny_second_moment(c: float, ell: int) -> float:
 
 def total_progeny_samples(c: float, ell: int, trees: int, seed: int) -> np.ndarray:
     """Sampled totals T for the same process; generation sizes only."""
-    rng = _rng(seed)
+    rng = _stream_rng(seed, 0)
     z = np.ones(trees)
     tot = np.ones(trees)
     for _ in range(ell):

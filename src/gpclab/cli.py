@@ -22,6 +22,7 @@ import numpy as np
 from . import branching, de, graphsim, optimizer
 from .codespec import (
     GpcSpec,
+    mean_capability,
     preset_braided,
     preset_hpc,
     preset_pc,
@@ -168,7 +169,6 @@ def cmd_threshold(args) -> int:
 def cmd_bounds(args) -> int:
     config = _merge(_load_config(args.config), args, ["spec"])
     spec = _resolve_spec(config)
-    tbar = sum(float(g) * d.mean() for g, d in zip(spec.gamma, spec.tau))
     collapsed = np.zeros(spec.t_max)
     for g, dist in zip(spec.gamma, spec.tau):
         for t, w in dist.support():
@@ -179,8 +179,8 @@ def cmd_bounds(args) -> int:
         ["spec_hash", "t_bar", "upper_2tbar", "refined_upper", "conjecture_rhs"],
         [
             spec_hash(spec),
-            repr(tbar),
-            repr(2.0 * tbar),
+            repr(mean_capability(spec)),
+            repr(de.upper_bound(spec)),
             repr(refined),
             repr(de.conjectured_capability_floor(refined)),
         ],
@@ -221,9 +221,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = _merge(
-        _load_config(args.config), args, ["c", "grid", "t_min", "t_max", "verify"]
-    )
+    config = _merge(_load_config(args.config), args, ["c", "grid", "t_min", "t_max"])
     c = float(config.get("c", 10.0))
     problem = optimizer.build_lp(
         c,
@@ -235,8 +233,7 @@ def cmd_optimize(args) -> int:
     if solution.status == optimizer.STATUS_INFEASIBLE:
         sys.stderr.write(f"infeasible at c={c}\n")
         return EXIT_SOLVER
-    if config.get("verify", True):
-        solution = optimizer.post_verify(solution)
+    solution = optimizer.post_verify(solution)
     rows = [["key", "value"],
             ["status", solution.status],
             ["c", repr(solution.c)],
@@ -298,11 +295,10 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _common(sub: argparse.ArgumentParser) -> None:
+def _common(sub: argparse.ArgumentParser, spec: bool = True) -> None:
     sub.add_argument("--config", help="JSON config path")
-    sub.add_argument("--spec", help="spec JSON path (overrides config)")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--jobs", type=int, help="worker processes (env GPCLAB_JOBS)")
+    if spec:
+        sub.add_argument("--spec", help="spec JSON path (overrides config)")
     sub.add_argument("--out", help="write CSV to this path")
     sub.add_argument("--csv", action="store_true", help="echo CSV to stdout")
 
@@ -337,15 +333,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--ell", type=int)
     p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--jobs", type=int, help="worker processes (env GPCLAB_JOBS)")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("optimize", help="LP mixture design + post-verification")
-    _common(p)
+    _common(p, spec=False)
     p.add_argument("--c", type=float)
     p.add_argument("--grid", type=int, help="constraint grid size M")
     p.add_argument("--t-min", dest="t_min", type=int)
     p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--no-verify", dest="verify", action="store_false", default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = subs.add_parser("oracle", help="branching-process cross-check of DE")
@@ -353,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float)
     p.add_argument("--ell", type=int)
     p.add_argument("--trees", type=int)
+    p.add_argument("--seed", type=int, help="master seed")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("preset", help="write a family preset as spec JSON")

@@ -151,37 +151,21 @@ def cn_counts(spec: GpcSpec) -> np.ndarray:
     return rounded
 
 
-def cn_degrees(spec: GpcSpec) -> np.ndarray:
-    """Component-code length at each position.
+def _degrees(eta: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # the pairing rule: a CN at position i shares one VN with every CN of
+    # each coupled position j, itself excluded: d_i = sum_j eta_ij n_j - eta_ii
+    return eta @ counts - np.diag(eta)
 
-    d_i counts the VNs touching one CN at position i: n_i - 1 partners inside
-    its own position when eta_ii = 1 (no self-pairing), plus n_j for every
-    coupled position j != i.
-    """
-    counts = cn_counts(spec)
-    L = spec.num_positions
-    d = np.empty(L, dtype=np.int64)
-    for i in range(L):
-        total = spec.eta[i, i] * (counts[i] - 1)
-        for j in range(L):
-            if j != i and spec.eta[i, j]:
-                total += counts[j]
-        d[i] = total
-    return d
+
+def cn_degrees(spec: GpcSpec) -> np.ndarray:
+    """Component-code length at each position."""
+    return _degrees(spec.eta, cn_counts(spec))
 
 
 def code_length(spec: GpcSpec) -> int:
-    """Total number of VNs: pairs within self-coupled positions plus cross pairs."""
+    """Total number of VNs; each joins exactly two CNs (handshake identity)."""
     counts = cn_counts(spec)
-    L = spec.num_positions
-    m = 0
-    for i in range(L):
-        if spec.eta[i, i]:
-            m += counts[i] * (counts[i] - 1) // 2
-        for j in range(i + 1, L):
-            if spec.eta[i, j]:
-                m += counts[i] * counts[j]
-    return int(m)
+    return int(counts @ _degrees(spec.eta, counts)) // 2
 
 
 def erasure_scaling(spec: GpcSpec) -> float:

@@ -10,7 +10,8 @@ analytic bounds used to sanity-check and design capability mixtures.
 with array operations over all positions (one ``poisson_tail_table`` per
 iteration) and shorter ones position by position, which is faster there
 because each numpy call has a fixed cost; both share the stopping rules.
-The single-step functions and the contraction check always use the table.
+``de_step`` and ``failure_probability`` take one array step whatever L is,
+and the contraction check uses the same table.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ VECTOR_MIN_POSITIONS = 16
 # Grid points per tail table in the contraction check, which bounds its
 # arrays to a few hundred kB whatever the grid size.
 SLACK_BLOCK = 1024
+# Contraction slack dips smaller than this in magnitude are rounding noise:
+# each summand x - sum_t tau_t P(Pois(c x) >= t) carries O(1e-16) error.
+_NOISE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,7 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     everything to zero (an erasure-free channel resolves instantly)."""
     if c < 0.0:
         raise ValueError(f"effective channel quality must be >= 0, got {c}")
-    pos = _PositionArrays(spec)
-    lam = pos.means(np.asarray(x, dtype=float), c)
-    return pos.mix(poisson_tail_table(lam, pos.t_max))
+    return _vector_step(spec, c)(x, None)[0]
 
 
 def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
@@ -166,10 +168,7 @@ def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
 
     Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
     more than t of its erasures survive the round."""
-    pos = _PositionArrays(spec)
-    lam = pos.means(np.asarray(x, dtype=float), c)
-    tails = poisson_tail_table(lam, pos.t_max + 1)
-    return float(pos.gamma @ pos.mix(tails[:, 1:]))
+    return _vector_step(spec, c)(x, None)[1]
 
 
 def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:
@@ -314,18 +313,14 @@ class SuccessCheck(NamedTuple):
 
 
 def success_condition(
-    tau: CapabilityDistribution,
-    c: float,
-    grid_points: int = 10000,
-    noise_floor: float = 1e-12,
+    tau: CapabilityDistribution, c: float, grid_points: int = 10000
 ) -> SuccessCheck:
     """Grid check of the single-position contraction condition.
 
     Decoding succeeds (threshold >= c) when sum_t tau_t P(Pois(c x) >= t) < x
     on (0, 1].  The check evaluates the slack x - sum(...) at x = i/M; slack
-    dips smaller than ``noise_floor`` in magnitude are treated as numerical
-    noise (the summands each carry O(1e-16) absolute error), so the verdict
-    is min_slack > -noise_floor.
+    dips smaller than ``_NOISE_FLOOR`` in magnitude are rounding noise, so
+    the verdict is min_slack > -_NOISE_FLOOR.
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
@@ -336,7 +331,7 @@ def success_condition(
         if slack[k] < min_slack:
             min_slack = float(slack[k])
             worst_x = float(x[k])
-    return SuccessCheck(min_slack > -noise_floor, min_slack, worst_x)
+    return SuccessCheck(min_slack > -_NOISE_FLOOR, min_slack, worst_x)
 
 
 def _grid_slack(tau: CapabilityDistribution, c: float, top: float, points: int):
@@ -351,13 +346,6 @@ def _grid_slack(tau: CapabilityDistribution, c: float, top: float, points: int):
         for t, w in support:
             mixed = mixed + w * tails[:, t - 1]
         yield x, x - mixed
-
-
-def _collapsed_mixture(spec: GpcSpec) -> CapabilityDistribution | None:
-    """For single-position specs, the capability mixture seen by DE."""
-    if spec.num_positions != 1:
-        return None
-    return spec.tau[0]
 
 
 def _run_converges(
@@ -385,12 +373,12 @@ def _run_converges(
         return True
     if traj.verdict == STUCK:
         return False
-    tau = _collapsed_mixture(spec)
-    if tau is None:
+    if spec.num_positions != 1:
         return False
     x_end = float(traj.final_x[0])
     return not any(
-        (slack < -1e-12).any() for _, slack in _grid_slack(tau, c, x_end, 2000)
+        (slack < -_NOISE_FLOOR).any()
+        for _, slack in _grid_slack(spec.tau[0], c, x_end, 2000)
     )
 
 

@@ -81,11 +81,12 @@ class McStatistics:
     se_edge_fraction: float
 
 
-def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    # Philox is counter-based: streams keyed by (master_seed, trial) are
-    # independent and reproducible no matter how trials are scheduled.
+def _stream_rng(master_seed: int, stream: int) -> np.random.Generator:
+    # Philox is counter-based: streams keyed by (master_seed, stream) are
+    # independent and reproducible no matter how trials or batches are
+    # scheduled.  The branching oracle draws from the same streams.
     return np.random.Generator(
-        np.random.Philox(key=np.random.SeedSequence((master_seed, trial)).generate_state(2, np.uint64))
+        np.random.Philox(key=np.random.SeedSequence((master_seed, stream)).generate_state(2, np.uint64))
     )
 
 
@@ -199,7 +200,7 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
     c/n.  Identical (spec, c, seed) always reproduce the same graph.
     """
     require_valid(spec)
-    return _sample(spec, c, _trial_rng(seed, 0))
+    return _sample(spec, c, _stream_rng(seed, 0))
 
 
 def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,7 +303,7 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
 
 def _mc_trial(args: tuple) -> tuple[float, float, float]:
     spec, c, ell, master_seed, trial, m = args
-    graph = _sample(spec, c, _trial_rng(int(master_seed), int(trial)))
+    graph = _sample(spec, c, _stream_rng(int(master_seed), int(trial)))
     result = peel(graph, ell)
     w = result.failed_fraction
     ber = result.surviving_edges * graph.num_vertices / (c * m) if c > 0 else 0.0

@@ -14,18 +14,13 @@ supercriticality between grid points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import de
 from .codespec import preset_hpc
-from .poisson import (
-    CapabilityDistribution,
-    initial_loss_mixture,
-    poisson_tail_block,
-)
+from .poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
 from .simplex import _TOL, INFEASIBLE, OPTIMAL, SimplexResult, solve_lp
 
 STATUS_OPTIMAL = "optimal"
@@ -76,7 +71,8 @@ class LpSolution:
 
 def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
     """Tabulate the LP: one variable per capability in [t_min, t_max], one
-    inequality row per grid point x = i/M, one normalization equality."""
+    inequality row per grid point x = i/M (all rows from one tail table),
+    one normalization equality."""
     if grid_m < 10:
         raise ValueError("need at least 10 grid points")
     if not (1 <= t_min <= t_max <= 64):
@@ -84,13 +80,7 @@ def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
     if c <= 0.0:
         raise ValueError(f"effective channel quality must be > 0, got {c}")
     ts = np.arange(t_min, t_max + 1, dtype=np.int64)
-    a_ub = np.empty((grid_m, ts.size))
-    b_ub = np.empty(grid_m)
-    for i in range(1, grid_m + 1):
-        x = i / grid_m
-        tails = poisson_tail_block(t_max, c * x)
-        a_ub[i - 1] = [tails[t - 1] for t in ts]
-        b_ub[i - 1] = x
+    x = np.arange(1, grid_m + 1) / grid_m
     return LpProblem(
         c=c,
         grid_m=grid_m,
@@ -98,8 +88,8 @@ def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
         t_max=t_max,
         ts=ts,
         objective=ts.astype(float),
-        a_ub=a_ub,
-        b_ub=b_ub,
+        a_ub=poisson_tail_table(c * x, t_max)[:, ts - 1],
+        b_ub=x,
         a_eq=np.ones((1, ts.size)),
         b_eq=np.ones(1),
     )
@@ -214,8 +204,7 @@ class FrontierPoint:
     conjecture_rhs: float
 
 
-def _frontier_point(args: tuple) -> FrontierPoint:
-    c, grid_m, t_max, t_min = args
+def _frontier_point(c: float, grid_m: int, t_max: int, t_min: int) -> FrontierPoint:
     sol = solve(build_lp(c, grid_m, t_max, t_min))
     if sol.status != STATUS_OPTIMAL:
         return FrontierPoint(c, math.nan, math.nan, math.nan,
@@ -229,22 +218,12 @@ def _frontier_point(args: tuple) -> FrontierPoint:
     )
 
 
-def sweep_tradeoff(
-    c_grid,
-    grid_m: int,
-    t_max: int,
-    t_min: int = 1,
-    jobs: int = 1,
-) -> list[FrontierPoint]:
+def sweep_tradeoff(c_grid, grid_m: int, t_max: int, t_min: int = 1) -> list[FrontierPoint]:
     """Minimal mean capability along a grid of channel qualities."""
     cs = [float(c) for c in c_grid]
     if sorted(cs) != cs:
         raise ValueError("c_grid must be sorted ascending")
-    work = [(c, grid_m, t_max, t_min) for c in cs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_frontier_point, work))
-    return [_frontier_point(w) for w in work]
+    return [_frontier_point(c, grid_m, t_max, t_min) for c in cs]
 
 
 def frontier_csv_rows(points: list[FrontierPoint]) -> list[list[str]]:

@@ -2,8 +2,9 @@
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
-``poisson_tail_table`` is the vectorized kernel behind density evolution;
-``poisson_tail_block`` is its scalar counterpart for one rate.
+``poisson_tail_table`` is the vectorized kernel behind density evolution,
+the contraction check and the LP rows; ``poisson_tail_block`` is its scalar
+counterpart for one rate and only serves the position-by-position DE step.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def poisson_pmf(i: int, lam: float) -> float:
 def poisson_tail(t: int, lam: float) -> float:
     """P(X >= t) for X ~ Poisson(lam), computed as 1 minus the cumulative pmf.
 
-    The subtraction loses relative precision only for results near 1, which
-    is harmless for every consumer in this package (the capability counts of
-    interest stay small, t <= ~50).
+    The subtraction loses relative precision for small tails; a cumulative
+    pmf that rounds above 1 reads 0 rather than about -1e-16, as in the
+    block and table kernels.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
@@ -61,7 +62,7 @@ def poisson_tail(t: int, lam: float) -> float:
         return 1.0
     if lam == 0.0:
         return 0.0
-    return 1.0 - sum(poisson_pmf(i, lam) for i in range(t))
+    return max(0.0, 1.0 - sum(poisson_pmf(i, lam) for i in range(t)))
 
 
 def poisson_tail_block(t_max: int, lam: float) -> list[float]:

@@ -182,13 +182,19 @@ class TestOptimizeCmd:
     def test_small_design(self, tmp_path):
         out = tmp_path / "opt.csv"
         code = main(["optimize", "--c", "6.0", "--grid", "200", "--t-max", "10",
-                     "--no-verify", "--out", str(out)])
+                     "--out", str(out)])
         assert code == EXIT_OK
         text = out.read_text()
-        assert "status,optimal" in text
         assert "tau_" in text
         keys = [line.split(",")[0] for line in text.splitlines()]
         assert keys.index("rows_used") == keys.index("pivots") + 1
+        # every design is post-verified: a measured threshold below c
+        # downgrades the status
+        rows = dict(line.split(",") for line in text.splitlines()[2:])
+        verified = float(rows["verified_threshold"])
+        float(rows["fine_grid_min_slack"])
+        expected = "optimal" if verified >= 6.0 else "degenerate-warning"
+        assert rows["status"] == expected
 
     def test_infeasible_exit(self, tmp_path, capsys):
         code = main(["optimize", "--c", "9.0", "--grid", "100", "--t-min", "4",
@@ -223,6 +229,22 @@ class TestOracleCmd:
         row = out.read_text().strip().splitlines()[2].split(",")
         assert row[2:5] == [z_mc, "0.0", ""]
         assert float(row[5]) == pytest.approx(bound, rel=1e-15)
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["de", "--seed", "1"],
+        ["threshold", "--jobs", "2"],
+        ["bounds", "--seed", "1"],
+        ["oracle", "--jobs", "2"],
+        ["optimize", "--spec", "s.json"],
+        ["optimize", "--no-verify"],
+    ])
+    def test_unread_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJobsResolution:

@@ -154,6 +154,28 @@ class TestStructure:
             degrees = cn_degrees(spec)
             assert int((counts * degrees).sum()) == 2 * code_length(spec)
 
+    def test_pairing_matches_pair_loops(self, rng):
+        # reference: count partners and VN pairs position by position
+        def loop_degrees(spec):
+            counts, eta, L = cn_counts(spec), spec.eta, spec.num_positions
+            return [eta[i, i] * (counts[i] - 1)
+                    + sum(counts[j] for j in range(L) if j != i and eta[i, j])
+                    for i in range(L)]
+
+        def loop_length(spec):
+            counts, eta, L = cn_counts(spec), spec.eta, spec.num_positions
+            m = sum(counts[i] * (counts[i] - 1) // 2 for i in range(L) if eta[i, i])
+            return m + sum(counts[i] * counts[j] for i in range(L)
+                           for j in range(i + 1, L) if eta[i, j])
+
+        specs = [preset_hpc(7, 2), preset_pc(20, (0.4, 0.6), 3),
+                 preset_staircase(6, 36, 3), preset_braided(8, 32, 4),
+                 preset_from_block_array(np.array([[1, 1], [0, 1]]), 40, 3)]
+        specs += [random_spec(rng) for _ in range(20)]
+        for spec in specs:
+            assert cn_degrees(spec).tolist() == loop_degrees(spec)
+            assert code_length(spec) == loop_length(spec)
+
     def test_length_tracks_quadratic_growth(self):
         # m approaches (gamma' eta gamma / 2) n^2 as n grows
         for spec in (preset_staircase(6, 3600, 3), preset_pc(2000, (0.4, 0.6), 3),

@@ -14,7 +14,7 @@ from gpclab.optimizer import (
     solve,
     sweep_tradeoff,
 )
-from gpclab.poisson import CapabilityDistribution, poisson_tail
+from gpclab.poisson import CapabilityDistribution, poisson_tail, poisson_tail_block
 from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
 
@@ -31,6 +31,18 @@ class TestBuildLp:
         i, t = 24, 7  # row for x = 0.5, capability 7
         assert lp.a_ub[i, t - 1] == pytest.approx(poisson_tail(7, 8.0 * 0.5), abs=1e-13)
         assert lp.b_ub[i] == 0.5
+
+    def test_rows_match_block(self):
+        # reference: one scalar tail block per grid row.  Both are 1 minus a
+        # running cdf of up to 50 rounded terms, so they may differ by ~50 ulp
+        # of 1.
+        tol = 50 * np.finfo(float).eps
+        for c, t_min in ((3.0, 1), (13.4, 1), (12.86, 4), (40.0, 1), (700.0, 1)):
+            lp = build_lp(c, grid_m=200, t_max=50, t_min=t_min)
+            for i in range(200):
+                block = poisson_tail_block(50, c * (i + 1) / 200)
+                np.testing.assert_allclose(lp.a_ub[i], block[t_min - 1:], rtol=0,
+                                           atol=tol)
 
     def test_params_checked(self):
         with pytest.raises(ValueError):
@@ -183,11 +195,6 @@ class TestSweep:
     def test_requires_sorted_grid(self):
         with pytest.raises(ValueError):
             sweep_tradeoff([10.0, 9.0], grid_m=50, t_max=10)
-
-    def test_jobs_do_not_change_results(self):
-        a = sweep_tradeoff([8.0, 11.0], grid_m=100, t_max=20, jobs=1)
-        b = sweep_tradeoff([8.0, 11.0], grid_m=100, t_max=20, jobs=2)
-        assert a == b
 
     def test_near_seven_gap_value(self):
         # at mean capability ~7 the distance to the 2*t_bar bound is ~0.58

@@ -87,6 +87,11 @@ class TestTail:
         for lam in np.geomspace(1e-8, 1e-1, 2000):
             assert min(poisson_tail_block(12, float(lam))) >= 0.0
 
+    def test_scalar_tails_never_negative(self):
+        # the same sweep for the scalar tail, at every threshold 2..12
+        for lam in np.geomspace(1e-8, 1e-1, 2000):
+            assert min(poisson_tail(t, float(lam)) for t in range(2, 13)) >= 0.0
+
     def test_expectation_identity(self):
         # sum_{i>=0} P(X >= i+1) telescopes to the mean
         for lam in (0.5, 3.0, 12.0):
