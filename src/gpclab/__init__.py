@@ -56,13 +56,7 @@ from .graphsim import (
     peel_scheduled,
     sample_residual,
 )
-from .branching import (
-    TypedTree,
-    peel_tree,
-    sample_tree,
-    survival_mc,
-    total_progeny_second_moment,
-)
+from .branching import survival_mc, total_progeny_second_moment
 from .optimizer import LpSolution, build_lp, post_verify, solve, sweep_tradeoff
 
 __version__ = "0.1.0"

@@ -9,16 +9,30 @@ from hypothesis import strategies as st
 from gpclab import de
 from gpclab.branching import (
     TreeSizeLimit,
-    TypedTree,
-    peel_tree,
-    sample_tree,
     survival_mc,
     total_progeny_samples,
     total_progeny_second_moment,
+)
+from gpclab.codespec import GpcSpec, preset_hpc, preset_pc, preset_staircase
+from gpclab.graphsim import peel, sample_residual
+from gpclab.poisson import CapabilityDistribution
+from tree_reference import (
+    TypedTree,
+    peel_tree,
+    reference_survival_mc,
+    sample_tree,
     tree_to_graph,
 )
-from gpclab.codespec import preset_hpc, preset_staircase
-from gpclab.graphsim import peel, sample_residual
+
+# two positions with capability mixtures, assigned at random
+MIXTURE_SPEC = GpcSpec(
+    eta=np.array([[1, 1], [1, 0]], dtype=np.int64),
+    gamma=np.array([0.4, 0.6]),
+    tau=(CapabilityDistribution.from_dict({1: 0.25, 3: 0.75}),
+         CapabilityDistribution.from_dict({2: 0.5, 5: 0.5})),
+    n=100,
+    tau_assignment="random",
+)
 
 
 def chain_tree(caps):
@@ -182,6 +196,45 @@ class TestSurvivalMc:
         # a node takes 24 bytes (position, capability, parent as int64); a
         # level is copied once while it is concatenated
         assert peak < 64 * budget
+
+    def test_leaf_level_counts_against_budget(self):
+        # roots, depth 1 and depth 2 hold about 1e2 + 3e3 + 9e4 nodes, inside
+        # the budget; at ell = 4 the 2.7e6 leaves alone exceed it
+        budget = 150_000
+        spec = preset_hpc(1000, 3)
+        survival_mc(spec, 30.0, 3, trees=100, master_seed=1, node_budget=budget)
+        with pytest.raises(TreeSizeLimit):
+            survival_mc(spec, 30.0, 4, trees=100, master_seed=1, node_budget=budget)
+
+    @pytest.mark.parametrize("name,spec,c,root_type", [
+        ("hpc", preset_hpc(1000, 4), 5.0, None),
+        ("staircase", preset_staircase(6, 36, 3), 12.0, None),
+        ("pc", preset_pc(100, t_row=2, t_col=4), 7.0, None),
+        ("mixture", MIXTURE_SPEC, 5.0, None),
+        ("mixture-pinned", MIXTURE_SPEC, 5.0, (1, 2)),
+    ])
+    def test_agrees_with_level_by_level_reference(self, name, spec, c, root_type):
+        for ell in (1, 2, 3, 4):
+            new = survival_mc(spec, c, ell, trees=30_000, master_seed=17,
+                              root_type=root_type)
+            ref = reference_survival_mc(spec, c, ell, trees=30_000, master_seed=18,
+                                        root_type=root_type)
+            tol = 4 * math.sqrt(new.stderr**2 + ref.stderr**2)
+            assert abs(new.mean - ref.mean) <= tol, (name, ell, new, ref)
+
+    def test_z_scores_over_seeds(self):
+        # independent seeds give z-scores against DE with mean 0 and sd 1;
+        # children whose parents are drawn in a correlated way, or batches
+        # that share a stream, widen them
+        spec = preset_hpc(1000, 4)
+        c, ell, trees = 5.0, 3, 5000
+        z_de = float(de.de_run(spec, c, ell_max=ell, success_epsilon=0.0).z[ell])
+        zs = []
+        for seed in range(1000, 1040):
+            est = survival_mc(spec, c, ell, trees=trees, master_seed=seed, batch_size=1000)
+            zs.append((est.mean - z_de) / est.stderr)
+        assert abs(np.mean(zs)) <= 0.5
+        assert 0.7 <= np.std(zs, ddof=1) <= 1.3
 
     def test_certain_estimate_has_zero_stderr(self):
         est = survival_mc(preset_hpc(100, 3), 0.01, 2, trees=1000, master_seed=3)
