@@ -9,7 +9,6 @@ from .poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    poisson_pmf,
     poisson_tail,
     tail_integral,
 )
@@ -30,7 +29,6 @@ from .codespec import (
     rate_lower_bound,
     spec_from_json,
     spec_to_json,
-    validate,
 )
 from .de import (
     DeTrajectory,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codespec import GpcSpec, require_valid
+from .codespec import GpcSpec
 from .graphsim import _stream_rng
 
 
@@ -84,9 +84,8 @@ def survival_mc(
     checked against it before any array of that level is allocated, and
     TreeSizeLimit is raised once they exceed it.
     """
-    require_valid(spec)
-    if ell < 0 or trees < 1:
-        raise ValueError("need ell >= 0 and trees >= 1")
+    if ell < 0 or trees < 1 or batch_size < 1:
+        raise ValueError("need ell >= 0, trees >= 1 and batch_size >= 1")
     if ell == 0:
         return SurvivalEstimate(1.0, 0.0, trees)
     L = spec.num_positions

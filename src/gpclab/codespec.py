@@ -2,9 +2,13 @@
 
 A family is given by a symmetric binary coupling matrix ``eta`` over L
 positions, position weights ``gamma`` summing to one, per-position capability
-mixtures ``tau``, and the total check-node count ``n``.  Presets cover the
-classic shapes: half-product, product, staircase, block-wise braided, and
-arbitrary block arrays.
+mixtures ``tau``, and the total check-node count ``n``.  A ``GpcSpec`` is
+valid by construction: building one that breaks any of these rules (or leaves
+eta reducible, or gives non-integral capability counts under deterministic
+assignment) raises ``ValueError`` naming every violation, so the analysis
+modules never re-check a spec.  Presets cover the classic shapes:
+half-product, product, staircase, block-wise braided, and arbitrary block
+arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ RANDOM = "random"
 
 @dataclass(frozen=True)
 class GpcSpec:
-    """Immutable description of one deterministic GPC family member."""
+    """Immutable description of one deterministic GPC family member.
+
+    Construction normalizes ``eta``/``gamma`` to read-only arrays and raises
+    ``ValueError("invalid spec: ...")`` listing every structural violation.
+    """
 
     eta: np.ndarray
     gamma: np.ndarray
@@ -41,6 +49,9 @@ class GpcSpec:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "tau", tuple(self.tau))
+        violations = _violations(self)
+        if violations:
+            raise ValueError("invalid spec: " + "; ".join(violations))
 
     @property
     def num_positions(self) -> int:
@@ -49,15 +60,6 @@ class GpcSpec:
     @property
     def t_max(self) -> int:
         return max(d.t_max for d in self.tau)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _position_graph_connected(eta: np.ndarray) -> bool:
@@ -76,13 +78,13 @@ def _position_graph_connected(eta: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def validate(spec: GpcSpec) -> ValidationReport:
+def _violations(spec: GpcSpec) -> list[str]:
     """Collect every structural violation; never raises on bad content."""
     v: list[str] = []
     eta, gamma = spec.eta, spec.gamma
     if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
         v.append(f"eta must be square, got shape {eta.shape}")
-        return ValidationReport(tuple(v))
+        return v
     L = eta.shape[0]
     if not np.array_equal(eta, eta.T):
         v.append("eta must be symmetric")
@@ -95,14 +97,14 @@ def validate(spec: GpcSpec) -> ValidationReport:
         v.append("eta is reducible: position graph is disconnected")
     if gamma.shape != (L,):
         v.append(f"gamma must have length {L}, got {gamma.shape}")
-        return ValidationReport(tuple(v))
+        return v
     if (gamma < 0.0).any():
         v.append("gamma entries must be nonnegative")
     if abs(float(gamma.sum()) - 1.0) > 1e-12:
         v.append(f"gamma must sum to 1, got {float(gamma.sum())!r}")
     if len(spec.tau) != L:
         v.append(f"tau must list {L} capability distributions, got {len(spec.tau)}")
-        return ValidationReport(tuple(v))
+        return v
     for i, dist in enumerate(spec.tau):
         for err in dist.violations():
             v.append(f"tau({i}): {err}")
@@ -123,13 +125,7 @@ def validate(spec: GpcSpec) -> ValidationReport:
                         f"position {i}: tau_{t} * gamma_i * n = {cnt!r} "
                         "is not integral under deterministic assignment"
                     )
-    return ValidationReport(tuple(v))
-
-
-def require_valid(spec: GpcSpec) -> None:
-    report = validate(spec)
-    if not report.ok:
-        raise ValueError("invalid spec: " + "; ".join(report.violations))
+    return v
 
 
 def cn_counts(spec: GpcSpec) -> np.ndarray:
@@ -137,7 +133,7 @@ def cn_counts(spec: GpcSpec) -> np.ndarray:
 
     Under random capability assignment a non-integral gamma_i * n is rounded
     to the nearest integer with a warning; deterministic assignment rejects
-    such specs in validate().
+    such specs at construction.
     """
     raw = spec.gamma * spec.n
     rounded = np.rint(raw).astype(np.int64)

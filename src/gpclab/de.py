@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codespec import GpcSpec, erasure_scaling, mean_capability, require_valid
+from .codespec import GpcSpec, erasure_scaling, mean_capability
 from .poisson import (
     CapabilityDistribution,
     initial_loss,
@@ -274,7 +274,6 @@ def de_run(
     ``VECTOR_MIN_POSITIONS`` positions step all positions as arrays, shorter
     ones position by position; the two agree to rounding.
     """
-    require_valid(spec)
     if c < 0.0:
         raise ValueError(f"effective channel quality must be >= 0, got {c}")
     L = spec.num_positions
@@ -424,8 +423,10 @@ def threshold(
     exists inside [1e-3, 4 * t_max * erasure_scaling(spec)]: coupled chains
     have raw thresholds about erasure_scaling times their normalized ones
     (3.6x for a staircase of 6 positions, about L/2 for long staircases).
+    Bisection stops at ``bracket_tol`` or once lo and hi are adjacent floats.
     """
-    require_valid(spec)
+    if not bracket_tol > 0.0:
+        raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
     tbar = mean_capability(spec)
     lo = c_lo if c_lo is not None else tbar / 2.0
     hi = c_hi if c_hi is not None else 2.0 * tbar
@@ -448,6 +449,8 @@ def threshold(
             )
     while hi - lo > bracket_tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float strictly between the endpoints
+            break
         if conv(mid):
             lo = mid
         else:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codespec import GpcSpec, cn_counts, code_length, require_valid
+from .codespec import GpcSpec, cn_counts, code_length
 from .de import Schedule
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "core_oracle",
     "monte_carlo",
     "hpc_demo_graph",
-    "write_graph",
-    "read_graph",
-    "write_round_log",
 ]
 
 
@@ -144,7 +141,7 @@ def _assign_capabilities(
                 cnt = int(round(w * n_i))
                 caps[pos : pos + cnt] = t
                 pos += cnt
-            # rounding slack (validate() guarantees it is at most 1 ulp worth)
+            # rounding slack (a valid GpcSpec keeps it at most 1 ulp worth)
             caps[pos : offset + n_i] = dist.support()[-1][0]
         offset += n_i
     return caps
@@ -199,7 +196,6 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
     pairs when eta_ij = 1) carries an edge independently with probability
     c/n.  Identical (spec, c, seed) always reproduce the same graph.
     """
-    require_valid(spec)
     return _sample(spec, c, _stream_rng(seed, 0))
 
 
@@ -330,7 +326,6 @@ def monte_carlo(
     reduction runs in trial order, so the statistics are bit-identical for
     any jobs count.
     """
-    require_valid(spec)
     if trials < 1:
         raise ValueError("need at least one trial")
     m = code_length(spec)
@@ -368,36 +363,3 @@ def hpc_demo_graph(t: int) -> ResidualGraph:
         edges=edges,
         origin_edge_count=5,
     )
-
-
-def write_graph(graph: ResidualGraph, path: str) -> None:
-    """Dump: first line "<num_vertices> <num_edges>", then one
-    "position capability" line per vertex, then one "u v" line per edge."""
-    with open(path, "w") as fh:
-        fh.write(f"{graph.num_vertices} {graph.num_edges}\n")
-        for p, t in zip(graph.vertex_position, graph.vertex_capability):
-            fh.write(f"{int(p)} {int(t)}\n")
-        for u, v in graph.edges:
-            fh.write(f"{int(u)} {int(v)}\n")
-
-
-def read_graph(path: str) -> ResidualGraph:
-    with open(path) as fh:
-        n, e = (int(tok) for tok in fh.readline().split())
-        pos = np.empty(n, dtype=np.int64)
-        cap = np.empty(n, dtype=np.int64)
-        for v in range(n):
-            a, b = fh.readline().split()
-            pos[v], cap[v] = int(a), int(b)
-        edges = np.empty((e, 2), dtype=np.int64)
-        for k in range(e):
-            a, b = fh.readline().split()
-            edges[k] = (int(a), int(b))
-    return ResidualGraph(pos, cap, edges, e)
-
-
-def write_round_log(result: PeelingResult, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("round,removed\n")
-        for k, cnt in enumerate(result.removed_per_round, start=1):
-            fh.write(f"{k},{cnt}\n")

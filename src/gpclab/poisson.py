@@ -1,10 +1,11 @@
-"""Numerically stable Poisson pmf/tail evaluation and erasure-capability mixtures.
+"""Numerically stable Poisson tail evaluation and erasure-capability mixtures.
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
-``poisson_tail_table`` is the vectorized kernel behind density evolution,
-the contraction check and the LP rows; ``poisson_tail_block`` is its scalar
-counterpart for one rate and only serves the position-by-position DE step.
+There are two tail kernels.  ``poisson_tail_table`` is the vectorized one
+behind density evolution, the contraction check and the LP rows;
+``poisson_tail_block`` is its scalar counterpart for one rate, which serves
+the position-by-position DE step, and ``poisson_tail`` reads one entry of it.
 """
 
 from __future__ import annotations
@@ -15,54 +16,18 @@ from typing import Mapping
 
 import numpy as np
 
-_LOG_FACT_SIZE = 4096
-_LOG_FACT = [0.0] * _LOG_FACT_SIZE
-for _i in range(2, _LOG_FACT_SIZE):
-    _LOG_FACT[_i] = _LOG_FACT[_i - 1] + math.log(_i)
-
-# Direct pmf evaluation is overflow-safe up to this count/rate; beyond it we
-# switch to log space.
-_DIRECT_LIMIT = 30
-
-
-def poisson_pmf(i: int, lam: float) -> float:
-    """P(X = i) for X ~ Poisson(lam).
-
-    Exact 1.0 at (0, 0).  Uses log-space evaluation once i or lam exceeds 30
-    so large arguments neither overflow nor underflow prematurely.
-    """
-    if lam < 0.0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if i < 0:
-        raise ValueError(f"count must be nonnegative, got {i}")
-    if lam == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if i <= _DIRECT_LIMIT and lam <= _DIRECT_LIMIT:
-        return lam**i * math.exp(-lam) / math.factorial(i)
-    if i < _LOG_FACT_SIZE:
-        log_fact = _LOG_FACT[i]
-    else:
-        log_fact = math.lgamma(i + 1.0)
-    log_p = i * math.log(lam) - lam - log_fact
-    if log_p < -745.0:
-        return 0.0
-    return math.exp(log_p)
+# Beyond this rate exp(-lam) nears underflow, so the block sums the pmf in
+# log space instead of by the running product.
+_LOG_SPACE_RATE = 600.0
 
 
 def poisson_tail(t: int, lam: float) -> float:
-    """P(X >= t) for X ~ Poisson(lam), computed as 1 minus the cumulative pmf.
-
-    The subtraction loses relative precision for small tails; a cumulative
-    pmf that rounds above 1 reads 0 rather than about -1e-16, as in the
-    block and table kernels.
-    """
+    """P(X >= t) for X ~ Poisson(lam): entry t of ``poisson_tail_block``."""
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
     if t <= 0:
         return 1.0
-    if lam == 0.0:
-        return 0.0
-    return max(0.0, 1.0 - sum(poisson_pmf(i, lam) for i in range(t)))
+    return poisson_tail_block(t, lam)[t - 1]
 
 
 def poisson_tail_block(t_max: int, lam: float) -> list[float]:
@@ -71,8 +36,8 @@ def poisson_tail_block(t_max: int, lam: float) -> list[float]:
     Shares the running pmf across all thresholds.  Once the running cdf
     rounds to 1 or above, the remaining tails read 0 (1 - cdf would give
     about -1e-16 there), as in ``poisson_tail_table``, and the pass stops.
-    Rates beyond 600, where exp(-lam) nears underflow, fall back to the
-    log-space ``poisson_tail``.
+    Rates beyond 600, where exp(-lam) nears underflow, take each pmf term
+    from its logarithm instead, still in one pass.
     """
     if lam < 0.0:
         raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
@@ -80,9 +45,13 @@ def poisson_tail_block(t_max: int, lam: float) -> list[float]:
         return []
     if lam == 0.0:
         return [0.0] * t_max
-    if lam > _DIRECT_LIMIT * 20:
-        return [poisson_tail(t, lam) for t in range(1, t_max + 1)]
     out = [0.0] * t_max
+    if lam > _LOG_SPACE_RATE:
+        log_lam, cdf = math.log(lam), 0.0
+        for i in range(t_max):
+            cdf += math.exp(i * log_lam - lam - math.lgamma(i + 1.0))
+            out[i] = max(0.0, 1.0 - cdf)
+        return out
     pmf = math.exp(-lam)
     cdf = pmf
     out[0] = 1.0 - cdf

@@ -245,6 +245,13 @@ class TestSurvivalMc:
         est = survival_mc(preset_hpc(10, 2), 1.0, 0, trees=10, master_seed=0)
         assert est.mean == 1.0
 
+    def test_arguments_checked(self):
+        spec = preset_hpc(10, 2)
+        for ell, trees, batch_size in ((-1, 10, 5), (2, 0, 5), (2, 10, 0)):
+            with pytest.raises(ValueError):
+                survival_mc(spec, 1.0, ell, trees=trees, master_seed=0,
+                            batch_size=batch_size)
+
     def test_deterministic(self):
         spec = preset_hpc(100, 3)
         a = survival_mc(spec, 4.0, 3, trees=20_000, master_seed=11)

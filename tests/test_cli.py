@@ -49,6 +49,14 @@ class TestPreset:
         assert main(["preset", "octagonal", "--n", "10", "--t", "2"]) == EXIT_INPUT
         assert "unknown preset" in capsys.readouterr().err
 
+    def test_non_integral_counts_rejected(self, tmp_path, capsys):
+        # 10 CNs cannot be split evenly over 6 positions
+        code = main(["preset", "staircase", "--L", "6", "--n", "10", "--t", "3",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == EXIT_INPUT
+        assert "error: invalid spec: position 0: gamma_i * n" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
     def test_hpc_stdout(self, capsys):
         assert main(["preset", "hpc", "--n", "12", "--t", "4"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
@@ -140,6 +148,14 @@ class TestThresholdCmd:
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
         # normalized threshold 4.97 times the staircase's CN scaling 3.6
         assert abs(float(row["c_star"]) - 4.97 * 3.6) <= 0.05
+
+    def test_nonpositive_bracket_tol_rejected(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, preset_hpc(100, 4))
+        for tol in ("0", "-0.5"):
+            code = main(["threshold", "--spec", spec_path, "--bracket-tol", tol,
+                         "--out", str(tmp_path / "t.csv")])
+            assert code == EXIT_INPUT
+            assert "bracket_tol must be > 0" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_hpc(100, 4))

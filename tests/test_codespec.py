@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,6 @@ from gpclab.codespec import (
     spec_hash,
     spec_to_json,
     staircase_eta,
-    validate,
 )
 from gpclab.poisson import CapabilityDistribution
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_spec
@@ -60,7 +60,6 @@ class TestPresets:
         spec = preset_hpc(5, 2)
         assert spec.eta.tolist() == [[1]]
         assert spec.gamma.tolist() == [1.0]
-        assert validate(spec).ok
 
     def test_staircase_matrix(self):
         assert np.array_equal(staircase_eta(6), STAIRCASE_6)
@@ -80,47 +79,64 @@ class TestPresets:
 
 
 class TestValidate:
+    """A spec is checked when it is built: an invalid one never exists."""
+
     def test_staircase_valid(self):
-        assert validate(preset_staircase(6, 36, 3)).ok
+        spec = preset_staircase(6, 36, 3)
+        assert spec.num_positions == 6
 
     def test_zero_row_invalid(self):
         eta = np.array([[0, 0], [0, 1]])
-        spec = GpcSpec(eta, np.array([0.5, 0.5]),
-                       (CapabilityDistribution.point_mass(2),) * 2, 10)
-        report = validate(spec)
-        assert not report.ok
-        assert any("unconnected" in msg for msg in report.violations)
+        with pytest.raises(ValueError, match="unconnected"):
+            GpcSpec(eta, np.array([0.5, 0.5]),
+                    (CapabilityDistribution.point_mass(2),) * 2, 10)
 
     def test_block_diagonal_invalid(self):
         eta = np.array([[1, 0], [0, 1]])
-        spec = GpcSpec(eta, np.array([0.5, 0.5]),
-                       (CapabilityDistribution.point_mass(2),) * 2, 10)
-        report = validate(spec)
-        assert not report.ok
-        assert any("reducible" in msg for msg in report.violations)
+        with pytest.raises(ValueError, match="reducible"):
+            GpcSpec(eta, np.array([0.5, 0.5]),
+                    (CapabilityDistribution.point_mass(2),) * 2, 10)
 
     def test_asymmetric_invalid(self):
         eta = np.array([[0, 1], [0, 1]])
-        spec = GpcSpec(eta, np.array([0.5, 0.5]),
-                       (CapabilityDistribution.point_mass(2),) * 2, 10)
-        assert not validate(spec).ok
+        with pytest.raises(ValueError, match="symmetric"):
+            GpcSpec(eta, np.array([0.5, 0.5]),
+                    (CapabilityDistribution.point_mass(2),) * 2, 10)
 
     def test_deterministic_integrality_enforced(self):
         # 0.3 / 0.7 of n = 10 CNs cannot host a 50/50 capability split
         tau = CapabilityDistribution.from_dict({2: 0.5, 3: 0.5})
-        spec = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([0.3, 0.7]),
-                       (tau, tau), 10, tau_assignment="deterministic")
-        report = validate(spec)
-        assert not report.ok
-        assert any("not integral" in msg for msg in report.violations)
+        with pytest.raises(ValueError, match="not integral"):
+            GpcSpec(np.array([[0, 1], [1, 0]]), np.array([0.3, 0.7]),
+                    (tau, tau), 10, tau_assignment="deterministic")
         relaxed = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([0.3, 0.7]),
                           (tau, tau), 10, tau_assignment="random")
-        assert validate(relaxed).ok
+        assert relaxed.tau_assignment == "random"
 
     def test_gamma_sum_checked(self):
-        spec = GpcSpec(np.array([[1]]), np.array([0.9]),
-                       (CapabilityDistribution.point_mass(2),), 10)
-        assert not validate(spec).ok
+        with pytest.raises(ValueError) as err:
+            GpcSpec(np.array([[1]]), np.array([0.9]),
+                    (CapabilityDistribution.point_mass(2),), 10)
+        assert str(err.value) == "invalid spec: gamma must sum to 1, got 0.9"
+
+    def test_every_violation_named(self):
+        eta = np.array([[0, 1], [0, 1]])
+        with pytest.raises(ValueError, match="symmetric") as err:
+            GpcSpec(eta, np.array([0.5, 0.6]),
+                    (CapabilityDistribution.point_mass(2),) * 2, 10)
+        assert str(err.value).startswith("invalid spec: ")
+        assert "gamma must sum to 1" in str(err.value)
+
+    def test_replace_revalidates(self):
+        spec = preset_staircase(6, 36, 3)
+        with pytest.raises(ValueError, match="gamma must sum to 1"):
+            dataclasses.replace(spec, gamma=np.full(6, 0.15))
+
+    def test_json_load_validates(self):
+        doc = json.loads(spec_to_json(preset_pc(10, (0.5, 0.5), 2)))
+        doc["eta"] = [[0, 1], [0, 1]]
+        with pytest.raises(ValueError, match="invalid spec: eta must be symmetric"):
+            spec_from_json(json.dumps(doc))
 
 
 class TestStructure:
@@ -190,7 +206,6 @@ class TestStructure:
         tau = CapabilityDistribution.point_mass(2)
         spec = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([1 / 3, 2 / 3]),
                        (tau, tau), 10, tau_assignment="random")
-        assert validate(spec).ok
         with w.catch_warnings(record=True) as caught:
             w.simplefilter("always")
             counts = cn_counts(spec)
@@ -218,7 +233,7 @@ class TestStructure:
     def test_mean_capability(self):
         assert mean_capability(preset_hpc(10, 7)) == 7.0
         uniform = CapabilityDistribution.uniform(9)
-        assert mean_capability(preset_hpc(10, uniform)) == pytest.approx(5.0, abs=1e-12)
+        assert mean_capability(preset_hpc(9, uniform)) == pytest.approx(5.0, abs=1e-12)
         assert abs(mean_capability(preset_hpc(1000, MIX_TBAR7)) - 7.0) < 0.05
 
 
@@ -232,7 +247,6 @@ class TestBlockArray:
         # identical length and identical component-length multiset
         spec = preset_from_block_array(np.ones((3, 2), dtype=int), n=20, t=3)
         pc = preset_pc(20, (0.4, 0.6), 3)
-        assert validate(spec).ok
         assert code_length(spec) == code_length(pc)
         multiset_a = np.repeat(cn_degrees(spec), cn_counts(spec)).tolist()
         multiset_b = np.repeat(cn_degrees(pc), cn_counts(pc)).tolist()

@@ -297,6 +297,18 @@ class TestThreshold:
         res = de.threshold(spec)
         assert res.c_star / erasure_scaling(spec) == pytest.approx(expected, abs=0.01)
 
+    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan")])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="bracket_tol"):
+            de.threshold(preset_hpc(100, 3), bracket_tol=tol)
+
+    def test_tolerance_below_float_spacing_stops(self):
+        # 1e-17 is below the spacing of floats near c* = 5.15: bisection must
+        # stop once no float lies strictly between the endpoints
+        res = de.threshold(preset_hpc(100, 3), bracket_tol=1e-17)
+        assert res.bracket_lo < res.bracket_hi
+        assert np.nextafter(res.bracket_lo, np.inf) >= res.bracket_hi
+
     def test_no_bracket_error(self):
         # a starved iteration cap on a capability-1 chain leaves no c
         # classified as convergent anywhere above the floor

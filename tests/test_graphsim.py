@@ -17,10 +17,7 @@ from gpclab.graphsim import (
     monte_carlo,
     peel,
     peel_scheduled,
-    read_graph,
     sample_residual,
-    write_graph,
-    write_round_log,
 )
 from conftest import random_spec
 
@@ -431,20 +428,3 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(preset_hpc(10, 2), 1.0, 1, 0, 0)
 
-
-class TestIo:
-    def test_graph_roundtrip(self, tmp_path, rng):
-        spec = random_spec(rng, n_scale=8)
-        graph = sample_residual(spec, 3.5, seed=4)
-        path = tmp_path / "residual.txt"
-        write_graph(graph, str(path))
-        back = read_graph(str(path))
-        assert np.array_equal(back.vertex_position, graph.vertex_position)
-        assert np.array_equal(back.vertex_capability, graph.vertex_capability)
-        assert np.array_equal(back.edges, graph.edges)
-
-    def test_round_log(self, tmp_path):
-        result = peel(hpc_demo_graph(2))
-        path = tmp_path / "rounds.csv"
-        write_round_log(result, str(path))
-        assert path.read_text() == "round,removed\n1,3\n2,2\n"

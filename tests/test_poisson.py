@@ -10,7 +10,6 @@ from gpclab.poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    poisson_pmf,
     poisson_tail,
     poisson_tail_block,
     poisson_tail_table,
@@ -26,31 +25,17 @@ def mp_pmf(i: int, lam: float) -> float:
         return float(lam_mp**i * mpmath.e ** (-lam_mp) / mpmath.factorial(i))
 
 
-class TestPmf:
-    def test_empty_product_case(self):
-        assert poisson_pmf(0, 0.0) == 1.0
-
-    def test_single_point(self):
-        assert poisson_pmf(0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_against_high_precision_oracle(self):
-        assert poisson_pmf(5, 3.0) == pytest.approx(mp_pmf(5, 3.0), abs=1e-14)
-
-    @pytest.mark.parametrize("i,lam", [(40, 3.0), (5, 60.0), (100, 95.0), (700, 700.0)])
-    def test_log_space_path(self, i, lam):
-        assert poisson_pmf(i, lam) == pytest.approx(mp_pmf(i, lam), rel=1e-11)
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_pmf(0, -0.5)
-        with pytest.raises(ValueError):
-            poisson_tail(1, -2.0)
-
-    def test_pmf_sums_to_one(self):
-        # the mass beyond 200 is below 1e-100 for every rate here
-        for lam in (0.3, 1.0, 7.7, 25.0):
-            total = sum(poisson_pmf(i, lam) for i in range(200))
-            assert abs(total - 1.0) < 1e-10
+def mp_tails(t_max: int, lam: float) -> list[float]:
+    """High-precision reference: [P(X >= 1), ..., P(X >= t_max)] at 50 digits."""
+    with mpmath.workdps(50):
+        lam_mp = mpmath.mpf(lam)
+        pmf = mpmath.e ** (-lam_mp)
+        cdf, out = pmf, []
+        for i in range(1, t_max + 1):
+            out.append(float(1 - cdf))
+            pmf *= lam_mp / i
+            cdf += pmf
+        return out
 
 
 class TestTail:
@@ -59,6 +44,12 @@ class TestTail:
 
     def test_zero_rate(self):
         assert poisson_tail(1, 0.0) == 0.0
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_tail(1, -2.0)
+        with pytest.raises(ValueError):
+            poisson_tail_block(3, -0.5)
 
     def test_complement_of_pmf0(self):
         assert poisson_tail(1, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
@@ -77,10 +68,16 @@ class TestTail:
         assert poisson_tail(t + 1, lam) <= poisson_tail(t, lam) + 1e-15
 
     def test_block_matches_scalar(self):
-        for lam in (0.0, 0.05, 2.5, 31.0):
-            block = poisson_tail_block(12, lam)
-            for t in range(1, 13):
-                assert block[t - 1] == pytest.approx(poisson_tail(t, lam), abs=1e-13)
+        # rates on both sides of the log-space switch at 600, with thresholds
+        # far past the mode there
+        cases = [(lam, 12) for lam in (0.0, 0.05, 2.5, 31.0)]
+        cases += [(lam, t_max) for lam in (599.0, 650.0, 800.0) for t_max in (700, 1000)]
+        for lam, t_max in cases:
+            block = poisson_tail_block(t_max, lam)
+            exact = mp_tails(t_max, lam)
+            assert np.max(np.abs(np.array(block) - exact)) <= 5e-13, (lam, t_max)
+            for t in (1, t_max // 2, t_max):
+                assert poisson_tail(t, lam) == block[t - 1]
 
     def test_block_tails_never_negative(self):
         # at small rates the running cdf can round above 1
@@ -142,7 +139,7 @@ class TestInitialLoss:
 
     def test_term_by_term_oracle(self):
         t, c = 4, 6.8
-        direct = sum(poisson_pmf(i, c) * (t - i) for i in range(t))
+        direct = sum(mp_pmf(i, c) * (t - i) for i in range(t))
         assert initial_loss(t, c) == pytest.approx(direct, abs=1e-12)
 
     @given(
@@ -152,13 +149,13 @@ class TestInitialLoss:
     @settings(max_examples=150)
     def test_convexity_identity(self, t, c):
         lhs = initial_loss(t - 1, c) + initial_loss(t + 1, c) - 2.0 * initial_loss(t, c)
-        assert lhs == pytest.approx(poisson_pmf(t, c), abs=1e-12)
+        assert lhs == pytest.approx(mp_pmf(t, c), abs=1e-12)
 
     def test_convexity_identity_pinned_grid(self):
         for c in (0.1, 1.0, 5.0, 20.0):
             for t in range(2, 50):
                 lhs = initial_loss(t - 1, c) + initial_loss(t + 1, c) - 2 * initial_loss(t, c)
-                assert abs(lhs - poisson_pmf(t, c)) < 1e-12
+                assert abs(lhs - mp_pmf(t, c)) < 1e-12
 
     def test_mixture_point_mass(self):
         assert initial_loss_mixture(CapabilityDistribution.point_mass(5), 0.0) == 5.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpclab.branching import SurvivalEstimate, TreeSizeLimit
-from gpclab.codespec import GpcSpec, require_valid
+from gpclab.codespec import GpcSpec
 from gpclab.graphsim import ResidualGraph, _stream_rng
 
 
@@ -78,7 +78,6 @@ def sample_tree(
     children of each coupled type (j, t').  Raises TreeSizeLimit beyond
     ``node_cap`` nodes, which callers should count as an aborted trial.
     """
-    require_valid(spec)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     rng = _stream_rng(seed, 0)
@@ -179,7 +178,6 @@ def reference_survival_mc(
     the leaf level (depth ell-1) draws its total child count, and survives
     when that reaches its capability.  Survival bits are folded bottom-up.
     """
-    require_valid(spec)
     if ell < 0 or trees < 1:
         raise ValueError("need ell >= 0 and trees >= 1")
     if ell == 0:
