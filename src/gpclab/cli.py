@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-lo", dest="c_lo", type=float)
     p.add_argument("--c-hi", dest="c_hi", type=float)
     p.add_argument("--bracket-tol", dest="bracket_tol", type=float)
-    p.add_argument("--ell", type=int)
+    p.add_argument("--ell", type=int,
+                   help="DE iteration cap per tested c; read only when L >= 2")
     p.set_defaults(func=cmd_threshold)
 
     p = subs.add_parser("bounds", help="2*t_bar, refined bound, diagnostics")

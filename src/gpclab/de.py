@@ -12,6 +12,11 @@ iteration) and shorter ones position by position, which is faster there
 because each numpy call has a fixed cost; both share the stopping rules.
 ``de_step`` and ``failure_probability`` take one array step whatever L is,
 and the contraction check uses the same table.
+
+A single position's DE is the monotone map x <- F(c x) from x = 1, with
+F(lam) = sum_t tau_t P(Pois(lam) >= t); it converges to 0 exactly when
+x > F(c x) on (0, 1], so threshold bisection decides single-position specs
+by that contraction condition and runs DE only for L >= 2.
 """
 
 from __future__ import annotations
@@ -125,6 +130,11 @@ class DeTrajectory:
         return rows
 
 
+def _check_quality(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"effective channel quality must be finite and >= 0, got {c}")
+
+
 class _PositionArrays:
     """Neighbour lists padded to the largest degree (padding weight 0) and
     capability weights zero-padded to the spec's t_max, as arrays."""
@@ -158,8 +168,7 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     """One collapsed DE iteration: x_i <- sum_t tau_t(i) P(Pois(lam_i) >= t)
     with lam_i = c * sum_j eta_ij gamma_j x_j.  c = 0 is admitted and maps
     everything to zero (an erasure-free channel resolves instantly)."""
-    if c < 0.0:
-        raise ValueError(f"effective channel quality must be >= 0, got {c}")
+    _check_quality(c)
     return _vector_step(spec, c)(x, None)[0]
 
 
@@ -168,6 +177,7 @@ def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
 
     Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
     more than t of its erasures survive the round."""
+    _check_quality(c)
     return _vector_step(spec, c)(x, None)[1]
 
 
@@ -178,8 +188,7 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
     The aggregation sum_t tau_t(i) * x_typed[i, t-1] reproduces the collapsed
     recursion exactly.
     """
-    if c < 0.0:
-        raise ValueError(f"effective channel quality must be >= 0, got {c}")
+    _check_quality(c)
     L = spec.num_positions
     t_max = spec.t_max
     x_typed = np.asarray(x_typed, dtype=float)
@@ -274,8 +283,7 @@ def de_run(
     ``VECTOR_MIN_POSITIONS`` positions step all positions as arrays, shorter
     ones position by position; the two agree to rounding.
     """
-    if c < 0.0:
-        raise ValueError(f"effective channel quality must be >= 0, got {c}")
+    _check_quality(c)
     L = spec.num_positions
     if schedule is not None:
         if not schedule.covers(L):
@@ -323,28 +331,16 @@ def success_condition(
     """
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    min_slack = math.inf
-    worst_x = math.nan
-    for x, slack in _grid_slack(tau, c, 1.0, grid_points):
+    min_slack, worst_x = math.inf, math.nan
+    support = tau.support()
+    for start in range(1, grid_points + 1, SLACK_BLOCK):
+        x = np.arange(start, min(start + SLACK_BLOCK, grid_points + 1)) / grid_points
+        tails = poisson_tail_table(c * x, tau.t_max)
+        slack = x - sum(w * tails[:, t - 1] for t, w in support)
         k = int(np.argmin(slack))
         if slack[k] < min_slack:
-            min_slack = float(slack[k])
-            worst_x = float(x[k])
+            min_slack, worst_x = float(slack[k]), float(x[k])
     return SuccessCheck(min_slack > -_NOISE_FLOOR, min_slack, worst_x)
-
-
-def _grid_slack(tau: CapabilityDistribution, c: float, top: float, points: int):
-    """Contraction slack x - sum_t tau_t P(Pois(c x) >= t) on the grid
-    x = top * i / points, i = 1..points, as (x, slack) blocks of at most
-    ``SLACK_BLOCK`` points."""
-    support = tau.support()
-    for start in range(1, points + 1, SLACK_BLOCK):
-        x = top * np.arange(start, min(start + SLACK_BLOCK, points + 1)) / points
-        tails = poisson_tail_table(c * x, tau.t_max)
-        mixed = 0.0
-        for t, w in support:
-            mixed = mixed + w * tails[:, t - 1]
-        yield x, x - mixed
 
 
 def _run_converges(
@@ -356,29 +352,16 @@ def _run_converges(
 ) -> bool:
     """Convergence classifier used by the threshold bisection.
 
-    A run that hits the iteration cap while still descending is not evidence
-    of a positive fixed point.  For single-position specs we settle it with
-    the contraction condition restricted to (0, x_end]: the trajectory is
-    monotone, so absence of a fixed point below x_end implies convergence.
+    A single position runs no DE: it converges exactly when the contraction
+    condition holds, checked by the stability row c * tau_1 <= 1 (the slack's
+    slope at x = 0, which no grid resolves) and by ``success_condition`` on
+    2000 grid points.  Longer chains count only a run that converged.
     """
-    traj = de_run(
-        spec,
-        c,
-        ell_max=ell_max,
-        x_tolerance=x_tolerance,
-        success_epsilon=success_epsilon,
-    )
-    if traj.verdict == CONVERGED:
-        return True
-    if traj.verdict == STUCK:
-        return False
-    if spec.num_positions != 1:
-        return False
-    x_end = float(traj.final_x[0])
-    return not any(
-        (slack < -_NOISE_FLOOR).any()
-        for _, slack in _grid_slack(spec.tau[0], c, x_end, 2000)
-    )
+    if spec.num_positions == 1:
+        tau = spec.tau[0]
+        return c * tau.weights[0] <= 1.0 and success_condition(tau, c, grid_points=2000).ok
+    traj = de_run(spec, c, ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon)
+    return traj.verdict == CONVERGED
 
 
 @dataclass(frozen=True)
@@ -424,9 +407,16 @@ def threshold(
     have raw thresholds about erasure_scaling times their normalized ones
     (3.6x for a staircase of 6 positions, about L/2 for long staircases).
     Bisection stops at ``bracket_tol`` or once lo and hi are adjacent floats.
+
+    A single-position spec is classified by its contraction condition, so
+    ``ell_max``, ``x_tolerance`` and ``success_epsilon`` affect only chains
+    of L >= 2 positions, which run DE at each tested c.
     """
     if not bracket_tol > 0.0:
         raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
+    for name, end in (("c_lo", c_lo), ("c_hi", c_hi)):
+        if end is not None and not (math.isfinite(end) and end > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {end}")
     tbar = mean_capability(spec)
     lo = c_lo if c_lo is not None else tbar / 2.0
     hi = c_hi if c_hi is not None else 2.0 * tbar

@@ -177,8 +177,9 @@ def _sample(spec: GpcSpec, c: float, rng: np.random.Generator) -> ResidualGraph:
                     v = ks % n_j + offsets[j]
                     edge_blocks.append(np.stack([u, v], axis=1))
     if edge_blocks:
+        # every block already lists u < v: a triangle unranks to row < column,
+        # and a cross block puts the lower position's offset first
         edges = np.concatenate(edge_blocks, axis=0)
-        edges = np.sort(edges, axis=1)
     else:
         edges = np.empty((0, 2), dtype=np.int64)
     return ResidualGraph(

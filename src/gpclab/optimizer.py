@@ -170,13 +170,13 @@ def post_verify(
     c: float | None = None,
     grid_factor: int = 10,
     bracket_tol: float = 0.01,
-    ell_max: int = de.DEFAULT_ELL_MAX,
 ) -> LpSolution:
     """Re-check an optimal mixture at channel quality c.
 
     Evaluates the contraction slack on a grid ``grid_factor`` times finer
-    than the LP's and measures the actual DE threshold; the solution is
-    downgraded to a degenerate warning when that threshold falls below c.
+    than the LP's and bisects the threshold of the single-position mixture
+    (see ``de.threshold``); the solution is downgraded to a degenerate
+    warning when that threshold falls below c.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")
@@ -185,7 +185,7 @@ def post_verify(
         solution.tau, c, grid_points=grid_factor * solution.grid_m
     )
     spec = preset_hpc(1000, solution.tau, tau_assignment="random")
-    found = de.threshold(spec, bracket_tol=bracket_tol, ell_max=ell_max)
+    found = de.threshold(spec, bracket_tol=bracket_tol)
     status = solution.status if found.c_star >= c else STATUS_DEGENERATE
     return replace(
         solution,

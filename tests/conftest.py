@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,23 @@ MIX_TBAR7 = CapabilityDistribution.from_dict(
     {1: 0.070, 2: 0.103, 4: 0.115, 5: 0.179, 10: 0.496, 11: 0.037}
 )
 MIX_TBAR7_MIN4 = CapabilityDistribution.from_dict({4: 0.495, 9: 0.029, 10: 0.476})
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in a call that runs longer than ``seconds``, so a
+    call that would loop forever fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_connected_eta(rng: np.random.Generator, L: int) -> np.ndarray:

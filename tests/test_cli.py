@@ -17,6 +17,7 @@ from gpclab.cli import (
     main,
 )
 from gpclab.codespec import spec_from_json, spec_to_json, preset_hpc, preset_staircase
+from conftest import time_limit
 
 
 STAIRCASE_6 = [
@@ -92,6 +93,14 @@ class TestDe:
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_NONCONVERGED
 
+    def test_non_finite_c_rejected(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        with time_limit(10):
+            code = main(["de", "--spec", spec_path, "--c", "nan", "--ell", "100",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT
+        assert "must be finite" in capsys.readouterr().err
+
     def test_invalid_spec_rejected(self, tmp_path, capsys):
         bad = {"eta": [[0, 1], [0, 0]], "gamma": [0.5, 0.5],
                "tau": [{"2": 1.0}, {"2": 1.0}], "n": 10,
@@ -156,6 +165,15 @@ class TestThresholdCmd:
                          "--out", str(tmp_path / "t.csv")])
             assert code == EXIT_INPUT
             assert "bracket_tol must be > 0" in capsys.readouterr().err
+
+    def test_non_finite_c_lo_rejected(self, tmp_path, capsys):
+        # a NaN lower end never fell below the halving floor: this looped
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        with time_limit(10):
+            code = main(["threshold", "--spec", spec_path, "--c-lo", "nan",
+                         "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_INPUT
+        assert "c_lo must be finite" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_hpc(100, 4))

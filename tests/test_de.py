@@ -19,7 +19,8 @@ from gpclab.poisson import (
     poisson_tail,
     poisson_tail_block,
 )
-from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_spec
+from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
+from de_reference import reference_run_converges
 
 
 def typed_ones(spec):
@@ -83,6 +84,16 @@ class TestDeStep:
     def test_negative_c_rejected(self):
         with pytest.raises(ValueError):
             de.de_step(preset_hpc(10, 2), [1.0], -1.0)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_non_finite_c_rejected(self, c):
+        spec = preset_hpc(10, 4)
+        with pytest.raises(ValueError, match="finite"):
+            de.de_step(spec, [1.0], c)
+        with pytest.raises(ValueError, match="finite"):
+            de.failure_probability(spec, [1.0], c)
+        with pytest.raises(ValueError, match="finite"):
+            de.de_step_per_type(spec, typed_ones(spec), c)
 
 
 class TestFailureProbability:
@@ -201,6 +212,24 @@ class TestDeRun:
         rows = traj.to_csv_rows()
         assert rows[0] == ["iteration", "x_1", "z"]
         assert len(rows) == traj.iterations_run + 2
+
+
+class TestNonFiniteQuality:
+    """A NaN c used to run DE to the iteration cap, and a NaN or infinite
+    bracket end could keep threshold doubling or halving it forever."""
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_run_rejected(self, c):
+        with time_limit(10), pytest.raises(ValueError, match="finite"):
+            de.de_run(preset_staircase(6, 36, 3), c)
+
+    @pytest.mark.parametrize("spec", [preset_hpc(100, 4), preset_staircase(6, 36, 3)],
+                             ids=["hpc", "staircase"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("end", ["c_lo", "c_hi"])
+    def test_threshold_bracket_ends_rejected(self, spec, value, end):
+        with time_limit(10), pytest.raises(ValueError, match=f"{end} must be finite"):
+            de.threshold(spec, **{end: value})
 
 
 class TestVectorPath:
@@ -322,6 +351,51 @@ class TestThreshold:
         margins = [stars[t] - t for t in range(2, 9)]
         assert all(np.diff(margins) > 0)
         assert all(stars[t] < 2 * t for t in range(2, 9))
+
+
+def _single_position_corpus():
+    rng = np.random.default_rng(8)
+    dists = [(f"uniform_{n}", CapabilityDistribution.uniform(n)) for n in (4, 8, 12)]
+    dists += [("mix_tbar7", MIX_TBAR7), ("mix_tbar7_min4", MIX_TBAR7_MIN4)]
+    dists += [(f"point_{t}", CapabilityDistribution.point_mass(t)) for t in (1, 3, 6)]
+    dists += [(f"random_{k}", random_mixture(rng, int(rng.integers(2, 13))))
+              for k in range(22)]
+    params = [pytest.param(dist, 0.01, id=name) for name, dist in dists]
+    # closer to c*, where a 100-point grid misses the second one's negative slack
+    fine = [("mix_tbar7", MIX_TBAR7),
+            ("two_five_nine", CapabilityDistribution.from_dict({2: 5 / 9, 5: 1 / 9, 9: 3 / 9}))]
+    return params + [pytest.param(dist, 1e-3, id=f"{name}_tol1e-3") for name, dist in fine]
+
+
+class TestSinglePositionClassifier:
+    """threshold decides single-position specs by the contraction condition;
+    ``de_reference`` keeps the DE-run classifier it replaced."""
+
+    @pytest.mark.parametrize("dist,tol", _single_position_corpus())
+    def test_matches_de_reference(self, monkeypatch, dist, tol):
+        spec = preset_hpc(1000, dist, tau_assignment="random")
+        fast = de.threshold(spec, bracket_tol=tol)
+        monkeypatch.setattr(de, "_run_converges", reference_run_converges)
+        slow = de.threshold(spec, bracket_tol=tol)
+        assert (fast.c_star, fast.bracket_lo, fast.bracket_hi) == (
+            slow.c_star, slow.bracket_lo, slow.bracket_hi)
+
+    def test_runs_no_de(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("single-position bisection ran DE")
+
+        monkeypatch.setattr(de, "de_run", no_run)
+        assert abs(de.threshold(preset_hpc(100, 4)).c_star - 6.8) <= 0.1
+
+    def test_stability_edge(self):
+        # c * tau_1 <= 1 binds here: the threshold is 1 / tau_1 = 10.  At
+        # c = 10.00004 DE is still at x = 1e-5 after 20000 iterations, above
+        # a fixed point near 8e-7, and the DE-run classifier's grid over
+        # (0, 1e-5] missed the negative slack there
+        dist = CapabilityDistribution.from_dict({1: 0.1, 12: 0.9})
+        res = de.threshold(preset_hpc(1000, dist, tau_assignment="random"),
+                           bracket_tol=1e-4)
+        assert res.bracket_lo <= 10.0 < res.c_star
 
 
 class TestBounds:

@@ -124,6 +124,15 @@ class TestSampling:
             for u, v in graph.edges:
                 assert spec.eta[pos[u], pos[v]] == 1
 
+    @pytest.mark.parametrize("spec", [
+        preset_hpc(5000, 4), preset_pc(4000, (0.5, 0.5), 3), preset_staircase(6, 3600, 3),
+    ], ids=["hpc", "pc", "staircase"])
+    def test_edges_list_lower_end_first(self, spec):
+        # no sort after sampling: every block must draw its pairs as u < v
+        graph = sample_residual(spec, 6.0, seed=11)
+        assert graph.num_edges > 1000
+        assert (graph.edges[:, 0] < graph.edges[:, 1]).all()
+
     def test_pc_has_no_intra_position_edges(self):
         spec = preset_pc(60, (0.5, 0.5), 2)
         for seed in range(20):
