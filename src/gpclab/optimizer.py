@@ -171,12 +171,16 @@ def post_verify(
     grid_factor: int = 10,
     bracket_tol: float = 0.01,
 ) -> LpSolution:
-    """Re-check an optimal mixture at channel quality c.
+    """Re-check an optimal mixture at channel quality c on finer grids.
 
     Evaluates the contraction slack on a grid ``grid_factor`` times finer
     than the LP's and bisects the threshold of the single-position mixture
     (see ``de.threshold``); the solution is downgraded to a degenerate
-    warning when that threshold falls below c.
+    warning when that threshold falls below c.  The bisection runs no DE:
+    ``verified_threshold`` is the largest c at which the stability row
+    c * tau_1 <= 1 and the slack on 2000 grid points both hold.  Both checks
+    test the slack the LP constrains, on finer grids plus its x -> 0 limit,
+    so they catch dips between LP rows, not errors of the method itself.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")
