@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import GpcSpec
+from .de import _check_quality
 from .graphsim import _stream_rng
 
 
@@ -84,6 +85,7 @@ def survival_mc(
     checked against it before any array of that level is allocated, and
     TreeSizeLimit is raised once they exceed it.
     """
+    _check_quality(c)
     if ell < 0 or trees < 1 or batch_size < 1:
         raise ValueError("need ell >= 0, trees >= 1 and batch_size >= 1")
     if ell == 0:

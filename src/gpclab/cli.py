@@ -317,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-hi", dest="c_hi", type=float)
     p.add_argument("--bracket-tol", dest="bracket_tol", type=float)
     p.add_argument("--ell", type=int,
-                   help="DE iteration cap per tested c; read only when L >= 2")
+                   help="DE iteration cap per tested c; not read for a position-regular "
+                        "spec (same tau, same sum_j eta_ij gamma_j)")
     p.set_defaults(func=cmd_threshold)
 
     p = subs.add_parser("bounds", help="2*t_bar, refined bound, diagnostics")

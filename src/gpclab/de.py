@@ -13,10 +13,11 @@ because each numpy call has a fixed cost; both share the stopping rules.
 ``de_step`` and ``failure_probability`` take one array step whatever L is,
 and the contraction check uses the same table.
 
-A single position's DE is the monotone map x <- F(c x) from x = 1, with
-F(lam) = sum_t tau_t P(Pois(lam) >= t); it converges to 0 exactly when
-x > F(c x) on (0, 1], so threshold bisection decides single-position specs
-by that contraction condition and runs DE only for L >= 2.
+A position-regular spec (same tau, same s = sum_j eta_ij gamma_j at every
+position) keeps its positions equal from x = 1, so its DE is the monotone map
+x <- F(c s x), F(lam) = sum_t tau_t P(Pois(lam) >= t), which converges to 0
+exactly when x > F(c s x) on (0, 1]; threshold bisection decides such specs
+by that contraction condition and runs DE only for the others.
 """
 
 from __future__ import annotations
@@ -349,16 +350,19 @@ def _run_converges(
     ell_max: int,
     success_epsilon: float,
     x_tolerance: float,
+    regular_sum: float | None,
 ) -> bool:
     """Convergence classifier used by the threshold bisection.
 
-    A single position runs no DE: it converges exactly when the contraction
-    condition holds, checked by the stability row c * tau_1 <= 1 (the slack's
-    slope at x = 0, which no grid resolves) and by ``success_condition`` on
-    2000 grid points.  Longer chains count only a run that converged.
+    A position-regular spec (same tau, same s = sum_j eta_ij gamma_j, given
+    as ``regular_sum``) runs no DE: it converges exactly when the contraction
+    condition holds at c * s, checked by the stability row c * s * tau_1 <= 1
+    (the slack's slope at x = 0, which no grid resolves) and by
+    ``success_condition`` on 2000 grid points.  Other specs count only a DE
+    run that converged.
     """
-    if spec.num_positions == 1:
-        tau = spec.tau[0]
+    if regular_sum is not None:
+        tau, c = spec.tau[0], c * regular_sum
         return c * tau.weights[0] <= 1.0 and success_condition(tau, c, grid_points=2000).ok
     traj = de_run(spec, c, ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon)
     return traj.verdict == CONVERGED
@@ -408,9 +412,10 @@ def threshold(
     (3.6x for a staircase of 6 positions, about L/2 for long staircases).
     Bisection stops at ``bracket_tol`` or once lo and hi are adjacent floats.
 
-    A single-position spec is classified by its contraction condition, so
-    ``ell_max``, ``x_tolerance`` and ``success_epsilon`` affect only chains
-    of L >= 2 positions, which run DE at each tested c.
+    A position-regular spec (same tau, same sum_j eta_ij gamma_j) is
+    classified by its contraction condition, so ``ell_max``, ``x_tolerance``
+    and ``success_epsilon`` affect only the other specs, which run DE at
+    each tested c.
     """
     if not bracket_tol > 0.0:
         raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
@@ -421,9 +426,13 @@ def threshold(
     lo = c_lo if c_lo is not None else tbar / 2.0
     hi = c_hi if c_hi is not None else 2.0 * tbar
     floor, ceil = 1e-3, 4.0 * spec.t_max * erasure_scaling(spec)
+    # position-regular: one tau and one s = sum_j eta_ij gamma_j, compared exactly
+    s = spec.eta @ spec.gamma
+    regular = all(d == spec.tau[0] for d in spec.tau) and (s == s[0]).all()
+    regular_sum = float(s[0]) if regular else None
 
     def conv(c: float) -> bool:
-        return _run_converges(spec, c, ell_max, success_epsilon, x_tolerance)
+        return _run_converges(spec, c, ell_max, success_epsilon, x_tolerance, regular_sum)
 
     while not conv(lo):
         lo /= 2.0

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .codespec import GpcSpec, cn_counts, code_length
-from .de import Schedule
+from .de import Schedule, _check_quality
 
 __all__ = [
     "ResidualGraph",
@@ -149,8 +149,7 @@ def _assign_capabilities(
 
 def _sample(spec: GpcSpec, c: float, rng: np.random.Generator) -> ResidualGraph:
     n = spec.n
-    if c < 0.0:
-        raise ValueError(f"effective channel quality must be >= 0, got {c}")
+    _check_quality(c)
     if c >= n:
         raise ValueError(f"edge probability c/n must stay below 1 (c={c}, n={n})")
     counts = cn_counts(spec)
@@ -278,24 +277,20 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
     """Sequential-removal fixpoint: keep deleting any one vertex with degree
     at most its capability until none qualifies.  Monotone peeling is
     confluent, so this equals the parallel fixpoint exactly."""
-    n = graph.num_vertices
     start, nbr, _ = _incidence(graph)
-    deg = np.diff(start).tolist()
+    # slack = degree - capability; a vertex is queued once its slack reaches
+    # 0 and never decremented after, so survivors are those with slack > 0
+    slack = (np.diff(start) - graph.vertex_capability).tolist()
     start, nbr = start.tolist(), nbr.tolist()
-    caps = graph.vertex_capability.tolist()
-    alive = [True] * n
-    queued = [d <= t for d, t in zip(deg, caps)]
-    stack = [v for v in range(n) if queued[v]]
+    stack = [v for v, s in enumerate(slack) if s <= 0]
     while stack:
         v = stack.pop()  # each vertex is queued at most once
-        alive[v] = False
         for u in nbr[start[v] : start[v + 1]]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] <= caps[u] and not queued[u]:
-                    queued[u] = True
+            if slack[u] > 0:
+                slack[u] -= 1
+                if slack[u] == 0:
                     stack.append(u)
-    return np.flatnonzero(alive)
+    return np.flatnonzero(np.array(slack) > 0)
 
 
 def _mc_trial(args: tuple) -> tuple[float, float, float]:

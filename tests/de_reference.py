@@ -39,8 +39,14 @@ def _slack_dips_below_floor(spec: GpcSpec, c: float, top: float) -> bool:
 
 
 def reference_run_converges(
-    spec: GpcSpec, c: float, ell_max: int, success_epsilon: float, x_tolerance: float
+    spec: GpcSpec,
+    c: float,
+    ell_max: int,
+    success_epsilon: float,
+    x_tolerance: float,
+    regular_sum: float | None = None,
 ) -> bool:
+    """Ignores ``regular_sum``: every spec runs DE."""
     traj = de.de_run(
         spec, c, ell_max=ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon
     )

@@ -252,6 +252,12 @@ class TestSurvivalMc:
                 survival_mc(spec, 1.0, ell, trees=trees, master_seed=0,
                             batch_size=batch_size)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_bad_quality_rejected(self, c):
+        # the same message as density evolution, not a numpy sampling error
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            survival_mc(preset_hpc(10, 2), c, 3, trees=10, master_seed=0)
+
     def test_deterministic(self):
         spec = preset_hpc(100, 3)
         a = survival_mc(spec, 4.0, 3, trees=20_000, master_seed=11)

@@ -398,6 +398,70 @@ class TestSinglePositionClassifier:
         assert res.bracket_lo <= 10.0 < res.c_star
 
 
+def _cycle_spec(L, n, t):
+    eta = np.zeros((L, L), dtype=np.int64)
+    for i in range(L):
+        eta[i, (i + 1) % L] = eta[(i + 1) % L, i] = 1
+    tau = (CapabilityDistribution.point_mass(t),) * L
+    return GpcSpec(eta=eta, gamma=np.full(L, 1.0 / L), tau=tau, n=n)
+
+
+class TestRegularSpecs:
+    """threshold decides position-regular specs (same tau, same
+    s = sum_j eta_ij gamma_j) by the contraction condition at c * s."""
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_pc(1000, t_row=t), id=f"pc_t{t}") for t in (3, 5, 7)
+    ] + [
+        pytest.param(preset_braided(4, 1000, t), id=f"braided4_t{t}") for t in (3, 5)
+    ])
+    def test_matches_de_reference(self, monkeypatch, spec):
+        fast = de.threshold(spec, bracket_tol=0.005)
+        monkeypatch.setattr(de, "_run_converges", reference_run_converges)
+        slow = de.threshold(spec, bracket_tol=0.005)
+        assert (fast.c_star, fast.bracket_lo, fast.bracket_hi) == (
+            slow.c_star, slow.bracket_lo, slow.bracket_hi)
+
+    @pytest.mark.parametrize("t", [3, 4, 7])
+    def test_product_code_is_twice_half_product(self, t):
+        # s = 1/2 halves every tested c exactly, so the bisections match bitwise
+        a, b, tol = t / 2.0, 2.0 * t, 0.01
+        hpc = de.threshold(preset_hpc(100, t), c_lo=a, c_hi=b, bracket_tol=tol)
+        pc = de.threshold(preset_pc(100, t_row=t), c_lo=2 * a, c_hi=2 * b,
+                          bracket_tol=2 * tol)
+        assert (pc.c_star, pc.bracket_lo, pc.bracket_hi) == (
+            2 * hpc.c_star, 2 * hpc.bracket_lo, 2 * hpc.bracket_hi)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (preset_pc(100, t_row=4), 2 * 6.8),
+        (preset_braided(4, 1000, 3), 10.30),
+        (_cycle_spec(6, 60, 3), 3 * 5.152),  # s = 1/3
+    ])
+    def test_runs_no_de(self, monkeypatch, spec, expected):
+        def no_run(*args, **kwargs):
+            raise AssertionError("position-regular bisection ran DE")
+
+        monkeypatch.setattr(de, "de_run", no_run)
+        assert de.threshold(spec).c_star == pytest.approx(expected, abs=0.2)
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_pc(100, t_row=3, t_col=4), id="pc_t3_t4"),
+        pytest.param(preset_pc(100, split=(0.25, 0.75)), id="pc_uneven_split"),
+        pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
+    ])
+    def test_others_run_de(self, monkeypatch, spec):
+        calls = []
+        real_run = de.de_run
+
+        def counted_run(*args, **kwargs):
+            calls.append(args[1])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(de, "de_run", counted_run)
+        de.threshold(spec, bracket_tol=0.1)
+        assert calls
+
+
 class TestBounds:
     def test_upper_bound_point_mass(self):
         assert de.upper_bound(preset_hpc(10, 7)) == 14.0

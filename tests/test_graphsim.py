@@ -113,6 +113,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_residual(preset_hpc(10, 2), 10.0, seed=0)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_bad_quality_rejected(self, c):
+        # the same message as density evolution, before any draw
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            sample_residual(preset_hpc(10, 2), c, seed=0)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            monte_carlo(preset_hpc(10, 2), c, 5, trials=2, master_seed=0)
+
     def test_simple_graph_structure(self, rng):
         for k in range(10):
             spec = random_spec(rng, n_scale=8)
