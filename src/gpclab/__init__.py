@@ -9,7 +9,6 @@ from .poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    poisson_tail,
     tail_integral,
 )
 from .codespec import (

@@ -94,9 +94,9 @@ def _merge(config: dict, args, keys: list[str]) -> dict:
 
 
 def _jobs(config: dict, args) -> int:
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         return args.jobs
-    if config.get("jobs"):
+    if config.get("jobs") is not None:
         return int(config["jobs"])
     env = os.environ.get("GPCLAB_JOBS")
     if env:

@@ -6,12 +6,9 @@ of component codes that would declare failure.  Includes scheduled variants
 (frozen positions carry their state forward), threshold search, and the
 analytic bounds used to sanity-check and design capability mixtures.
 
-``de_run`` updates chains of at least ``VECTOR_MIN_POSITIONS`` positions
-with array operations over all positions (one ``poisson_tail_table`` per
-iteration) and shorter ones position by position, which is faster there
-because each numpy call has a fixed cost; both share the stopping rules.
-``de_step`` and ``failure_probability`` take one array step whatever L is,
-and the contraction check uses the same table.
+Every DE iteration, in ``de_run``, ``de_step`` and ``failure_probability``
+alike, updates all positions with array operations over one
+``poisson_tail_table`` call, and the contraction check reads the same table.
 
 A position-regular spec (same tau, same s = sum_j eta_ij gamma_j at every
 position) keeps its positions equal from x = 1, so its DE is the monotone map
@@ -33,7 +30,6 @@ from .poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    poisson_tail_block,
     poisson_tail_table,
 )
 
@@ -45,10 +41,6 @@ DEFAULT_ELL_MAX = 20000
 DEFAULT_SUCCESS_EPSILON = 1e-8
 DEFAULT_X_TOLERANCE = 1e-13
 
-# de_run steps chains of at least this many positions with array operations;
-# their fixed numpy cost (~30 us per iteration) exceeds the scalar loop below
-# about 16-24 positions.
-VECTOR_MIN_POSITIONS = 16
 # Grid points per tail table in the contraction check, which bounds its
 # arrays to a few hundred kB whatever the grid size.
 SLACK_BLOCK = 1024
@@ -165,12 +157,19 @@ class _PositionArrays:
         return np.einsum("it,it->i", self.tau_w, tails)
 
 
+def _one_step(spec: GpcSpec, x: Sequence[float], c: float):
+    _check_quality(c)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.num_positions,):
+        raise ValueError(f"x must have shape {(spec.num_positions,)}, got {x.shape}")
+    return _stepper(spec, c)(x, None)
+
+
 def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     """One collapsed DE iteration: x_i <- sum_t tau_t(i) P(Pois(lam_i) >= t)
     with lam_i = c * sum_j eta_ij gamma_j x_j.  c = 0 is admitted and maps
     everything to zero (an erasure-free channel resolves instantly)."""
-    _check_quality(c)
-    return _vector_step(spec, c)(x, None)[0]
+    return _one_step(spec, x, c)[0]
 
 
 def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
@@ -178,8 +177,7 @@ def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
 
     Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
     more than t of its erasures survive the round."""
-    _check_quality(c)
-    return _vector_step(spec, c)(x, None)[1]
+    return _one_step(spec, x, c)[1]
 
 
 def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:
@@ -201,45 +199,13 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
     return np.where(pos.tau_w > 0.0, tails, 0.0)
 
 
-def _scalar_step(spec: GpcSpec, c: float):
-    """Per-position loop over Poisson tail blocks; see ``_vector_step``."""
-    gamma = [float(g) for g in spec.gamma]
-    positions = [
-        ([(int(j), gamma[j]) for j in np.nonzero(row)[0]], d.t_max + 1, d.support())
-        for row, d in zip(spec.eta, spec.tau)
-    ]
-    z_pos = [1.0] * len(positions)  # per-position failure fraction; 1 before decoding
-
-    def step(x, active):
-        new_x = list(x)
-        max_change = 0.0
-        for i, (neighbors, t_top, support) in enumerate(positions):
-            if active is not None and i not in active:
-                continue
-            lam = c * sum(w * x[j] for j, w in neighbors)
-            tails = poisson_tail_block(t_top, lam)
-            xi = 0.0
-            zi = 0.0
-            for t, w in support:
-                xi += w * tails[t - 1]
-                zi += w * tails[t]
-            new_x[i] = xi
-            z_pos[i] = zi
-            change = abs(x[i] - xi)
-            if change > max_change:
-                max_change = change
-        z = sum(g * zp for g, zp in zip(gamma, z_pos))
-        return new_x, z, max(new_x), max_change
-
-    return step
-
-
-def _vector_step(spec: GpcSpec, c: float):
+def _stepper(spec: GpcSpec, c: float):
     """One DE iteration as array operations over all positions.
 
-    ``step(x, active)`` returns the new x (positions outside ``active`` keep
-    theirs bitwise), the failure fraction z, max(x) and the largest change
-    of x.  Schedule masks are built once per distinct active set.
+    ``step(x, active)`` takes x as a float array and returns the new x
+    (positions outside ``active`` keep theirs bitwise), the failure fraction
+    z, max(x) and the largest change of x.  Schedule masks are built once
+    per distinct active set.
     """
     pos = _PositionArrays(spec)
     L = spec.num_positions
@@ -248,7 +214,6 @@ def _vector_step(spec: GpcSpec, c: float):
 
     def step(x, active):
         nonlocal z_pos
-        x = np.asarray(x, dtype=float)
         tails = poisson_tail_table(pos.means(x, c), pos.t_max + 1)
         new_x = pos.mix(tails[:, :-1])
         new_z = pos.mix(tails[:, 1:])
@@ -280,9 +245,8 @@ def de_run(
     With a schedule, iteration l updates only the active positions; frozen
     positions keep x and their per-position failure term bitwise unchanged,
     and the run executes the whole schedule (stall detection is meaningless
-    while positions wait to be activated).  Specs with at least
-    ``VECTOR_MIN_POSITIONS`` positions step all positions as arrays, shorter
-    ones position by position; the two agree to rounding.
+    while positions wait to be activated).  Each iteration updates all
+    positions as arrays over one Poisson-tail table, whatever L is.
     """
     _check_quality(c)
     L = spec.num_positions
@@ -292,9 +256,9 @@ def de_run(
         steps = min(ell_max, len(schedule))
     else:
         steps = ell_max
-    step = (_vector_step if L >= VECTOR_MIN_POSITIONS else _scalar_step)(spec, c)
+    step = _stepper(spec, c)
 
-    x = [1.0] * L
+    x = np.ones(L)
     xs = [x]
     zs = [1.0]
     verdict = ITERATION_CAP

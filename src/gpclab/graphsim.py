@@ -324,6 +324,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     m = code_length(spec)
     work = [(spec, c, ell, master_seed, r, m) for r in range(trials)]
     if jobs > 1:

@@ -2,10 +2,8 @@
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
-There are two tail kernels.  ``poisson_tail_table`` is the vectorized one
-behind density evolution, the contraction check and the LP rows;
-``poisson_tail_block`` is its scalar counterpart for one rate, which serves
-the position-by-position DE step, and ``poisson_tail`` reads one entry of it.
+``poisson_tail_table`` is the one tail kernel: density evolution, the
+contraction check and the LP rows all read their tails from it.
 """
 
 from __future__ import annotations
@@ -16,62 +14,13 @@ from typing import Mapping
 
 import numpy as np
 
-# Beyond this rate exp(-lam) nears underflow, so the block sums the pmf in
-# log space instead of by the running product.
-_LOG_SPACE_RATE = 600.0
-
-
-def poisson_tail(t: int, lam: float) -> float:
-    """P(X >= t) for X ~ Poisson(lam): entry t of ``poisson_tail_block``."""
-    if lam < 0.0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if t <= 0:
-        return 1.0
-    return poisson_tail_block(t, lam)[t - 1]
-
-
-def poisson_tail_block(t_max: int, lam: float) -> list[float]:
-    """[P(X >= 1), ..., P(X >= t_max)] from a single cumulative pmf pass.
-
-    Shares the running pmf across all thresholds.  Once the running cdf
-    rounds to 1 or above, the remaining tails read 0 (1 - cdf would give
-    about -1e-16 there), as in ``poisson_tail_table``, and the pass stops.
-    Rates beyond 600, where exp(-lam) nears underflow, take each pmf term
-    from its logarithm instead, still in one pass.
-    """
-    if lam < 0.0:
-        raise ValueError(f"Poisson rate must be nonnegative, got {lam}")
-    if t_max <= 0:
-        return []
-    if lam == 0.0:
-        return [0.0] * t_max
-    out = [0.0] * t_max
-    if lam > _LOG_SPACE_RATE:
-        log_lam, cdf = math.log(lam), 0.0
-        for i in range(t_max):
-            cdf += math.exp(i * log_lam - lam - math.lgamma(i + 1.0))
-            out[i] = max(0.0, 1.0 - cdf)
-        return out
-    pmf = math.exp(-lam)
-    cdf = pmf
-    out[0] = 1.0 - cdf
-    for i in range(1, t_max):
-        pmf *= lam / i
-        cdf += pmf
-        if cdf >= 1.0:  # this and every later tail rounds to <= 0: leave 0
-            break
-        out[i] = 1.0 - cdf
-    return out
-
 
 def poisson_tail_table(lam: np.ndarray, t_max: int) -> np.ndarray:
     """Tails of many rates at once: row i is [P(Pois(lam[i]) >= 1), ...,
     P(Pois(lam[i]) >= t_max)], shape ``lam.shape + (t_max,)``.
 
-    The same recursion as ``poisson_tail_block`` (pmf_0 = exp(-lam),
-    pmf_k = pmf_{k-1} * lam / k, tail = 1 - running cdf), one array
-    operation per threshold, so rows agree with the scalar block up to the
-    last-ulp difference between ``np.exp`` and ``math.exp``.  A running cdf
+    One running-pmf recursion (pmf_0 = exp(-lam), pmf_k = pmf_{k-1} * lam / k,
+    tail = 1 - running cdf), one array operation per threshold.  A running cdf
     that rounds above 1 would give a tail of about -2e-16; such entries read
     0, so the table stays a probability and DE rates stay nonnegative.  Once
     exp(-lam) underflows (lam > ~745) every tail reads 1, within rounding of

@@ -1,4 +1,10 @@
-"""Test-local reference for the threshold bisection's convergence classifier.
+"""Test-local references for density evolution and the threshold bisection.
+
+`reference_de_run` is `gpclab.de.de_run` with the position-by-position step
+the package once used for chains shorter than 16 positions: a Python loop
+over positions, one scalar Poisson tail block each (``poisson_reference``),
+and the same stopping rules.  It agrees with the package's array step to
+rounding.
 
 `reference_run_converges` classifies a tested c by running DE, as
 `gpclab.de._run_converges` once did for every spec: a converged run counts,
@@ -6,7 +12,8 @@ a stuck one does not, and a single-position run that hits the iteration cap
 while still descending is settled by the contraction slack on (0, x_end],
 because the trajectory is monotone and no fixed point below x_end means
 convergence.  It is slow on purpose: near the threshold a run may take the
-full iteration cap.
+full iteration cap.  It runs DE through `reference_de_run`, which at the
+small L these tests use is several times faster than the array step.
 """
 
 from __future__ import annotations
@@ -16,10 +23,82 @@ import numpy as np
 from gpclab import de
 from gpclab.codespec import GpcSpec
 from gpclab.poisson import poisson_tail_table
+from poisson_reference import poisson_tail_block
 
 NOISE_FLOOR = 1e-12
 CAP_GRID_POINTS = 2000
 BLOCK = 1024
+
+
+def _scalar_step(spec: GpcSpec, c: float):
+    """Per-position loop over Poisson tail blocks; see ``de._stepper``."""
+    gamma = [float(g) for g in spec.gamma]
+    positions = [
+        ([(int(j), gamma[j]) for j in np.nonzero(row)[0]], d.t_max + 1, d.support())
+        for row, d in zip(spec.eta, spec.tau)
+    ]
+    z_pos = [1.0] * len(positions)  # per-position failure fraction; 1 before decoding
+
+    def step(x, active):
+        new_x = list(x)
+        max_change = 0.0
+        for i, (neighbors, t_top, support) in enumerate(positions):
+            if active is not None and i not in active:
+                continue
+            lam = c * sum(w * x[j] for j, w in neighbors)
+            tails = poisson_tail_block(t_top, lam)
+            xi = 0.0
+            zi = 0.0
+            for t, w in support:
+                xi += w * tails[t - 1]
+                zi += w * tails[t]
+            new_x[i] = xi
+            z_pos[i] = zi
+            change = abs(x[i] - xi)
+            if change > max_change:
+                max_change = change
+        z = sum(g * zp for g, zp in zip(gamma, z_pos))
+        return new_x, z, max(new_x), max_change
+
+    return step
+
+
+def reference_de_run(
+    spec: GpcSpec,
+    c: float,
+    ell_max: int = de.DEFAULT_ELL_MAX,
+    schedule: de.Schedule | None = None,
+    x_tolerance: float = de.DEFAULT_X_TOLERANCE,
+    success_epsilon: float = de.DEFAULT_SUCCESS_EPSILON,
+) -> de.DeTrajectory:
+    """``de.de_run`` stepped position by position."""
+    L = spec.num_positions
+    if schedule is not None:
+        if not schedule.covers(L):
+            raise ValueError("schedule must cover every position")
+        steps = min(ell_max, len(schedule))
+    else:
+        steps = ell_max
+    step = _scalar_step(spec, c)
+
+    x = [1.0] * L
+    xs = [x]
+    zs = [1.0]
+    verdict = de.ITERATION_CAP
+    for it in range(1, steps + 1):
+        active = schedule.active_sets[it - 1] if schedule is not None else None
+        x, z, x_max, max_change = step(x, active)
+        xs.append(x)
+        zs.append(z)
+        if x_max <= success_epsilon:
+            verdict = de.CONVERGED
+            break
+        if schedule is None and max_change < x_tolerance * x_max:
+            verdict = de.STUCK
+            break
+    return de.DeTrajectory(
+        x=np.array(xs), z=np.array(zs), iterations_run=len(xs) - 1, verdict=verdict
+    )
 
 
 def _slack_dips_below_floor(spec: GpcSpec, c: float, top: float) -> bool:
@@ -47,7 +126,7 @@ def reference_run_converges(
     regular_sum: float | None = None,
 ) -> bool:
     """Ignores ``regular_sum``: every spec runs DE."""
-    traj = de.de_run(
+    traj = reference_de_run(
         spec, c, ell_max=ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon
     )
     if traj.verdict == de.CONVERGED:

@@ -166,7 +166,7 @@ class TestSurvivalMc:
         for _ in range(ell - 1):
             x_typed = de.de_step_per_type(spec, x_typed, c)
         # z per type: P(Pois(arg) >= t+1) with the same aggregated argument
-        from gpclab.poisson import poisson_tail
+        from poisson_reference import poisson_tail
 
         agg = np.zeros(3)
         for j, dist in enumerate(spec.tau):

@@ -211,6 +211,21 @@ class TestSimulateCmd:
         header = a.read_text().strip().splitlines()[1].split(",")
         assert "mean_w" in header and "se_scaled_ber" in header
 
+    @pytest.mark.parametrize("flag,env", [(["--jobs", "0"], None),
+                                          (["--jobs", "-2"], None),
+                                          ([], "0")],
+                             ids=["flag_0", "flag_minus_2", "env_0"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, flag, env):
+        # --jobs 0 used to become the CPU count, and other counts below 1
+        # ran serially
+        if env is not None:
+            monkeypatch.setenv("GPCLAB_JOBS", env)
+        spec_path = write_spec(tmp_path, preset_hpc(50, 2))
+        argv = ["simulate", "--spec", spec_path, "--c", "1.0", "--ell", "2",
+                "--trials", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")]
+        assert main(argv + flag) == EXIT_INPUT
+        assert "need jobs >= 1" in capsys.readouterr().err
+
 
 class TestOptimizeCmd:
     def test_small_design(self, tmp_path):

@@ -13,14 +13,10 @@ from gpclab.codespec import (
     preset_staircase,
     staircase_eta,
 )
-from gpclab.poisson import (
-    CapabilityDistribution,
-    initial_loss_mixture,
-    poisson_tail,
-    poisson_tail_block,
-)
+from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
-from de_reference import reference_run_converges
+from de_reference import reference_de_run, reference_run_converges
+from poisson_reference import poisson_tail, poisson_tail_block
 
 
 def typed_ones(spec):
@@ -84,6 +80,19 @@ class TestDeStep:
     def test_negative_c_rejected(self):
         with pytest.raises(ValueError):
             de.de_step(preset_hpc(10, 2), [1.0], -1.0)
+
+    @pytest.mark.parametrize("spec,x", [
+        (preset_hpc(100, 4), [0.5, 0.2, 0.1]),
+        (preset_hpc(100, 4), [[1.0]]),
+        (preset_staircase(6, 36, 3), [1.0] * 5),
+        (preset_staircase(6, 36, 3), [1.0] * 7),
+    ], ids=["hpc_3", "hpc_1x1", "staircase_5", "staircase_7"])
+    def test_wrong_length_rejected(self, spec, x):
+        # a single-position step used to read x[0] and drop the rest
+        with pytest.raises(ValueError, match="x must have shape"):
+            de.de_step(spec, x, 6.0)
+        with pytest.raises(ValueError, match="x must have shape"):
+            de.failure_probability(spec, x, 6.0)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_non_finite_c_rejected(self, c):
@@ -233,16 +242,14 @@ class TestNonFiniteQuality:
 
 
 class TestVectorPath:
-    """de_run steps long chains as arrays and short ones position by
-    position; both must reach the same run, up to rounding."""
+    """de_run steps every chain as arrays over one tail table; the
+    position-by-position loop of ``de_reference`` must reach the same run,
+    up to rounding."""
 
     @staticmethod
-    def both_paths(monkeypatch, spec, c, **kwargs):
-        assert spec.num_positions >= de.VECTOR_MIN_POSITIONS
+    def both_paths(spec, c, **kwargs):
         vector = de.de_run(spec, c, **kwargs)
-        monkeypatch.setattr(de, "VECTOR_MIN_POSITIONS", spec.num_positions + 1)
-        scalar = de.de_run(spec, c, **kwargs)
-        monkeypatch.undo()
+        scalar = reference_de_run(spec, c, **kwargs)
         assert vector.verdict == scalar.verdict
         assert vector.iterations_run == scalar.iterations_run
         assert np.max(np.abs(vector.x - scalar.x)) <= 1e-12
@@ -250,28 +257,27 @@ class TestVectorPath:
         return vector
 
     @pytest.mark.parametrize("c_norm,verdict", [(5.0, de.CONVERGED), (6.0, de.STUCK)])
-    def test_staircase(self, monkeypatch, c_norm, verdict):
+    def test_staircase(self, c_norm, verdict):
         spec = preset_staircase(20, 200, 3)
-        traj = self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec))
+        traj = self.both_paths(spec, c_norm * erasure_scaling(spec))
         assert traj.verdict == verdict
 
     @pytest.mark.parametrize("c_norm,verdict", [(5.0, de.CONVERGED), (6.0, de.STUCK)])
-    def test_braided(self, monkeypatch, c_norm, verdict):
+    def test_braided(self, c_norm, verdict):
         spec = preset_braided(20, 200, 3)
-        traj = self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec))
+        traj = self.both_paths(spec, c_norm * erasure_scaling(spec))
         assert traj.verdict == verdict
 
-    def test_window_schedule(self, monkeypatch):
+    def test_window_schedule(self):
         spec = preset_staircase(20, 200, 3)
         sched = de.window_schedule(20, width=5, steps_per_slide=4)
-        traj = self.both_paths(monkeypatch, spec, 5.4 * erasure_scaling(spec),
-                               schedule=sched)
+        traj = self.both_paths(spec, 5.4 * erasure_scaling(spec), schedule=sched)
         assert traj.iterations_run == len(sched)
         for k, active in enumerate(sched.active_sets):
             frozen = sorted(set(range(20)) - active)
             assert np.array_equal(traj.x[k + 1][frozen], traj.x[k][frozen])
 
-    def test_mixed_capabilities(self, monkeypatch):
+    def test_mixed_capabilities(self):
         # capability mixtures of different t_max per position
         L = 18
         taus = [MIX_TBAR7, MIX_TBAR7_MIN4, CapabilityDistribution.point_mass(2)]
@@ -279,8 +285,34 @@ class TestVectorPath:
                        tau=tuple(taus[i % 3] for i in range(L)), n=1800,
                        tau_assignment="random")
         for c_norm in (7.0, 12.0):
-            self.both_paths(monkeypatch, spec, c_norm * erasure_scaling(spec),
-                            ell_max=500)
+            self.both_paths(spec, c_norm * erasure_scaling(spec), ell_max=500)
+
+    @pytest.mark.parametrize("spec,c,verdict,kwargs", [
+        pytest.param(preset_hpc(100, 4), 6.0, de.CONVERGED, {}, id="hpc_t4_c6"),
+        pytest.param(preset_hpc(100, 4), 7.0, de.STUCK, {}, id="hpc_t4_c7"),
+        pytest.param(preset_pc(1000, (0.25, 0.75), 3), 12.0, de.CONVERGED, {},
+                     id="pc_split_c12"),
+        pytest.param(preset_pc(1000, (0.25, 0.75), 3), 13.0, de.STUCK, {},
+                     id="pc_split_c13"),
+        pytest.param(preset_pc(1000, t_row=3, t_col=4), 11.5, de.CONVERGED, {},
+                     id="pc_t3_t4_c11.5"),
+        pytest.param(preset_pc(1000, t_row=3, t_col=4), 12.5, de.STUCK, {},
+                     id="pc_t3_t4_c12.5"),
+        pytest.param(preset_staircase(6, 36, 3), 16.0, de.CONVERGED, {},
+                     id="staircase6_c16"),
+        pytest.param(preset_staircase(6, 36, 3), 20.0, de.STUCK, {},
+                     id="staircase6_c20"),
+        pytest.param(preset_staircase(6, 36, 3), 16.0, de.ITERATION_CAP,
+                     {"schedule": de.window_schedule(6, width=3, steps_per_slide=4)},
+                     id="staircase6_window"),
+        pytest.param(preset_pc(20, (0.5, 0.5), 3), 4.0, de.CONVERGED,
+                     {"schedule": de.Schedule((frozenset({0}), frozenset({1})) * 4)},
+                     id="alternating_pc"),
+    ])
+    def test_short_chain(self, spec, c, verdict, kwargs):
+        # chains below 16 positions, once stepped only position by position
+        traj = self.both_paths(spec, c, **kwargs)
+        assert traj.verdict == verdict
 
 
 class TestSchedule:

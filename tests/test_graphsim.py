@@ -445,3 +445,8 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(preset_hpc(10, 2), 1.0, 1, 0, 0)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            monte_carlo(preset_hpc(10, 2), 1.0, 1, 2, 0, jobs=jobs)
+

@@ -14,9 +14,10 @@ from gpclab.optimizer import (
     solve,
     sweep_tradeoff,
 )
-from gpclab.poisson import CapabilityDistribution, poisson_tail, poisson_tail_block
+from gpclab.poisson import CapabilityDistribution
 from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
+from poisson_reference import poisson_tail, poisson_tail_block
 
 
 class TestBuildLp:

@@ -10,12 +10,11 @@ from gpclab.poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    poisson_tail,
-    poisson_tail_block,
     poisson_tail_table,
     tail_integral,
 )
 from conftest import MIX_TBAR7
+from poisson_reference import poisson_tail, poisson_tail_block
 
 
 def mp_pmf(i: int, lam: float) -> float:
