@@ -22,6 +22,7 @@ import numpy as np
 from . import branching, de, graphsim, optimizer
 from .codespec import (
     GpcSpec,
+    erasure_scaling,
     mean_capability,
     preset_braided,
     preset_hpc,
@@ -109,14 +110,17 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
     if desc is None:
         return None
     kind = desc.get("type")
-    if kind == "full":
-        return de.full_schedule(L, int(desc["steps"]))
-    if kind == "window":
-        return de.window_schedule(L, int(desc["width"]), int(desc["steps_per_slide"]))
-    if kind == "explicit":
-        # config uses 1-based positions, matching the x_1..x_L column names
-        sets = tuple(frozenset(p - 1 for p in s) for s in desc["sets"])
-        return de.Schedule(sets)
+    try:
+        if kind == "full":
+            return de.full_schedule(L, int(desc["steps"]))
+        if kind == "window":
+            return de.window_schedule(L, int(desc["width"]), int(desc["steps_per_slide"]))
+        if kind == "explicit":
+            # config uses 1-based positions, matching the x_1..x_L column names
+            sets = tuple(frozenset(p - 1 for p in s) for s in desc["sets"])
+            return de.Schedule(sets)
+    except KeyError as exc:
+        raise InputError(f"{kind} schedule needs the field {exc.args[0]!r}") from exc
     raise InputError(f"unknown schedule type {kind!r}")
 
 
@@ -132,31 +136,12 @@ def cmd_de(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    config = _merge(
-        _load_config(args.config), args, ["spec", "c_lo", "c_hi", "bracket_tol", "ell"]
-    )
+    config = _merge(_load_config(args.config), args, ["spec", "bracket_tol"])
     spec = _resolve_spec(config)
-    result = de.threshold(
-        spec,
-        c_lo=config.get("c_lo"),
-        c_hi=config.get("c_hi"),
-        bracket_tol=float(config.get("bracket_tol", 0.01)),
-        ell_max=int(config.get("ell", de.DEFAULT_ELL_MAX)),
-    )
-    rows = [
-        ["spec_hash", "c_star", "bracket_lo", "bracket_hi", "bracket_width",
-         "ell_max", "x_tolerance", "success_epsilon"],
-        [
-            spec_hash(spec),
-            repr(result.c_star),
-            repr(result.bracket_lo),
-            repr(result.bracket_hi),
-            repr(result.bracket_width),
-            str(result.de_params["ell_max"]),
-            repr(result.de_params["x_tolerance"]),
-            repr(result.de_params["success_epsilon"]),
-        ],
-    ]
+    result = de.threshold(spec, bracket_tol=float(config.get("bracket_tol", 0.01)))
+    rows = [["spec_hash", "c_star", "bracket_lo", "bracket_hi", "bracket_width"],
+            [spec_hash(spec)] + [repr(v) for v in (result.c_star, result.bracket_lo,
+                                                   result.bracket_hi, result.bracket_width)]]
     _emit(rows, config, args)
     return EXIT_OK
 
@@ -170,16 +155,11 @@ def cmd_bounds(args) -> int:
             collapsed[t - 1] += float(g) * w
     mixture = CapabilityDistribution(tuple(collapsed / collapsed.sum()))
     refined = de.refined_upper_bound(mixture)
-    rows = [
-        ["spec_hash", "t_bar", "upper_2tbar", "refined_upper", "conjecture_rhs"],
-        [
-            spec_hash(spec),
-            repr(mean_capability(spec)),
-            repr(de.upper_bound(spec)),
-            repr(refined),
-            repr(de.conjectured_capability_floor(refined)),
-        ],
-    ]
+    # both bounds on the threshold's c axis; the diagnostic stays unscaled
+    rows = [["spec_hash", "t_bar", "upper_2tbar", "refined_upper", "conjecture_rhs"],
+            [spec_hash(spec)] + [repr(v) for v in (
+                mean_capability(spec), de.upper_bound(spec), refined * erasure_scaling(spec),
+                de.conjectured_capability_floor(refined))]]
     _emit(rows, config, args)
     return EXIT_OK
 
@@ -311,17 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, help="iteration cap")
     p.set_defaults(func=cmd_de)
 
-    p = subs.add_parser("threshold", help="bisect the decoding threshold")
+    p = subs.add_parser("threshold", help="decoding threshold: the fold of the DE fixed points")
     _common(p)
-    p.add_argument("--c-lo", dest="c_lo", type=float)
-    p.add_argument("--c-hi", dest="c_hi", type=float)
-    p.add_argument("--bracket-tol", dest="bracket_tol", type=float)
-    p.add_argument("--ell", type=int,
-                   help="DE iteration cap per tested c; not read for a position-regular "
-                        "spec (same tau, same sum_j eta_ij gamma_j)")
+    p.add_argument("--bracket-tol", dest="bracket_tol", type=float,
+                   help="widest bracket around the fold (default 0.01)")
     p.set_defaults(func=cmd_threshold)
 
-    p = subs.add_parser("bounds", help="2*t_bar, refined bound, diagnostics")
+    p = subs.add_parser("bounds", help="2*t_bar and refined bounds on the threshold's c axis")
     _common(p)
     p.set_defaults(func=cmd_bounds)
 

@@ -368,18 +368,25 @@ def spec_to_json(spec: GpcSpec) -> str:
 
 
 def spec_from_json(text: str) -> GpcSpec:
+    """Inverse of ``spec_to_json``; ValueError names a missing or ill-typed field."""
     doc = json.loads(text)
-    tau = tuple(
-        CapabilityDistribution.from_dict({int(t): float(w) for t, w in entry.items()})
-        for entry in doc["tau"]
-    )
-    return GpcSpec(
-        eta=np.asarray(doc["eta"], dtype=np.int64),
-        gamma=np.asarray(doc["gamma"], dtype=np.float64),
-        tau=tau,
-        n=int(doc["n"]),
-        tau_assignment=doc.get("assignment", DETERMINISTIC),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(doc).__name__}")
+
+    def field(name, convert):
+        if name not in doc:
+            raise ValueError(f"spec has no field {name!r}")
+        try:
+            return convert(doc[name])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"spec field {name!r}: {exc}") from exc
+
+    tau = field("tau", lambda v: tuple(CapabilityDistribution.from_dict(
+        {int(t): float(w) for t, w in entry.items()}) for entry in v))
+    return GpcSpec(eta=field("eta", lambda v: np.asarray(v, dtype=np.int64)),
+                   gamma=field("gamma", lambda v: np.asarray(v, dtype=np.float64)),
+                   tau=tau, n=field("n", int),
+                   tau_assignment=doc.get("assignment", DETERMINISTIC))
 
 
 def spec_hash(spec: GpcSpec) -> str:

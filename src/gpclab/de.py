@@ -3,18 +3,16 @@
 Tracks x_i, the probability that an erased bit touching position i is still
 unresolved after a given number of decoding iterations, and z, the fraction
 of component codes that would declare failure.  Includes scheduled variants
-(frozen positions carry their state forward), threshold search, and the
-analytic bounds used to sanity-check and design capability mixtures.
+(frozen positions carry their state forward), the decoding threshold, and
+the analytic bounds used to sanity-check and design capability mixtures.
 
 Every DE iteration, in ``de_run``, ``de_step`` and ``failure_probability``
 alike, updates all positions with array operations over one
 ``poisson_tail_table`` call, and the contraction check reads the same table.
 
-A position-regular spec (same tau, same s = sum_j eta_ij gamma_j at every
-position) keeps its positions equal from x = 1, so its DE is the monotone map
-x <- F(c s x), F(lam) = sum_t tau_t P(Pois(lam) >= t), which converges to 0
-exactly when x > F(c s x) on (0, 1]; threshold bisection decides such specs
-by that contraction condition and runs DE only for the others.
+The threshold is the fold of the DE fixed points, found without iteration
+counts: in closed form for position-regular specs, by continuation of the
+branch of fixed points for all others.
 """
 
 from __future__ import annotations
@@ -308,45 +306,16 @@ def success_condition(
     return SuccessCheck(min_slack > -_NOISE_FLOOR, min_slack, worst_x)
 
 
-def _run_converges(
-    spec: GpcSpec,
-    c: float,
-    ell_max: int,
-    success_epsilon: float,
-    x_tolerance: float,
-    regular_sum: float | None,
-) -> bool:
-    """Convergence classifier used by the threshold bisection.
-
-    A position-regular spec (same tau, same s = sum_j eta_ij gamma_j, given
-    as ``regular_sum``) runs no DE: it converges exactly when the contraction
-    condition holds at c * s, checked by the stability row c * s * tau_1 <= 1
-    (the slack's slope at x = 0, which no grid resolves) and by
-    ``success_condition`` on 2000 grid points.  Other specs count only a DE
-    run that converged.
-    """
-    if regular_sum is not None:
-        tau, c = spec.tau[0], c * regular_sum
-        return c * tau.weights[0] <= 1.0 and success_condition(tau, c, grid_points=2000).ok
-    traj = de_run(spec, c, ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon)
-    return traj.verdict == CONVERGED
-
-
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Bisection estimate of the decoding threshold.
-
-    ``c_star`` is the upper end of the final bracket: the smallest tested c
-    that failed to converge.  It therefore never under-reports the true
-    supremum, which keeps exact-boundary mixtures (e.g. uniform ones) on the
-    correct side.  The full bracket is recorded alongside.
-    """
+    """Bracket, at most ``bracket_tol`` wide, around the fold where the branch
+    of nonzero DE fixed points reached from x = 1 turns back.  ``c_star`` is its
+    upper end, where a nonzero fixed point exists: it never under-reports."""
 
     c_star: float
     bracket_lo: float
     bracket_hi: float
     bracket_width: float
-    de_params: dict
 
     @property
     def midpoint(self) -> float:
@@ -354,86 +323,135 @@ class ThresholdResult:
 
 
 class BracketError(RuntimeError):
-    """No convergent/non-convergent bracket found in the admissible range."""
+    """DE does not stall at the start c of the fold search."""
 
 
-def threshold(
-    spec: GpcSpec,
-    c_lo: float | None = None,
-    c_hi: float | None = None,
-    bracket_tol: float = 0.01,
-    ell_max: int = DEFAULT_ELL_MAX,
-    success_epsilon: float = DEFAULT_SUCCESS_EPSILON,
-    x_tolerance: float = DEFAULT_X_TOLERANCE,
-) -> ThresholdResult:
-    """Bisect the largest effective channel quality c with vanishing DE limit.
+# A closed-form bracket's relative half-width covers the rounding of F, a few
+# ulp per tail times c / lam: below 1e-10 for lam >= _LAM_MIN and c <= 128.
+# Continuation in (x, c / c_start): first arclength step, residual of a point
+# on the branch, shortest step, and the largest x of a point taken as x = 0.
+_CLOSED_FORM_RTOL, _LAM_MIN, _LAM_POINTS, _NEWTON_STEPS = 1e-9, 1e-2, 200, 5
+_FIRST_STEP, _RESIDUAL_TOL, _MIN_STEP, _X_ZERO = 0.05, 1e-12, 1e-10, 1e-6
 
-    Starts from [t_bar/2, 2*t_bar] (the analytic containment bracket) unless
-    explicit endpoints are given, expanding by doubling/halving when an
-    endpoint is on the wrong side.  Raises BracketError when no sign change
-    exists inside [1e-3, 4 * t_max * erasure_scaling(spec)]: coupled chains
-    have raw thresholds about erasure_scaling times their normalized ones
-    (3.6x for a staircase of 6 positions, about L/2 for long staircases).
-    Bisection stops at ``bracket_tol`` or once lo and hi are adjacent floats.
 
-    A position-regular spec (same tau, same sum_j eta_ij gamma_j) is
-    classified by its contraction condition, so ``ell_max``, ``x_tolerance``
-    and ``success_epsilon`` affect only the other specs, which run DE at
-    each tested c.
-    """
+def _mixed_tails(lam: np.ndarray, tau_w: np.ndarray, derivatives: int) -> list:
+    """F(lam) = sum_t tau_t P(Pois(lam) >= t) and its first ``derivatives``
+    derivatives, from one tail table: dP(Pois >= t)/dlam = P(Pois = t-1) is a
+    difference of neighbouring tails, and so is each further derivative."""
+    t_max, ones = tau_w.shape[-1], np.ones(lam.shape + (derivatives,))
+    # column k holds P(Pois(lam) >= k + 1 - derivatives), 1 for k < derivatives
+    table = np.concatenate([ones, poisson_tail_table(lam, t_max)], axis=-1)
+    terms = []
+    for _ in range(derivatives + 1):
+        terms.append((table[..., -t_max:] * tau_w).sum(axis=-1))
+        table = table[..., :-1] - table[..., 1:]
+    return terms
+
+
+def _exact(c: float) -> tuple[float, float]:
+    return c * (1.0 - _CLOSED_FORM_RTOL), c * (1.0 + _CLOSED_FORM_RTOL)
+
+
+def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
+    """Bracket of (1/s) min(1/tau_1, min over lam > 0 of lam / F(lam)): a
+    position-regular spec has nonzero fixed points x at c = lam / (s F(lam)),
+    lam = c s x.  Newton on F = lam F' refines the minimum on a log grid of lam
+    up to 2 t_max + 2; beyond it lam / F >= lam exceeds the counting bound."""
+    w = np.asarray(tau.weights)
+    lam = np.geomspace(_LAM_MIN, 2.0 * tau.t_max + 2.0, _LAM_POINTS)
+    f = _mixed_tails(lam, w, 0)[0]
+    k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
+    best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
+    x = lam[[k]]
+    for _ in range(_NEWTON_STEPS if 0 < k < lam.size - 1 else 0):
+        f, f1, f2 = _mixed_tails(x, w, 2)
+        best = min(best, x[0] / f[0])
+        x = x + (f - x * f1) / (x * f2)
+        if not lam[k - 1] < x[0] < lam[k + 1]:
+            break
+    return _exact(float(best) / s)
+
+
+def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
+    """Bracket the threshold by following DE's fixed points to their fold.
+
+    From DE's stall at the counting bound, pseudo-arclength continuation
+    follows G(x, c) = f(x; c) - x = 0 down in c, with df_i/dx_j =
+    c eta_ij gamma_j F_i'(lam_i) and df_i/dc = F_i'(lam_i) lam_i / c.  Past the
+    turn the step halves until hi, the lowest c found, is within tol = bracket_tol
+    / 2 of the crossing of the tangent lines on either side (a lower bound while
+    c is convex).  DE at hi - tol then converges (the threshold is above that),
+    stalls on a lower plateau (whose branch is followed next) or hits its cap,
+    as a wave crawling along a long chain does (the fold's bracket stands).
+    A branch reaching x = 0 ends where c tau_1(i) eta_ij gamma_j has spectral radius 1."""
+    pos, L = _PositionArrays(spec), spec.num_positions
+    coupling, down = spec.eta * spec.gamma, -np.eye(L + 1)[L]
+    c = c0 = upper_bound(spec)
+
+    def on_branch(p: np.ndarray, normal: np.ndarray):
+        """Newton from p to the branch on normal . (u - p) = 0: (u, tangent), or None."""
+        u = p
+        for _ in range(8):
+            if (u < 0.0).any():
+                return None
+            x, lam = u[:-1], pos.means(u[:-1], u[-1] * c0)
+            f, fp = _mixed_tails(lam, pos.tau_w, 1)
+            rows = np.vstack([np.column_stack([(u[-1] * c0 * fp)[:, None] * coupling
+                                               - np.eye(L), fp * lam / u[-1]]), normal])
+            if np.abs(f - x).max() <= _RESIDUAL_TOL:
+                t = np.linalg.solve(rows, np.eye(L + 1)[L])
+                return u, t / np.linalg.norm(t)
+            u = u + np.linalg.solve(rows, np.append(x - f, normal @ (p - u)))
+        return None
+
+    traj = de_run(spec, c)
+    if traj.verdict != STUCK:
+        raise BracketError(f"DE does not stall at the counting bound c = {c0}")
+    while True:
+        u, t = on_branch(np.append(traj.final_x, c / c0), down)
+        h, turned = _FIRST_STEP, False
+        while True:
+            while (found := on_branch(u + h * t, t)) is None:
+                h /= 2.0
+                if h < _MIN_STEP:
+                    raise RuntimeError(f"continuation stalled at c = {u[-1] * c0}")
+            v, tv = found
+            if v[:-1].max() < _X_ZERO:
+                return _exact(1.0 / np.abs(np.linalg.eigvals(pos.tau_w[:, :1] * coupling)).max())
+            if tv[-1] < 0.0:  # c still falls: step on, growing steps until the turn
+                u, t, h = v, tv, h if turned else 1.5 * h
+                continue
+            # along the chord u + r d, c has slope a at u and b at v (per unit r)
+            turned, d = True, v - u
+            a, b = (d @ d) * t[-1] / (t @ d), (d @ d) * tv[-1] / (tv @ d)
+            lo, hi = c0 * (u[-1] + a * (v[-1] - u[-1] - b) / (a - b)), c0 * min(u[-1], v[-1])
+            if hi - lo <= bracket_tol / 2.0 or h < _MIN_STEP:
+                break
+            h /= 2.0
+        c = max(hi - bracket_tol / 2.0, 0.0)
+        traj = de_run(spec, c)
+        if traj.verdict == CONVERGED:
+            return c, hi
+        if traj.verdict == ITERATION_CAP:
+            return lo, hi
+
+
+def threshold(spec: GpcSpec, bracket_tol: float = 0.01) -> ThresholdResult:
+    """The fold of the DE fixed points (``ThresholdResult``): in closed form,
+    with no DE run, when every position has the same tau and the same
+    s = sum_j eta_ij gamma_j, else by ``_fold`` (BracketError if DE never stalls)."""
     if not bracket_tol > 0.0:
         raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
-    for name, end in (("c_lo", c_lo), ("c_hi", c_hi)):
-        if end is not None and not (math.isfinite(end) and end > 0.0):
-            raise ValueError(f"{name} must be finite and > 0, got {end}")
-    tbar = mean_capability(spec)
-    lo = c_lo if c_lo is not None else tbar / 2.0
-    hi = c_hi if c_hi is not None else 2.0 * tbar
-    floor, ceil = 1e-3, 4.0 * spec.t_max * erasure_scaling(spec)
-    # position-regular: one tau and one s = sum_j eta_ij gamma_j, compared exactly
     s = spec.eta @ spec.gamma
     regular = all(d == spec.tau[0] for d in spec.tau) and (s == s[0]).all()
-    regular_sum = float(s[0]) if regular else None
-
-    def conv(c: float) -> bool:
-        return _run_converges(spec, c, ell_max, success_epsilon, x_tolerance, regular_sum)
-
-    while not conv(lo):
-        lo /= 2.0
-        if lo < floor:
-            raise BracketError(
-                f"DE does not converge anywhere above c = {floor}; no threshold bracket"
-            )
-    while conv(hi):
-        hi *= 2.0
-        if hi > ceil:
-            raise BracketError(
-                f"DE still converges at c = {ceil}; no threshold bracket"
-            )
-    while hi - lo > bracket_tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no float strictly between the endpoints
-            break
-        if conv(mid):
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdResult(
-        c_star=hi,
-        bracket_lo=lo,
-        bracket_hi=hi,
-        bracket_width=hi - lo,
-        de_params={
-            "ell_max": ell_max,
-            "x_tolerance": x_tolerance,
-            "success_epsilon": success_epsilon,
-        },
-    )
+    lo, hi = _closed_form(spec.tau[0], float(s[0])) if regular else _fold(spec, bracket_tol)
+    return ThresholdResult(float(hi), float(lo), float(hi), float(hi - lo))
 
 
 def upper_bound(spec: GpcSpec) -> float:
-    """Universal necessary condition: c <= 2 * mean capability."""
-    return 2.0 * mean_capability(spec)
+    """Counting bound c <= 2 t_bar / (gamma' eta gamma): the erasures, c/2 per
+    component code on this c axis, cannot outnumber t_bar corrections."""
+    return 2.0 * mean_capability(spec) * erasure_scaling(spec)
 
 
 def refined_upper_bound(tau: CapabilityDistribution, tol: float = 1e-10) -> float:

@@ -7,8 +7,8 @@ contraction constraint discretized on a grid of M points.  Only a few grid
 rows bind at the optimum, so the LP is solved by row generation: the simplex
 sees a small subset of rows that grows by the most violated ones until the
 point satisfies the whole grid.  Solutions are post-verified on a finer grid
-and by an actual threshold run, since the discretization admits hairline
-supercriticality between grid points.
+and by the mixture's exact threshold, since the discretization admits
+hairline supercriticality between grid points and below the first one.
 """
 
 from __future__ import annotations
@@ -171,16 +171,14 @@ def post_verify(
     grid_factor: int = 10,
     bracket_tol: float = 0.01,
 ) -> LpSolution:
-    """Re-check an optimal mixture at channel quality c on finer grids.
+    """Re-check an optimal mixture at channel quality c.
 
-    Evaluates the contraction slack on a grid ``grid_factor`` times finer
-    than the LP's and bisects the threshold of the single-position mixture
-    (see ``de.threshold``); the solution is downgraded to a degenerate
-    warning when that threshold falls below c.  The bisection runs no DE:
-    ``verified_threshold`` is the largest c at which the stability row
-    c * tau_1 <= 1 and the slack on 2000 grid points both hold.  Both checks
-    test the slack the LP constrains, on finer grids plus its x -> 0 limit,
-    so they catch dips between LP rows, not errors of the method itself.
+    ``fine_grid_min_slack`` is the contraction slack's minimum on a grid
+    ``grid_factor`` times finer than the LP's.  ``verified_threshold`` is the
+    exact threshold of the single-position mixture (``de.threshold``, whose
+    closed form does not read ``bracket_tol``); one below c downgrades the
+    solution to a degenerate warning.  It uses no grid in x, so it checks the
+    LP's grid independently, below x = 1/M too.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")

@@ -6,22 +6,30 @@ over positions, one scalar Poisson tail block each (``poisson_reference``),
 and the same stopping rules.  It agrees with the package's array step to
 rounding.
 
-`reference_run_converges` classifies a tested c by running DE, as
-`gpclab.de._run_converges` once did for every spec: a converged run counts,
-a stuck one does not, and a single-position run that hits the iteration cap
-while still descending is settled by the contraction slack on (0, x_end],
-because the trajectory is monotone and no fixed point below x_end means
-convergence.  It is slow on purpose: near the threshold a run may take the
-full iteration cap.  It runs DE through `reference_de_run`, which at the
-small L these tests use is several times faster than the array step.
+`reference_threshold` is the bisection `gpclab.de.threshold` ran before it
+followed the fold of the DE fixed points: it starts from [t_bar/2, 2 t_bar],
+doubles or halves an end on the wrong side, and halves the bracket until it
+is at most ``bracket_tol`` wide.  Each tested c is classified by
+`reference_run_converges`, which runs DE: a converged run counts, a stuck one
+does not, and a single-position run that hits the iteration cap while still
+descending is settled by the contraction slack on (0, x_end], because the
+trajectory is monotone and no fixed point below x_end means convergence.
+The result counts the runs that hit the cap, so a test can ask for a cap
+high enough that no run does.  It is slow on purpose: near the threshold a
+run may take many thousand iterations.  It runs DE through
+`reference_de_run`, which at the small L these tests use is several times
+faster than the array step.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from gpclab import de
-from gpclab.codespec import GpcSpec
+from gpclab.codespec import GpcSpec, erasure_scaling, mean_capability
 from gpclab.poisson import poisson_tail_table
 from poisson_reference import poisson_tail_block
 
@@ -123,14 +131,80 @@ def reference_run_converges(
     ell_max: int,
     success_epsilon: float,
     x_tolerance: float,
-    regular_sum: float | None = None,
-) -> bool:
-    """Ignores ``regular_sum``: every spec runs DE."""
+) -> tuple[bool, bool]:
+    """Whether DE converges at c, and whether its run hit the cap."""
     traj = reference_de_run(
         spec, c, ell_max=ell_max, x_tolerance=x_tolerance, success_epsilon=success_epsilon
     )
+    capped = traj.verdict == de.ITERATION_CAP
     if traj.verdict == de.CONVERGED:
-        return True
+        return True, capped
     if traj.verdict == de.STUCK or spec.num_positions != 1:
-        return False
-    return not _slack_dips_below_floor(spec, c, float(traj.final_x[0]))
+        return False, capped
+    return not _slack_dips_below_floor(spec, c, float(traj.final_x[0])), capped
+
+
+class ReferenceBracket(NamedTuple):
+    lo: float
+    hi: float
+    capped_runs: int  # DE runs that hit ell_max
+
+
+def reference_threshold(
+    spec: GpcSpec,
+    c_lo: float | None = None,
+    c_hi: float | None = None,
+    bracket_tol: float = 0.01,
+    ell_max: int = de.DEFAULT_ELL_MAX,
+    success_epsilon: float = de.DEFAULT_SUCCESS_EPSILON,
+    x_tolerance: float = de.DEFAULT_X_TOLERANCE,
+) -> ReferenceBracket:
+    """Bisect the largest effective channel quality c with vanishing DE limit.
+
+    Starts from [t_bar/2, 2*t_bar] (the analytic containment bracket) unless
+    explicit endpoints are given, expanding by doubling/halving when an
+    endpoint is on the wrong side.  Raises BracketError when no sign change
+    exists inside [1e-3, 4 * t_max * erasure_scaling(spec)]: coupled chains
+    have raw thresholds about erasure_scaling times their normalized ones
+    (3.6x for a staircase of 6 positions, about L/2 for long staircases).
+    Bisection stops at ``bracket_tol`` or once lo and hi are adjacent floats.
+    """
+    if not bracket_tol > 0.0:
+        raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
+    for name, end in (("c_lo", c_lo), ("c_hi", c_hi)):
+        if end is not None and not (math.isfinite(end) and end > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {end}")
+    tbar = mean_capability(spec)
+    lo = c_lo if c_lo is not None else tbar / 2.0
+    hi = c_hi if c_hi is not None else 2.0 * tbar
+    floor, ceil = 1e-3, 4.0 * spec.t_max * erasure_scaling(spec)
+    capped = 0
+
+    def conv(c: float) -> bool:
+        nonlocal capped
+        converges, hit_cap = reference_run_converges(
+            spec, c, ell_max, success_epsilon, x_tolerance)
+        capped += hit_cap
+        return converges
+
+    while not conv(lo):
+        lo /= 2.0
+        if lo < floor:
+            raise de.BracketError(
+                f"DE does not converge anywhere above c = {floor}; no threshold bracket"
+            )
+    while conv(hi):
+        hi *= 2.0
+        if hi > ceil:
+            raise de.BracketError(
+                f"DE still converges at c = {ceil}; no threshold bracket"
+            )
+    while hi - lo > bracket_tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no float strictly between the endpoints
+            break
+        if conv(mid):
+            lo = mid
+        else:
+            hi = mid
+    return ReferenceBracket(lo, hi, capped)

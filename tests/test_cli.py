@@ -16,7 +16,15 @@ from gpclab.cli import (
     _jobs,
     main,
 )
-from gpclab.codespec import spec_from_json, spec_to_json, preset_hpc, preset_staircase
+from gpclab import de
+from gpclab.codespec import (
+    preset_braided,
+    preset_hpc,
+    preset_pc,
+    preset_staircase,
+    spec_from_json,
+    spec_to_json,
+)
 from conftest import time_limit
 
 
@@ -115,6 +123,32 @@ class TestDe:
     def test_missing_config(self, capsys):
         assert main(["de", "--config", "/nonexistent.json"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"gamma": [1.0], "tau": [{"2": 1.0}], "n": 10}, "spec has no field 'eta'"),
+        ([[1]], "spec must be a JSON object, got list"),
+        ({"eta": [[1]], "gamma": [1.0], "tau": [{"2": 1.0}], "n": "ten"},
+         "spec field 'n'"),
+    ], ids=["no_eta", "list", "bad_n"])
+    def test_malformed_spec_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["de", "--spec", str(path), "--c", "2.0",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_window_schedule_without_slide_rejected(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spec": spec_path, "c": 4.0,
+                                   "schedule": {"type": "window", "width": 2}}))
+        code = main(["de", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: window schedule needs the field 'steps_per_slide'\n"
+
     def test_window_schedule_freezes(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
         config = {
@@ -166,14 +200,17 @@ class TestThresholdCmd:
             assert code == EXIT_INPUT
             assert "bracket_tol must be > 0" in capsys.readouterr().err
 
-    def test_non_finite_c_lo_rejected(self, tmp_path, capsys):
-        # a NaN lower end never fell below the halving floor: this looped
+    def test_columns(self, tmp_path):
+        # no DE settings: the fold needs no iteration cap or tolerances
         spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
-        with time_limit(10):
-            code = main(["threshold", "--spec", spec_path, "--c-lo", "nan",
-                         "--out", str(tmp_path / "t.csv")])
-        assert code == EXIT_INPUT
-        assert "c_lo must be finite" in capsys.readouterr().err
+        out = tmp_path / "thr.csv"
+        assert main(["threshold", "--spec", spec_path, "--bracket-tol", "0.005",
+                     "--out", str(out)]) == EXIT_OK
+        header, row = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert header == ["spec_hash", "c_star", "bracket_lo", "bracket_hi", "bracket_width"]
+        lo, hi, width = (float(row[header.index(k)])
+                         for k in ("bracket_lo", "bracket_hi", "bracket_width"))
+        assert lo <= hi == float(row[header.index("c_star")]) and width <= 0.005
 
     def test_byte_identical_reruns(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_hpc(100, 4))
@@ -197,6 +234,37 @@ class TestBoundsCmd:
         assert float(row[header.index("upper_2tbar")]) == pytest.approx(11.0)
         refined = float(row[header.index("refined_upper")])
         assert 10.0 <= refined < 11.0
+
+    @staticmethod
+    def bounds_row(tmp_path, spec):
+        spec_path = write_spec(tmp_path, spec)
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--spec", spec_path, "--out", str(out)]) == EXIT_OK
+        header, row = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        return {k: float(v) for k, v in zip(header[1:], row[1:])}
+
+    def test_bounds_on_threshold_axis(self, tmp_path):
+        # PC t = 3 has threshold 10.30: raw 2 * t_bar = 6 sat below it.  The
+        # diagnostic still reads the unscaled refined bound
+        row = self.bounds_row(tmp_path, preset_pc(1000, t_row=3))
+        assert row["upper_2tbar"] == pytest.approx(12.0)
+        assert row["refined_upper"] == pytest.approx(11.62, abs=0.01)
+        assert row["conjecture_rhs"] == pytest.approx(
+            de.conjectured_capability_floor(row["refined_upper"] / 2.0))
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_hpc(1000, 4), id="hpc_t4"),
+        pytest.param(preset_pc(1000, t_row=3), id="pc_t3"),
+        pytest.param(preset_braided(4, 1000, 3), id="braided4"),
+        pytest.param(preset_braided(8, 1000, 3), id="braided8"),
+        pytest.param(preset_braided(20, 1200, 3), id="braided20"),
+        pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
+        pytest.param(preset_staircase(20, 120, 3), id="staircase20"),
+    ])
+    def test_bounds_dominate_threshold(self, tmp_path, spec):
+        row = self.bounds_row(tmp_path, spec)
+        c_star = de.threshold(spec).c_star
+        assert c_star <= row["refined_upper"] <= row["upper_2tbar"]
 
 
 class TestSimulateCmd:
@@ -284,6 +352,9 @@ class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["de", "--seed", "1"],
         ["threshold", "--jobs", "2"],
+        ["threshold", "--ell", "100"],
+        ["threshold", "--c-lo", "1.0"],
+        ["threshold", "--c-hi", "9.0"],
         ["bounds", "--seed", "1"],
         ["oracle", "--jobs", "2"],
         ["optimize", "--spec", "s.json"],

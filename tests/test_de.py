@@ -15,7 +15,7 @@ from gpclab.codespec import (
 )
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
-from de_reference import reference_de_run, reference_run_converges
+from de_reference import reference_de_run, reference_threshold
 from poisson_reference import poisson_tail, poisson_tail_block
 
 
@@ -224,21 +224,12 @@ class TestDeRun:
 
 
 class TestNonFiniteQuality:
-    """A NaN c used to run DE to the iteration cap, and a NaN or infinite
-    bracket end could keep threshold doubling or halving it forever."""
+    """A NaN c used to run DE to the iteration cap."""
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_run_rejected(self, c):
         with time_limit(10), pytest.raises(ValueError, match="finite"):
             de.de_run(preset_staircase(6, 36, 3), c)
-
-    @pytest.mark.parametrize("spec", [preset_hpc(100, 4), preset_staircase(6, 36, 3)],
-                             ids=["hpc", "staircase"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
-    @pytest.mark.parametrize("end", ["c_lo", "c_hi"])
-    def test_threshold_bracket_ends_rejected(self, spec, value, end):
-        with time_limit(10), pytest.raises(ValueError, match=f"{end} must be finite"):
-            de.threshold(spec, **{end: value})
 
 
 class TestVectorPath:
@@ -343,18 +334,13 @@ class TestThreshold:
         res = de.threshold(preset_hpc(100, 3), bracket_tol=0.05)
         assert res.bracket_lo <= res.midpoint <= res.c_star == res.bracket_hi
 
-    def test_explicit_bracket_expansion(self):
-        # both endpoints on the convergent side: hi must auto-expand
-        res = de.threshold(preset_hpc(100, 4), c_lo=2.0, c_hi=3.0)
-        assert abs(res.c_star - 6.8) <= 0.1
-
     @pytest.mark.parametrize("spec,expected", [
         (preset_staircase(6, 36, 3), 4.97),
         (preset_braided(8, 800, 3), 5.08),
     ])
     def test_coupled_normalized_threshold(self, spec, expected):
-        # raw thresholds of coupled chains lie above 4 * t_max; the bracket
-        # ceiling scales with the coupling
+        # raw thresholds of coupled chains are about erasure_scaling times
+        # their normalized ones
         res = de.threshold(spec)
         assert res.c_star / erasure_scaling(spec) == pytest.approx(expected, abs=0.01)
 
@@ -364,17 +350,22 @@ class TestThreshold:
             de.threshold(preset_hpc(100, 3), bracket_tol=tol)
 
     def test_tolerance_below_float_spacing_stops(self):
-        # 1e-17 is below the spacing of floats near c* = 5.15: bisection must
-        # stop once no float lies strictly between the endpoints
-        res = de.threshold(preset_hpc(100, 3), bracket_tol=1e-17)
-        assert res.bracket_lo < res.bracket_hi
-        assert np.nextafter(res.bracket_lo, np.inf) >= res.bracket_hi
+        # 1e-17 is below the spacing of floats near c*: the turn refinement
+        # must stop once its chord is too short to split, and the closed
+        # form needs no refinement
+        for spec in (preset_hpc(100, 3), preset_staircase(6, 36, 3)):
+            with time_limit(20):
+                res = de.threshold(spec, bracket_tol=1e-17)
+            coarse = de.threshold(spec, bracket_tol=0.01)
+            assert res.bracket_lo <= res.bracket_hi
+            assert res.bracket_lo <= coarse.c_star and coarse.bracket_lo <= res.c_star
 
-    def test_no_bracket_error(self):
-        # a starved iteration cap on a capability-1 chain leaves no c
-        # classified as convergent anywhere above the floor
-        with pytest.raises(de.BracketError):
-            de.threshold(preset_staircase(4, 16, 1), ell_max=1)
+    def test_no_bracket_error(self, monkeypatch):
+        # the fold search needs DE to stall at its start; a start below the
+        # threshold (here c = 1 on a chain of capability-1 codes) raises
+        monkeypatch.setattr(de, "upper_bound", lambda spec: 1.0)
+        with pytest.raises(de.BracketError, match="does not stall"):
+            de.threshold(preset_staircase(4, 16, 1))
 
     def test_pittel_sanity(self):
         # regular families: the margin c* - t grows with t, and c* < 2t
@@ -392,38 +383,50 @@ def _single_position_corpus():
     dists += [(f"point_{t}", CapabilityDistribution.point_mass(t)) for t in (1, 3, 6)]
     dists += [(f"random_{k}", random_mixture(rng, int(rng.integers(2, 13))))
               for k in range(22)]
-    params = [pytest.param(dist, 0.01, id=name) for name, dist in dists]
-    # closer to c*, where a 100-point grid misses the second one's negative slack
+    params = [pytest.param(dist, 0.005, id=name) for name, dist in dists]
+    # a finer tolerance, where the reference bisection tests c closer to c*
     fine = [("mix_tbar7", MIX_TBAR7),
             ("two_five_nine", CapabilityDistribution.from_dict({2: 5 / 9, 5: 1 / 9, 9: 3 / 9}))]
     return params + [pytest.param(dist, 1e-3, id=f"{name}_tol1e-3") for name, dist in fine]
 
 
+# DE-run cap of the reference bisection: no run in the comparisons below hits
+# it, except just above a stability limit (see the single-position test)
+REFERENCE_CAP = 200000
+
+
+def assert_brackets_meet(fold, ref):
+    assert fold.bracket_lo <= ref.hi and ref.lo <= fold.bracket_hi, (fold, ref)
+
+
 class TestSinglePositionClassifier:
-    """threshold decides single-position specs by the contraction condition;
-    ``de_reference`` keeps the DE-run classifier it replaced."""
+    """threshold gives single-position specs the closed form; the bracket it
+    reports must meet the bracket of the DE-run bisection in ``de_reference``."""
 
     @pytest.mark.parametrize("dist,tol", _single_position_corpus())
-    def test_matches_de_reference(self, monkeypatch, dist, tol):
+    def test_matches_de_reference(self, dist, tol):
         spec = preset_hpc(1000, dist, tau_assignment="random")
-        fast = de.threshold(spec, bracket_tol=tol)
-        monkeypatch.setattr(de, "_run_converges", reference_run_converges)
-        slow = de.threshold(spec, bracket_tol=tol)
-        assert (fast.c_star, fast.bracket_lo, fast.bracket_hi) == (
-            slow.c_star, slow.bracket_lo, slow.bracket_hi)
+        fold = de.threshold(spec, bracket_tol=tol)
+        ref = reference_threshold(spec, bracket_tol=tol, ell_max=REFERENCE_CAP)
+        assert_brackets_meet(fold, ref)
+        if ref.capped_runs:
+            # a run just above the stability limit 1/tau_1 creeps towards its
+            # fixed point near x = 0 for millions of iterations (random_18 at
+            # c = 3.2503, 3e-4 above 3.25); the slack settles such a run
+            assert fold.c_star == pytest.approx(1.0 / dist.weights[0], rel=1e-8)
 
     def test_runs_no_de(self, monkeypatch):
         def no_run(*args, **kwargs):
-            raise AssertionError("single-position bisection ran DE")
+            raise AssertionError("single-position threshold ran DE")
 
         monkeypatch.setattr(de, "de_run", no_run)
         assert abs(de.threshold(preset_hpc(100, 4)).c_star - 6.8) <= 0.1
 
     def test_stability_edge(self):
-        # c * tau_1 <= 1 binds here: the threshold is 1 / tau_1 = 10.  At
-        # c = 10.00004 DE is still at x = 1e-5 after 20000 iterations, above
-        # a fixed point near 8e-7, and the DE-run classifier's grid over
-        # (0, 1e-5] missed the negative slack there
+        # c * tau_1 <= 1 binds here: the threshold is 1 / tau_1 = 10 exactly,
+        # and the bracket must hold it with c_star above.  At c = 10.00004 DE
+        # is still at x = 1e-5 after 20000 iterations, above a fixed point
+        # near 8e-7
         dist = CapabilityDistribution.from_dict({1: 0.1, 12: 0.9})
         res = de.threshold(preset_hpc(1000, dist, tau_assignment="random"),
                            bracket_tol=1e-4)
@@ -439,28 +442,24 @@ def _cycle_spec(L, n, t):
 
 
 class TestRegularSpecs:
-    """threshold decides position-regular specs (same tau, same
-    s = sum_j eta_ij gamma_j) by the contraction condition at c * s."""
+    """threshold gives position-regular specs (same tau, same
+    s = sum_j eta_ij gamma_j) the closed form at c * s."""
 
     @pytest.mark.parametrize("spec", [
         pytest.param(preset_pc(1000, t_row=t), id=f"pc_t{t}") for t in (3, 5, 7)
     ] + [
         pytest.param(preset_braided(4, 1000, t), id=f"braided4_t{t}") for t in (3, 5)
     ])
-    def test_matches_de_reference(self, monkeypatch, spec):
-        fast = de.threshold(spec, bracket_tol=0.005)
-        monkeypatch.setattr(de, "_run_converges", reference_run_converges)
-        slow = de.threshold(spec, bracket_tol=0.005)
-        assert (fast.c_star, fast.bracket_lo, fast.bracket_hi) == (
-            slow.c_star, slow.bracket_lo, slow.bracket_hi)
+    def test_matches_de_reference(self, spec):
+        ref = reference_threshold(spec, bracket_tol=0.005, ell_max=REFERENCE_CAP)
+        assert ref.capped_runs == 0
+        assert_brackets_meet(de.threshold(spec, bracket_tol=0.005), ref)
 
     @pytest.mark.parametrize("t", [3, 4, 7])
     def test_product_code_is_twice_half_product(self, t):
-        # s = 1/2 halves every tested c exactly, so the bisections match bitwise
-        a, b, tol = t / 2.0, 2.0 * t, 0.01
-        hpc = de.threshold(preset_hpc(100, t), c_lo=a, c_hi=b, bracket_tol=tol)
-        pc = de.threshold(preset_pc(100, t_row=t), c_lo=2 * a, c_hi=2 * b,
-                          bracket_tol=2 * tol)
+        # s = 1/2 doubles the closed form exactly
+        hpc = de.threshold(preset_hpc(100, t))
+        pc = de.threshold(preset_pc(100, t_row=t))
         assert (pc.c_star, pc.bracket_lo, pc.bracket_hi) == (
             2 * hpc.c_star, 2 * hpc.bracket_lo, 2 * hpc.bracket_hi)
 
@@ -471,7 +470,7 @@ class TestRegularSpecs:
     ])
     def test_runs_no_de(self, monkeypatch, spec, expected):
         def no_run(*args, **kwargs):
-            raise AssertionError("position-regular bisection ran DE")
+            raise AssertionError("position-regular threshold ran DE")
 
         monkeypatch.setattr(de, "de_run", no_run)
         assert de.threshold(spec).c_star == pytest.approx(expected, abs=0.2)
@@ -492,6 +491,120 @@ class TestRegularSpecs:
         monkeypatch.setattr(de, "de_run", counted_run)
         de.threshold(spec, bracket_tol=0.1)
         assert calls
+
+
+# A mixture whose lam / F(lam) has two local minima below the counting bound:
+# DE stalls near x = 0.8 down to c = 26.23, then on a lower plateau near
+# x = 0.35 down to the threshold 19.61.  On a product code with an uneven
+# split it is not position-regular, so threshold follows its branches.
+TWO_PLATEAUS = CapabilityDistribution.from_dict({2: 0.35, 9: 0.65})
+
+
+def _two_plateau_spec():
+    return GpcSpec(eta=np.array([[0, 1], [1, 0]]), gamma=np.array([0.4, 0.6]),
+                   tau=(TWO_PLATEAUS, TWO_PLATEAUS), n=1000, tau_assignment="random")
+
+
+class TestFold:
+    """Specs that are not position-regular follow the branch of DE fixed
+    points from a DE stall down to its fold."""
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_pc(1000, (0.25, 0.75), 3), id="pc_uneven_split"),
+        pytest.param(preset_pc(1000, t_row=3, t_col=4), id="pc_t3_t4"),
+        pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
+        pytest.param(preset_braided(6, 1200, 3), id="braided6"),
+        pytest.param(preset_braided(8, 1000, 3), id="braided8"),
+        pytest.param(_two_plateau_spec(), id="two_plateaus"),
+    ])
+    def test_matches_de_reference(self, spec):
+        fold = de.threshold(spec, bracket_tol=0.005)
+        ref = reference_threshold(spec, bracket_tol=0.005, ell_max=REFERENCE_CAP)
+        assert ref.capped_runs == 0
+        assert fold.bracket_width <= 0.005
+        assert_brackets_meet(fold, ref)
+
+    def test_two_plateaus(self):
+        spec = _two_plateau_spec()
+        upper = de.de_run(spec, 26.5)
+        lower = de.de_run(spec, 26.0)
+        assert upper.verdict == lower.verdict == de.STUCK
+        assert upper.final_x.max() > 0.8 and 0.3 < lower.final_x.max() < 0.5
+        # the threshold lies below the first fold, on the lower plateau
+        assert 19.5 < de.threshold(spec, bracket_tol=0.005).c_star < 19.7
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_hpc(100, 4), id="hpc_t4"),
+        pytest.param(preset_hpc(1000, MIX_TBAR7, tau_assignment="random"), id="hpc_mix"),
+        pytest.param(preset_pc(1000, t_row=3), id="pc_t3"),
+        pytest.param(preset_braided(4, 1000, 3), id="braided4_t3"),
+    ])
+    def test_continuation_matches_closed_form(self, spec):
+        tol = 0.005
+        lo, hi = de._fold(spec, tol)
+        exact = de.threshold(spec, bracket_tol=tol)
+        assert hi - lo <= tol
+        assert lo <= exact.bracket_hi and exact.bracket_lo <= hi
+
+    def test_long_staircase_not_under_reported(self):
+        # DE converges at c = 287.6279 after 46336 iterations, so c* is above
+        # it; a bisection that counted 20000-iteration runs as failures
+        # reported 287.4762
+        with time_limit(30):
+            res = de.threshold(preset_staircase(100, 600, 3), bracket_tol=0.01)
+        assert 287.6279 <= res.c_star <= 287.8147
+        assert res.bracket_width <= 0.01
+
+    def test_branch_ending_at_zero(self):
+        # with tau_1 > 0 on an uneven product code the branch reaches x = 0
+        # at the stability limit c tau_1 sqrt(gamma_1 gamma_2) = 1
+        uniform = CapabilityDistribution.uniform(4)
+        spec = GpcSpec(eta=np.array([[0, 1], [1, 0]]), gamma=np.array([0.4, 0.6]),
+                       tau=(uniform, uniform), n=1000, tau_assignment="random")
+        res = de.threshold(spec)
+        assert res.c_star == pytest.approx(4.0 / np.sqrt(0.24), rel=1e-8)
+        assert res.bracket_lo < 4.0 / np.sqrt(0.24) < res.c_star
+
+
+def _exact_minimum(tau):
+    """min(1/tau_1, min over lam of lam / F(lam)) at 30 digits: the minimum on
+    a float grid, refined by a root of F - lam F' in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def f(lam):  # P(Pois(lam) >= t) = P(Gamma(t, 1) <= lam)
+        return sum(w * mpmath.gammainc(t, 0, lam, regularized=True) for t, w in tau.support())
+
+    def df(lam):  # dP(Pois(lam) >= t)/dlam = P(Pois(lam) = t - 1)
+        return sum(w * mpmath.exp(-lam) * lam ** (t - 1) / mpmath.factorial(t - 1)
+                   for t, w in tau.support())
+
+    with mpmath.workdps(30):
+        grid = [mpmath.mpf(lam) for lam in np.geomspace(1e-2, 2.0 * tau.t_max + 2.0, 400)]
+        ratios = [lam / f(lam) for lam in grid]
+        k = int(np.argmin([float(r) for r in ratios]))
+        best = ratios[k]
+        if 0 < k < len(grid) - 1:
+            root = mpmath.findroot(lambda lam: f(lam) - lam * df(lam),
+                                   (grid[k - 1], grid[k + 1]), solver="anderson")
+            best = min(best, root / f(root))
+        if tau.weights[0] > 0.0:
+            best = min(best, 1 / mpmath.mpf(tau.weights[0]))
+        return best
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("dist", [
+        pytest.param(CapabilityDistribution.point_mass(4), id="point_4"),
+        pytest.param(MIX_TBAR7, id="mix_tbar7"),
+        pytest.param(MIX_TBAR7_MIN4, id="mix_tbar7_min4"),
+        pytest.param(CapabilityDistribution.uniform(12), id="uniform_12"),
+        pytest.param(TWO_PLATEAUS, id="two_plateaus"),
+    ])
+    def test_brackets_exact_minimum(self, dist):
+        res = de.threshold(preset_hpc(1000, dist, tau_assignment="random"))
+        exact = _exact_minimum(dist)
+        assert res.bracket_lo <= exact <= res.c_star
+        assert res.bracket_width <= 3e-9 * res.c_star
 
 
 class TestBounds:

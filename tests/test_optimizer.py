@@ -171,12 +171,12 @@ class TestPostVerify:
 
     def test_stability_row_bounds_verified_threshold(self):
         # this design sits past its stability edge: c * tau_1 = 1.0021, so its
-        # threshold is at most 1 / tau_1 = 9.9792.  The bisection must not
-        # find convergence above that; the 2000-point grid alone misses the
-        # negative slack below x = 5e-4 and would report 9.991390
+        # threshold is 1 / tau_1 = 9.9792, which no grid in x resolves (a
+        # 2000-point grid misses the negative slack below x = 5e-4 and would
+        # report 9.991390)
         sol = post_verify(solve(build_lp(10.0, 1000, 50)))
         assert sol.status == STATUS_DEGENERATE
-        assert sol.verified_threshold == 9.983623137831962
+        assert sol.verified_threshold == pytest.approx(1.0 / sol.tau.weights[0], rel=1e-8)
 
     def test_requires_optimal_input(self):
         sol = optimizer.LpSolution(
