@@ -7,8 +7,9 @@ of component codes that would declare failure.  Includes scheduled variants
 the analytic bounds used to sanity-check and design capability mixtures.
 
 Every DE iteration, in ``de_run``, ``de_step`` and ``failure_probability``
-alike, updates all positions with array operations over one
-``poisson_tail_table`` call, and the contraction check reads the same table.
+alike, updates all positions with array operations that evaluate each
+position's tau-mixed Poisson tails in Horner form, with no tail table; the
+contraction check and the closed form read ``poisson_tail_table``.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form for position-regular specs, by continuation of the
@@ -111,14 +112,8 @@ class DeTrajectory:
     def to_csv_rows(self) -> list[list[str]]:
         L = self.x.shape[1]
         header = ["iteration"] + [f"x_{i+1}" for i in range(L)] + ["z"]
-        rows = [header]
-        for k in range(self.iterations_run + 1):
-            rows.append(
-                [str(k)]
-                + [repr(float(v)) for v in self.x[k]]
-                + [repr(float(self.z[k]))]
-            )
-        return rows
+        return [header] + [[str(k)] + [repr(float(v)) for v in self.x[k]] + [repr(float(self.z[k]))]
+                           for k in range(self.iterations_run + 1)]
 
 
 def _check_quality(c: float) -> None:
@@ -150,16 +145,14 @@ class _PositionArrays:
         """lam_i = c * sum_j eta_ij gamma_j x_j."""
         return c * np.einsum("ij,ij->i", self.nbr_w, x[self.nbr])
 
-    def mix(self, tails: np.ndarray) -> np.ndarray:
-        """sum_t tau_t(i) * tails[i, t-1] for every position i."""
-        return np.einsum("it,it->i", self.tau_w, tails)
-
 
 def _one_step(spec: GpcSpec, x: Sequence[float], c: float):
     _check_quality(c)
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.num_positions,):
         raise ValueError(f"x must have shape {(spec.num_positions,)}, got {x.shape}")
+    if (x < 0.0).any():
+        raise ValueError("x must be nonnegative")
     return _stepper(spec, c)(x, None)
 
 
@@ -193,12 +186,18 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
         raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
     pos = _PositionArrays(spec)
     # collapse the incoming typed state per position, then fan back out
-    tails = poisson_tail_table(pos.means(pos.mix(x_typed), c), t_max)
+    tails = poisson_tail_table(pos.means(np.einsum("it,it->i", pos.tau_w, x_typed), c), t_max)
     return np.where(pos.tau_w > 0.0, tails, 0.0)
 
 
 def _stepper(spec: GpcSpec, c: float):
     """One DE iteration as array operations over all positions.
+
+    It evaluates the tau-mixed tails in Horner form, with no tail table:
+    sum_t tau_t(i) P(Pois(lam) >= t + d) = S_i - e^-lam p_i(lam) for d = 0 (new
+    x) and 1 (failure term), S_i = sum_t tau_t(i), p_i with coefficients
+    (sum_{t > k - d} tau_t(i)) / k!: its constant term S_i keeps x = 0 exactly
+    absorbing.  lam is capped at 750, where e^-lam is 0 and p_i(lam) finite.
 
     ``step(x, active)`` takes x as a float array and returns the new x
     (positions outside ``active`` keep theirs bitwise), the failure fraction
@@ -206,15 +205,26 @@ def _stepper(spec: GpcSpec, c: float):
     per distinct active set.
     """
     pos = _PositionArrays(spec)
-    L = spec.num_positions
+    L, t_max, weights = spec.num_positions, spec.t_max, c * pos.nbr_w
+    # rest[i, k] = sum_{t >= k} tau_t(i), k = 0..t_max + 1, so rest[i, 0] = S_i;
+    # coef[j, (x, z), i] = (rest[i, k + 1], rest[i, k]) / k! for k = t_max - j
+    rest = np.cumsum(np.pad(pos.tau_w, ((0, 0), (1, 1)))[:, ::-1], axis=1)[:, ::-1]
+    inv_fact = np.cumprod(np.append(1.0, 1.0 / np.arange(1, t_max + 1)))
+    coef = np.stack([rest[:, 1:], rest[:, :-1]]) * inv_fact
+    coef = np.ascontiguousarray(coef.transpose(2, 0, 1)[::-1])
     z_pos = np.ones(L)
     masks: dict[frozenset[int], np.ndarray] = {}
 
     def step(x, active):
         nonlocal z_pos
-        tails = poisson_tail_table(pos.means(x, c), pos.t_max + 1)
-        new_x = pos.mix(tails[:, :-1])
-        new_z = pos.mix(tails[:, 1:])
+        lam = np.minimum(np.einsum("ij,ij->i", weights, x[pos.nbr]), 750.0)
+        tails = coef[0].copy()
+        for row in coef[1:]:
+            tails *= lam
+            tails += row
+        tails *= np.exp(-lam)
+        np.subtract(rest[:, 0], tails, out=tails)
+        new_x, new_z = np.maximum(tails[0], 0.0), np.maximum(tails[1], 0.0)  # copies: runs keep x
         if active is None:
             z_pos = new_z
         else:
@@ -244,7 +254,7 @@ def de_run(
     positions keep x and their per-position failure term bitwise unchanged,
     and the run executes the whole schedule (stall detection is meaningless
     while positions wait to be activated).  Each iteration updates all
-    positions as arrays over one Poisson-tail table, whatever L is.
+    positions as arrays, whatever L is (see ``_stepper``).
     """
     _check_quality(c)
     L = spec.num_positions

@@ -175,10 +175,10 @@ def post_verify(
 
     ``fine_grid_min_slack`` is the contraction slack's minimum on a grid
     ``grid_factor`` times finer than the LP's.  ``verified_threshold`` is the
-    exact threshold of the single-position mixture (``de.threshold``, whose
-    closed form does not read ``bracket_tol``); one below c downgrades the
-    solution to a degenerate warning.  It uses no grid in x, so it checks the
-    LP's grid independently, below x = 1/M too.
+    exact threshold of the single-position mixture (``de.threshold`` in closed
+    form; one below c downgrades the solution to a degenerate warning), with
+    no grid in x, so it checks the LP's grid below x = 1/M too.  ``bracket_tol``
+    is not read beyond a check that it is positive; callers still pass it.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")

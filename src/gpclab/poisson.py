@@ -2,8 +2,8 @@
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
-``poisson_tail_table`` is the one tail kernel: density evolution, the
-contraction check and the LP rows all read their tails from it.
+``poisson_tail_table`` is the tail kernel of the contraction check, the
+threshold and the LP rows; a DE step evaluates tau-mixed tails in Horner form.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ def poisson_tail_table(lam: np.ndarray, t_max: int) -> np.ndarray:
     if t_max > 0:
         pmf = np.exp(-lam)
         cdf = pmf.copy()
-        np.subtract(1.0, cdf, out=out[0])
+        np.subtract(1.0, cdf, out=out[0, ...])
         for k in range(1, t_max):
             pmf *= lam / k
             cdf += pmf
-            np.subtract(1.0, cdf, out=out[k])
+            np.subtract(1.0, cdf, out=out[k, ...])
         np.maximum(out, 0.0, out=out)
     return np.moveaxis(out, 0, -1)
 

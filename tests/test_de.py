@@ -13,7 +13,7 @@ from gpclab.codespec import (
     preset_staircase,
     staircase_eta,
 )
-from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
+from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
 from de_reference import reference_de_run, reference_threshold
 from poisson_reference import poisson_tail, poisson_tail_block
@@ -33,6 +33,15 @@ def aggregate(spec, x_typed):
         for t, w in dist.support():
             out[i] += w * x_typed[i, t - 1]
     return out
+
+
+def mixed_capability_staircase():
+    """Staircase whose positions have capability mixtures of different t_max."""
+    L = 18
+    taus = [MIX_TBAR7, MIX_TBAR7_MIN4, CapabilityDistribution.point_mass(2)]
+    return GpcSpec(eta=staircase_eta(L), gamma=np.full(L, 1.0 / L),
+                   tau=tuple(taus[i % 3] for i in range(L)), n=1800,
+                   tau_assignment="random")
 
 
 class TestDeStep:
@@ -103,6 +112,42 @@ class TestDeStep:
             de.failure_probability(spec, [1.0], c)
         with pytest.raises(ValueError, match="finite"):
             de.de_step_per_type(spec, typed_ones(spec), c)
+
+
+class TestHornerTails:
+    """A DE step evaluates its tau-mixed tails in Horner form; they must agree
+    with the tail table mixed by tau, and keep its exact values at lam = 0 and
+    where e^-lam underflows."""
+
+    LAMS = (0.0, *np.geomspace(1e-8, 200.0, 40), 800.0, 1e300)
+
+    @staticmethod
+    def single_position(tau):
+        return GpcSpec(eta=[[1]], gamma=[1.0], tau=(tau,), n=1, tau_assignment="random")
+
+    @pytest.mark.parametrize("t_max", range(1, 65))
+    def test_matches_mixed_table(self, rng, t_max):
+        tau = random_mixture(rng, t_max)
+        spec, w = self.single_position(tau), np.array(tau.weights)
+        for lam in self.LAMS:
+            # lam = c * x on one position with gamma = 1
+            table = poisson_tail_table(min(lam, 800.0), tau.t_max + 1)
+            x = de.de_step(spec, [lam], 1.0)[0]
+            z = de.failure_probability(spec, [lam], 1.0)
+            assert abs(x - w @ table[:-1]) <= 1e-14, lam
+            assert abs(z - w @ table[1:]) <= 1e-14, lam
+
+    @pytest.mark.parametrize("spec", [
+        pytest.param(preset_hpc(1000, MIX_TBAR7, tau_assignment="random"), id="mix_tbar7"),
+        pytest.param(preset_hpc(1000, MIX_TBAR7_MIN4, tau_assignment="random"),
+                     id="mix_tbar7_min4"),
+        pytest.param(mixed_capability_staircase(), id="mixed_staircase"),
+    ])
+    def test_zero_is_exactly_absorbing(self, spec):
+        zeros = np.zeros(spec.num_positions)
+        for c in (0.5, 7.0, 40.0):
+            assert not de.de_step(spec, zeros, c).any()
+            assert de.failure_probability(spec, zeros, c) == 0.0
 
 
 class TestFailureProbability:
@@ -269,12 +314,7 @@ class TestVectorPath:
             assert np.array_equal(traj.x[k + 1][frozen], traj.x[k][frozen])
 
     def test_mixed_capabilities(self):
-        # capability mixtures of different t_max per position
-        L = 18
-        taus = [MIX_TBAR7, MIX_TBAR7_MIN4, CapabilityDistribution.point_mass(2)]
-        spec = GpcSpec(eta=staircase_eta(L), gamma=np.full(L, 1.0 / L),
-                       tau=tuple(taus[i % 3] for i in range(L)), n=1800,
-                       tau_assignment="random")
+        spec = mixed_capability_staircase()
         for c_norm in (7.0, 12.0):
             self.both_paths(spec, c_norm * erasure_scaling(spec), ell_max=500)
 
@@ -304,6 +344,32 @@ class TestVectorPath:
         # chains below 16 positions, once stepped only position by position
         traj = self.both_paths(spec, c, **kwargs)
         assert traj.verdict == verdict
+
+
+class TestCoupledRuns:
+    """Long L = 200 chains keep their verdicts and iteration counts."""
+
+    @pytest.mark.parametrize("preset,c_norm,verdict,iterations", [
+        (preset_staircase, 5.4, de.CONVERGED, 609),
+        (preset_staircase, 5.6, de.CONVERGED, 1743),
+        (preset_staircase, 6.0, de.STUCK, 97),
+        (preset_braided, 5.5, de.CONVERGED, 607),
+        (preset_braided, 6.0, de.STUCK, 96),
+    ])
+    def test_unscheduled(self, preset, c_norm, verdict, iterations):
+        spec = preset(200, 2000, 3)
+        traj = de.de_run(spec, c_norm * erasure_scaling(spec))
+        assert (traj.verdict, traj.iterations_run) == (verdict, iterations)
+
+    def test_window(self):
+        spec = preset_staircase(200, 2000, 3)
+        sched = de.window_schedule(200, 20, 10)
+        traj = de.de_run(spec, 5.4 * erasure_scaling(spec), schedule=sched)
+        assert (traj.verdict, traj.iterations_run) == (de.ITERATION_CAP, 1810)
+        frozen = np.ones((len(sched), 200), dtype=bool)
+        for k, active in enumerate(sched.active_sets):
+            frozen[k, list(active)] = False
+        assert np.array_equal(traj.x[1:][frozen], traj.x[:-1][frozen])
 
 
 class TestSchedule:

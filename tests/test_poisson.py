@@ -113,6 +113,12 @@ class TestTailTable:
         assert poisson_tail_table(lam, 4).shape == (3, 2, 4)
         assert poisson_tail_table(np.array([1.0, 2.0]), 0).shape == (2, 0)
 
+    @pytest.mark.parametrize("lam", [3.0, np.array(3.0)], ids=["float", "0-d"])
+    def test_scalar_rate(self, lam):
+        table = poisson_tail_table(lam, 4)
+        assert table.shape == (4,)
+        assert np.array_equal(table, poisson_tail_table(np.array([3.0]), 4)[0])
+
     def test_tails_never_negative(self):
         # at small rates the running cdf can round above 1
         table = poisson_tail_table(np.geomspace(1e-8, 1e-1, 2000), 12)
