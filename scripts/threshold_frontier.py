@@ -10,11 +10,13 @@ Usage: python scripts/threshold_frontier.py --out frontier.csv
 """
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from gpclab import de, optimizer
 from gpclab.codespec import preset_hpc
+from gpclab.poisson import initial_loss_mixture
 
 
 @dataclass
@@ -35,8 +37,14 @@ def main() -> int:
     args = parser.parse_args()
     cfg = FrontierConfig(grid_m=args.grid_m, t_max=args.t_max, t_min=args.t_min)
 
-    points = optimizer.sweep_tradeoff(list(cfg.c_grid), cfg.grid_m, cfg.t_max, cfg.t_min)
-    rows = [",".join(r) for r in optimizer.frontier_csv_rows(points)]
+    rows = ["c,t_bar,gap,loss_at_c,conjecture_rhs"]
+    for c in cfg.c_grid:
+        sol = optimizer.solve(optimizer.build_lp(c, cfg.grid_m, cfg.t_max, cfg.t_min))
+        if sol.status == optimizer.STATUS_OPTIMAL:
+            cols = (sol.t_bar, 2.0 * sol.t_bar - c, initial_loss_mixture(sol.tau, c))
+        else:  # infeasible at this t_max
+            cols = (math.nan,) * 3
+        rows.append(",".join(repr(v) for v in (c, *cols, de.conjectured_capability_floor(c))))
     rows.append("# regular point-mass thresholds: t,c_star,gap")
     for t in cfg.regular_ts:
         c_star = de.threshold(preset_hpc(100, t)).c_star

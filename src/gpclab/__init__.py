@@ -9,12 +9,9 @@ from .poisson import (
     CapabilityDistribution,
     initial_loss,
     initial_loss_mixture,
-    tail_integral,
 )
 from .codespec import (
-    BchComponentParams,
     GpcSpec,
-    bch_params,
     block_array_eta,
     cn_degrees,
     code_length,
@@ -25,7 +22,6 @@ from .codespec import (
     preset_hpc,
     preset_pc,
     preset_staircase,
-    rate_lower_bound,
     spec_from_json,
     spec_to_json,
 )
@@ -35,8 +31,6 @@ from .de import (
     ThresholdResult,
     de_run,
     de_step,
-    de_step_per_type,
-    failure_probability,
     refined_upper_bound,
     success_condition,
     threshold,
@@ -47,13 +41,12 @@ from .graphsim import (
     PeelingResult,
     ResidualGraph,
     core_oracle,
-    hpc_demo_graph,
     monte_carlo,
     peel,
     peel_scheduled,
     sample_residual,
 )
-from .branching import survival_mc, total_progeny_second_moment
-from .optimizer import LpSolution, build_lp, post_verify, solve, sweep_tradeoff
+from .branching import survival_mc
+from .optimizer import LpSolution, build_lp, post_verify, solve
 
 __version__ = "0.1.0"

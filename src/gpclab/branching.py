@@ -2,9 +2,8 @@
 
 Estimates the probability that the root of the limiting local neighborhood
 of a residual-graph vertex (a typed Poisson tree) survives depth-limited
-peeling, and carries the exact second moment of the total progeny.  Kept
-deliberately independent of the DE code paths, the Poisson-tail kernel
-included, so the two can cross-validate.
+peeling.  Kept deliberately independent of the DE code paths, the
+Poisson-tail kernel included, so the two can cross-validate.
 
 The survival sampler builds each batch of trees level by level, but draws
 neither a per-node offspring count nor the leaf level.  A level's nodes of
@@ -148,43 +147,3 @@ def survival_mc(
     p_hat = survived / trees
     se = math.sqrt(p_hat * (1.0 - p_hat) / trees)
     return SurvivalEstimate(p_hat, se, trees)
-
-
-def total_progeny_second_moment(c: float, ell: int) -> float:
-    """Exact E[T^2] where T counts all nodes in generations 0..ell of a
-    single-type branching process with Poisson(c) offspring.
-
-    With s_j = E[Z_j^2] = c^j * G_j and G_j = 1 + c + ... + c^j, expanding
-    E[(sum_j Z_j)^2] with E[Z_i Z_j] = c^(i-j) E[Z_j^2] for i > j gives
-    E[T^2] = sum_j s_j * (2 * G_{ell-j} - 1).  The geometric sums are kept
-    in accumulated form, so the expression stays exact at c = 1 (where it
-    reduces to (ell+1)(ell+2)(2*ell+3)/6).
-    """
-    if c <= 0.0:
-        raise ValueError(f"offspring mean must be positive, got {c}")
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    G = [0.0] * (ell + 1)
-    acc = 0.0
-    power = 1.0
-    for j in range(ell + 1):
-        acc += power
-        G[j] = acc
-        power *= c
-    total = 0.0
-    cj = 1.0
-    for j in range(ell + 1):
-        total += cj * G[j] * (2.0 * G[ell - j] - 1.0)
-        cj *= c
-    return total
-
-
-def total_progeny_samples(c: float, ell: int, trees: int, seed: int) -> np.ndarray:
-    """Sampled totals T for the same process; generation sizes only."""
-    rng = _stream_rng(seed, 0)
-    z = np.ones(trees)
-    tot = np.ones(trees)
-    for _ in range(ell):
-        z = rng.poisson(c * z).astype(float)
-        tot += z
-    return tot

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import os
 import sys
 from typing import Any
@@ -49,9 +50,12 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise InputError(f"config {path} must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _resolve_spec(config: dict) -> GpcSpec:
@@ -109,6 +113,8 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
     desc = config.get("schedule")
     if desc is None:
         return None
+    if not isinstance(desc, dict):
+        raise InputError(f"schedule must be a JSON object, got {type(desc).__name__}")
     kind = desc.get("type")
     try:
         if kind == "full":
@@ -117,10 +123,12 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
             return de.window_schedule(L, int(desc["width"]), int(desc["steps_per_slide"]))
         if kind == "explicit":
             # config uses 1-based positions, matching the x_1..x_L column names
-            sets = tuple(frozenset(p - 1 for p in s) for s in desc["sets"])
+            sets = tuple(frozenset(operator.index(p) - 1 for p in s) for s in desc["sets"])
             return de.Schedule(sets)
     except KeyError as exc:
         raise InputError(f"{kind} schedule needs the field {exc.args[0]!r}") from exc
+    except TypeError as exc:
+        raise InputError(f"{kind} schedule has a field of the wrong type: {exc}") from exc
     raise InputError(f"unknown schedule type {kind!r}")
 
 

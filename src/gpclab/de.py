@@ -6,10 +6,10 @@ of component codes that would declare failure.  Includes scheduled variants
 (frozen positions carry their state forward), the decoding threshold, and
 the analytic bounds used to sanity-check and design capability mixtures.
 
-Every DE iteration, in ``de_run``, ``de_step`` and ``failure_probability``
-alike, updates all positions with array operations that evaluate each
-position's tau-mixed Poisson tails in Horner form, with no tail table; the
-contraction check and the closed form read ``poisson_tail_table``.
+Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
+positions with array operations that evaluate each position's tau-mixed
+Poisson tails in Horner form, with no tail table; the contraction check and
+the closed form read ``poisson_tail_table``.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form for position-regular specs, by continuation of the
@@ -161,33 +161,6 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     with lam_i = c * sum_j eta_ij gamma_j x_j.  c = 0 is admitted and maps
     everything to zero (an erasure-free channel resolves instantly)."""
     return _one_step(spec, x, c)[0]
-
-
-def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
-    """Fraction of component codes still failing, given the previous x vector.
-
-    Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
-    more than t of its erasures survive the round."""
-    return _one_step(spec, x, c)[1]
-
-
-def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:
-    """One DE iteration with state resolved per (position, capability) type.
-
-    ``x_typed[i, t-1]`` is the unresolved probability of a type-(i, t) edge.
-    The aggregation sum_t tau_t(i) * x_typed[i, t-1] reproduces the collapsed
-    recursion exactly.
-    """
-    _check_quality(c)
-    L = spec.num_positions
-    t_max = spec.t_max
-    x_typed = np.asarray(x_typed, dtype=float)
-    if x_typed.shape != (L, t_max):
-        raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
-    pos = _PositionArrays(spec)
-    # collapse the incoming typed state per position, then fan back out
-    tails = poisson_tail_table(pos.means(np.einsum("it,it->i", pos.tau_w, x_typed), c), t_max)
-    return np.where(pos.tau_w > 0.0, tails, 0.0)
 
 
 def _stepper(spec: GpcSpec, c: float):

@@ -6,8 +6,8 @@ peeling process: every round removes all vertices whose current degree is at
 most their capability.  Peeling keeps degrees incrementally on a CSR
 incidence, so a round reads only the edges of the vertices it removes: O(E)
 edge work over the whole run for E edges, plus one O(n) scan of the vertex
-flags per round.  A sequential removal oracle over the same incidence and a
-deterministic worked example back the tests.
+flags per round.  A sequential removal oracle over the same incidence backs
+the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "peel_scheduled",
     "core_oracle",
     "monte_carlo",
-    "hpc_demo_graph",
 ]
 
 
@@ -345,19 +344,3 @@ def monte_carlo(
     mb, sb = stats(1)
     mf, sf = stats(2)
     return McStatistics(trials, mw, sw, mb, sb, mf, sf)
-
-
-def hpc_demo_graph(t: int) -> ResidualGraph:
-    """Five-component worked example (half-product family, n = 5).
-
-    Reading the punctured 5x5 code array row by row, bits 2, 3, 4, 7 and 9
-    are erased.  With t = 1 the peeling gets stuck after one round on the
-    surviving triangle; with t = 2 the graph empties in two rounds.
-    """
-    edges = np.array([[0, 2], [0, 3], [0, 4], [1, 4], [2, 4]], dtype=np.int64)
-    return ResidualGraph(
-        vertex_position=np.zeros(5, dtype=np.int64),
-        vertex_capability=np.full(5, t, dtype=np.int64),
-        edges=edges,
-        origin_edge_count=5,
-    )

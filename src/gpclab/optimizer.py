@@ -9,18 +9,21 @@ sees a small subset of rows that grows by the most violated ones until the
 point satisfies the whole grid.  Solutions are post-verified on a finer grid
 and by the mixture's exact threshold, since the discretization admits
 hairline supercriticality between grid points and below the first one.
+
+``build_lp``, ``solve`` and ``post_verify`` are the whole path; a frontier
+over c is a loop over ``solve(build_lp(c, ...))``, as in
+``scripts/threshold_frontier.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import de
 from .codespec import preset_hpc
-from .poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
+from .poisson import CapabilityDistribution, poisson_tail_table
 from .simplex import _TOL, INFEASIBLE, OPTIMAL, SimplexResult, solve_lp
 
 STATUS_OPTIMAL = "optimal"
@@ -167,28 +170,27 @@ def solve(problem: LpProblem) -> LpSolution:
 
 def post_verify(
     solution: LpSolution,
-    c: float | None = None,
     grid_factor: int = 10,
     bracket_tol: float = 0.01,
 ) -> LpSolution:
-    """Re-check an optimal mixture at channel quality c.
+    """Re-check an optimal mixture at its design point ``solution.c``.
 
     ``fine_grid_min_slack`` is the contraction slack's minimum on a grid
     ``grid_factor`` times finer than the LP's.  ``verified_threshold`` is the
     exact threshold of the single-position mixture (``de.threshold`` in closed
-    form; one below c downgrades the solution to a degenerate warning), with
-    no grid in x, so it checks the LP's grid below x = 1/M too.  ``bracket_tol``
-    is not read beyond a check that it is positive; callers still pass it.
+    form; one below ``solution.c`` downgrades the solution to a degenerate
+    warning), with no grid in x, so it checks the LP's grid below x = 1/M too.
+    ``bracket_tol`` is not read beyond a check that it is positive; callers
+    still pass it.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")
-    c = solution.c if c is None else c
     check = de.success_condition(
-        solution.tau, c, grid_points=grid_factor * solution.grid_m
+        solution.tau, solution.c, grid_points=grid_factor * solution.grid_m
     )
     spec = preset_hpc(1000, solution.tau, tau_assignment="random")
     found = de.threshold(spec, bracket_tol=bracket_tol)
-    status = solution.status if found.c_star >= c else STATUS_DEGENERATE
+    status = solution.status if found.c_star >= solution.c else STATUS_DEGENERATE
     return replace(
         solution,
         status=status,
@@ -196,43 +198,3 @@ def post_verify(
         fine_grid_min_slack=check.min_slack,
     )
 
-
-@dataclass(frozen=True)
-class FrontierPoint:
-    c: float
-    t_bar: float
-    gap: float
-    loss_at_c: float
-    conjecture_rhs: float
-
-
-def _frontier_point(c: float, grid_m: int, t_max: int, t_min: int) -> FrontierPoint:
-    sol = solve(build_lp(c, grid_m, t_max, t_min))
-    if sol.status != STATUS_OPTIMAL:
-        return FrontierPoint(c, math.nan, math.nan, math.nan,
-                             de.conjectured_capability_floor(c))
-    return FrontierPoint(
-        c=c,
-        t_bar=sol.t_bar,
-        gap=2.0 * sol.t_bar - c,
-        loss_at_c=initial_loss_mixture(sol.tau, c),
-        conjecture_rhs=de.conjectured_capability_floor(c),
-    )
-
-
-def sweep_tradeoff(c_grid, grid_m: int, t_max: int, t_min: int = 1) -> list[FrontierPoint]:
-    """Minimal mean capability along a grid of channel qualities."""
-    cs = [float(c) for c in c_grid]
-    if sorted(cs) != cs:
-        raise ValueError("c_grid must be sorted ascending")
-    return [_frontier_point(c, grid_m, t_max, t_min) for c in cs]
-
-
-def frontier_csv_rows(points: list[FrontierPoint]) -> list[list[str]]:
-    rows = [["c", "t_bar", "gap", "loss_at_c", "conjecture_rhs"]]
-    for p in points:
-        rows.append(
-            [repr(p.c), repr(p.t_bar), repr(p.gap), repr(p.loss_at_c),
-             repr(p.conjecture_rhs)]
-        )
-    return rows

@@ -137,17 +137,3 @@ class CapabilityDistribution:
 def initial_loss_mixture(tau: CapabilityDistribution, c: float) -> float:
     """Capability-weighted initial loss, sum_t tau_t * initial_loss(t, c)."""
     return sum(w * initial_loss(t, c) for t, w in tau.support())
-
-
-def tail_integral(t: int, c: float) -> float:
-    """Closed form of c * integral_0^1 P(Poisson(c x) >= t) dx.
-
-    Integration by parts collapses the integral to c - t + initial_loss(t, c);
-    a quadrature cross-check lives in the test suite.
-    """
-    if t < 1:
-        raise ValueError(f"capability must be >= 1, got {t}")
-    if c <= 0.0:
-        raise ValueError(f"effective channel quality must be > 0, got {c}")
-    return c - t + initial_loss(t, c)
-

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gpclab.codespec import GpcSpec
+from gpclab.graphsim import ResidualGraph
 from gpclab.poisson import CapabilityDistribution
 
 # reference mixtures with mean capability ~7: the unconstrained LP optimum
@@ -67,6 +68,22 @@ def random_spec(rng: np.random.Generator, L_max: int = 5, t_max: int = 8,
     tau = tuple(random_mixture(rng, t_max) for _ in range(L))
     return GpcSpec(eta=eta, gamma=gamma, tau=tau, n=int(raw.sum()) * n_scale,
                    tau_assignment="random")
+
+
+def hpc_demo_graph(t: int) -> ResidualGraph:
+    """Five-component worked example (half-product family, n = 5).
+
+    Reading the punctured 5x5 code array row by row, bits 2, 3, 4, 7 and 9
+    are erased.  With t = 1 the peeling gets stuck after one round on the
+    surviving triangle; with t = 2 the graph empties in two rounds.
+    """
+    edges = np.array([[0, 2], [0, 3], [0, 4], [1, 4], [2, 4]], dtype=np.int64)
+    return ResidualGraph(
+        vertex_position=np.zeros(5, dtype=np.int64),
+        vertex_capability=np.full(5, t, dtype=np.int64),
+        edges=edges,
+        origin_edge_count=5,
+    )
 
 
 @pytest.fixture

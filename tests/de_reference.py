@@ -1,5 +1,11 @@
 """Test-local references for density evolution and the threshold bisection.
 
+`failure_probability` is the failure fraction z after one iteration of the
+package's array DE step from a given x.  `de_step_per_type` is one DE
+iteration with the state resolved per (position, capability) type;
+aggregating it with the tau weights gives the collapsed step
+`gpclab.de.de_step`.
+
 `reference_de_run` is `gpclab.de.de_run` with the position-by-position step
 the package once used for chains shorter than 16 positions: a Python loop
 over positions, one scalar Poisson tail block each (``poisson_reference``),
@@ -24,7 +30,7 @@ faster than the array step.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,3 +214,30 @@ def reference_threshold(
         else:
             hi = mid
     return ReferenceBracket(lo, hi, capped)
+
+
+def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
+    """Fraction of component codes still failing, given the previous x vector.
+
+    Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
+    more than t of its erasures survive the round."""
+    return de._one_step(spec, x, c)[1]
+
+
+def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:
+    """One DE iteration with state resolved per (position, capability) type.
+
+    ``x_typed[i, t-1]`` is the unresolved probability of a type-(i, t) edge.
+    The aggregation sum_t tau_t(i) * x_typed[i, t-1] reproduces the collapsed
+    recursion exactly.
+    """
+    de._check_quality(c)
+    L = spec.num_positions
+    t_max = spec.t_max
+    x_typed = np.asarray(x_typed, dtype=float)
+    if x_typed.shape != (L, t_max):
+        raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
+    pos = de._PositionArrays(spec)
+    # collapse the incoming typed state per position, then fan back out
+    tails = poisson_tail_table(pos.means(np.einsum("it,it->i", pos.tau_w, x_typed), c), t_max)
+    return np.where(pos.tau_w > 0.0, tails, 0.0)

@@ -6,11 +6,16 @@ of ``np.exp``), and `poisson_tail` reads one entry of it.  The package used
 them for its position-by-position DE step; the tests keep them as the
 reference that the table, the LP rows, the contraction check and the
 position-by-position DE loop in ``de_reference`` are compared against.
+
+`tail_integral` is the closed form of c times the integral of
+P(Pois(c x) >= t) over x in [0, 1], which the tests check by quadrature.
 """
 
 from __future__ import annotations
 
 import math
+
+from gpclab.poisson import initial_loss
 
 # Beyond this rate exp(-lam) nears underflow, so the block sums the pmf in
 # log space instead of by the running product.
@@ -58,3 +63,16 @@ def poisson_tail_block(t_max: int, lam: float) -> list[float]:
             break
         out[i] = 1.0 - cdf
     return out
+
+
+def tail_integral(t: int, c: float) -> float:
+    """Closed form of c * integral_0^1 P(Poisson(c x) >= t) dx.
+
+    Integration by parts collapses the integral to c - t + initial_loss(t, c);
+    a quadrature cross-check lives in the test suite.
+    """
+    if t < 1:
+        raise ValueError(f"capability must be >= 1, got {t}")
+    if c <= 0.0:
+        raise ValueError(f"effective channel quality must be > 0, got {c}")
+    return c - t + initial_loss(t, c)

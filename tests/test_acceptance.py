@@ -12,13 +12,11 @@ import pytest
 
 from gpclab import branching, de, graphsim, optimizer
 from gpclab.codespec import preset_hpc, preset_staircase
-from gpclab.poisson import (
-    CapabilityDistribution,
-    initial_loss,
-    tail_integral,
-)
-from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_spec
-from poisson_reference import poisson_tail
+from gpclab.poisson import CapabilityDistribution, initial_loss
+from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, hpc_demo_graph, random_spec
+from de_reference import de_step_per_type
+from poisson_reference import poisson_tail, tail_integral
+from tree_reference import total_progeny_samples, total_progeny_second_moment
 
 
 def report(num: int, name: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -172,7 +170,7 @@ def test_08_per_type_vs_collapsed():
                 xt[i, t - 1] = 1.0
         for _ in range(10):
             x = de.de_step(spec, x, c)
-            xt = de.de_step_per_type(spec, xt, c)
+            xt = de_step_per_type(spec, xt, c)
             agg = np.zeros(spec.num_positions)
             for i, dist in enumerate(spec.tau):
                 for t, w in dist.support():
@@ -206,15 +204,15 @@ def test_09_branching_oracle_matches_de():
 
 def test_10_progeny_second_moment():
     start = time.perf_counter()
-    ok = branching.total_progeny_second_moment(1.0, 2) == 14.0
+    ok = total_progeny_second_moment(1.0, 2) == 14.0
     for c in (0.3, 1.0, 2.0, 9.0):
-        ok = ok and branching.total_progeny_second_moment(c, 0) == 1.0
+        ok = ok and total_progeny_second_moment(c, 0) == 1.0
     details = ["T2(1,2)=14 exact", "T2(c,0)=1"]
     for c, ell in ((0.5, 3), (2.0, 3)):
-        samples = branching.total_progeny_samples(c, ell, trees=1_000_000, seed=1005)
+        samples = total_progeny_samples(c, ell, trees=1_000_000, seed=1005)
         sq = samples**2
         se = float(sq.std(ddof=1) / math.sqrt(sq.size))
-        gap = abs(float(sq.mean()) - branching.total_progeny_second_moment(c, ell))
+        gap = abs(float(sq.mean()) - total_progeny_second_moment(c, ell))
         ok = ok and gap <= 3 * se
         details.append(f"(c={c},l={ell}): {gap / se:.2f}se")
     elapsed = time.perf_counter() - start
@@ -240,8 +238,8 @@ def test_11_integral_identity():
 
 def test_12_demo_graph_fixture():
     start = time.perf_counter()
-    weak = graphsim.peel(graphsim.hpc_demo_graph(1))
-    strong = graphsim.peel(graphsim.hpc_demo_graph(2))
+    weak = graphsim.peel(hpc_demo_graph(1))
+    strong = graphsim.peel(hpc_demo_graph(2))
     ok = (weak.removed_per_round == (2,) and weak.rounds_run == 1
           and weak.failed_fraction == 0.6
           and strong.removed_per_round == (3, 2) and strong.rounds_run == 2

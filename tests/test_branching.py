@@ -7,20 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpclab import de
-from gpclab.branching import (
-    TreeSizeLimit,
-    survival_mc,
-    total_progeny_samples,
-    total_progeny_second_moment,
-)
+from gpclab.branching import TreeSizeLimit, survival_mc
 from gpclab.codespec import GpcSpec, preset_hpc, preset_pc, preset_staircase
 from gpclab.graphsim import peel, sample_residual
 from gpclab.poisson import CapabilityDistribution
+from de_reference import de_step_per_type
 from tree_reference import (
     TypedTree,
     peel_tree,
     reference_survival_mc,
     sample_tree,
+    total_progeny_samples,
+    total_progeny_second_moment,
     tree_to_graph,
 )
 
@@ -164,7 +162,7 @@ class TestSurvivalMc:
             for t, _ in dist.support():
                 x_typed[i, t - 1] = 1.0
         for _ in range(ell - 1):
-            x_typed = de.de_step_per_type(spec, x_typed, c)
+            x_typed = de_step_per_type(spec, x_typed, c)
         # z per type: P(Pois(arg) >= t+1) with the same aggregated argument
         from poisson_reference import poisson_tail
 

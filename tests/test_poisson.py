@@ -11,10 +11,9 @@ from gpclab.poisson import (
     initial_loss,
     initial_loss_mixture,
     poisson_tail_table,
-    tail_integral,
 )
 from conftest import MIX_TBAR7
-from poisson_reference import poisson_tail, poisson_tail_block
+from poisson_reference import poisson_tail, poisson_tail_block, tail_integral
 
 
 def mp_pmf(i: int, lam: float) -> float:

@@ -31,8 +31,13 @@ def test_threshold_frontier(tmp_path):
     comment = lines.index("# regular point-mass thresholds: t,c_star,gap")
     assert comment == 10  # one row per c on the default grid of nine
     assert len(lines) == comment + 7  # regular capabilities 3..8
-    for line in lines[1:comment]:
-        assert len(line.split(",")) == 5
+    rows = {float(line.split(",")[0]): line.split(",") for line in lines[1:comment]}
+    assert all(len(row) == 5 for row in rows.values())
+    # t_bar and gap of the LP optimum at c = 13.4 (M = 100, t <= 20)
+    assert float(rows[13.4][1]) == 6.991692327599304
+    assert float(rows[13.4][2]) == 0.583384655198607
+    # no mixture with t <= 20 decodes at c = 32: every LP column is nan
+    assert rows[32.0][1:4] == ["nan", "nan", "nan"]
 
 
 def test_iteration_curves(tmp_path):
