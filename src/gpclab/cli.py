@@ -98,11 +98,23 @@ def _merge(config: dict, args, keys: list[str]) -> dict:
     return config
 
 
+def _number(config: dict, key: str, default: float, kind: type = float):
+    """config[key] (default when absent) read as ``kind``, int or float."""
+    value = config.get(key, default)
+    try:
+        if not isinstance(value, bool):  # JSON true and false are not numbers
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise InputError(f"config field {key!r} must be {what}, got {json.dumps(value)}")
+
+
 def _jobs(config: dict, args) -> int:
     if getattr(args, "jobs", None) is not None:
         return args.jobs
     if config.get("jobs") is not None:
-        return int(config["jobs"])
+        return _number(config, "jobs", 1, int)
     env = os.environ.get("GPCLAB_JOBS")
     if env:
         return int(env)
@@ -135,8 +147,8 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
 def cmd_de(args) -> int:
     config = _merge(_load_config(args.config), args, ["spec", "c", "ell"])
     spec = _resolve_spec(config)
-    c = float(config.get("c", 1.0))
-    ell = int(config.get("ell", de.DEFAULT_ELL_MAX))
+    c = _number(config, "c", 1.0)
+    ell = _number(config, "ell", de.DEFAULT_ELL_MAX, int)
     schedule = _schedule(config, spec.num_positions)
     traj = de.de_run(spec, c, ell_max=ell, schedule=schedule)
     _emit(traj.to_csv_rows(), config, args)
@@ -146,7 +158,7 @@ def cmd_de(args) -> int:
 def cmd_threshold(args) -> int:
     config = _merge(_load_config(args.config), args, ["spec", "bracket_tol"])
     spec = _resolve_spec(config)
-    result = de.threshold(spec, bracket_tol=float(config.get("bracket_tol", 0.01)))
+    result = de.threshold(spec, bracket_tol=_number(config, "bracket_tol", 0.01))
     rows = [["spec_hash", "c_star", "bracket_lo", "bracket_hi", "bracket_width"],
             [spec_hash(spec)] + [repr(v) for v in (result.c_star, result.bracket_lo,
                                                    result.bracket_hi, result.bracket_width)]]
@@ -179,10 +191,10 @@ def cmd_simulate(args) -> int:
     spec = _resolve_spec(config)
     stats = graphsim.monte_carlo(
         spec,
-        c=float(config.get("c", 1.0)),
-        ell=int(config.get("ell", 100)),
-        trials=int(config.get("trials", 100)),
-        master_seed=int(config.get("seed", 0)),
+        c=_number(config, "c", 1.0),
+        ell=_number(config, "ell", 100, int),
+        trials=_number(config, "trials", 100, int),
+        master_seed=_number(config, "seed", 0, int),
         jobs=_jobs(config, args),
     )
     rows = [
@@ -205,12 +217,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     config = _merge(_load_config(args.config), args, ["c", "grid", "t_min", "t_max"])
-    c = float(config.get("c", 10.0))
+    c = _number(config, "c", 10.0)
     problem = optimizer.build_lp(
         c,
-        grid_m=int(config.get("grid", 1000)),
-        t_max=int(config.get("t_max", 50)),
-        t_min=int(config.get("t_min", 1)),
+        grid_m=_number(config, "grid", 1000, int),
+        t_max=_number(config, "t_max", 50, int),
+        t_min=_number(config, "t_min", 1, int),
     )
     solution = optimizer.solve(problem)
     if solution.status == optimizer.STATUS_INFEASIBLE:
@@ -236,10 +248,10 @@ def cmd_oracle(args) -> int:
         _load_config(args.config), args, ["spec", "c", "ell", "trees", "seed"]
     )
     spec = _resolve_spec(config)
-    c = float(config.get("c", 1.0))
-    ell = int(config.get("ell", 4))
-    trees = int(config.get("trees", 100000))
-    seed = int(config.get("seed", 0))
+    c = _number(config, "c", 1.0)
+    ell = _number(config, "ell", 4, int)
+    trees = _number(config, "trees", 100000, int)
+    seed = _number(config, "seed", 0, int)
     rows = [["ell", "z_de", "z_mc", "stderr", "diff_over_se", "cp95_bound"]]
     traj = de.de_run(spec, c, ell_max=ell)
     for depth in range(1, ell + 1):

@@ -6,8 +6,11 @@ peeling process: every round removes all vertices whose current degree is at
 most their capability.  Peeling keeps degrees incrementally on a CSR
 incidence, so a round reads only the edges of the vertices it removes: O(E)
 edge work over the whole run for E edges, plus one O(n) scan of the vertex
-flags per round.  A sequential removal oracle over the same incidence backs
-the tests.
+flags per round.  The core oracle removes vertices over the same incidence in
+batches by colour class (vertex index mod 2), a different order from the
+parallel rounds.  Removal only lowers degrees, so every batch is a legal
+sequential removal and both orders end at the same core, which the tests
+check; the oracle costs the same O(E) edge work plus one O(n) scan per batch.
 """
 
 from __future__ import annotations
@@ -210,6 +213,13 @@ def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return start, ends[order ^ 1], order // 2
 
 
+def _slots(start: np.ndarray, gone: np.ndarray) -> np.ndarray:
+    """The incidence slots of the vertices ``gone``, vertex after vertex."""
+    lo = start[gone]
+    size = start[gone + 1] - lo
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 def _peel(
     graph: ResidualGraph, masks: Iterable[np.ndarray], stop_when_idle: bool
 ) -> PeelingResult:
@@ -227,9 +237,7 @@ def _peel(
         if stop_when_idle and gone.size == 0:
             break
         alive[gone] = False
-        lo = start[gone]
-        size = start[gone + 1] - lo
-        slots = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        slots = _slots(start, gone)
         edge_alive[eid[slots]] = False
         # a slot reaching a live neighbour holds a live edge; degrees of dead
         # vertices are never read again, so every slot may count
@@ -273,23 +281,30 @@ def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
 
 
 def core_oracle(graph: ResidualGraph) -> np.ndarray:
-    """Sequential-removal fixpoint: keep deleting any one vertex with degree
-    at most its capability until none qualifies.  Monotone peeling is
-    confluent, so this equals the parallel fixpoint exactly."""
+    """The generalized core: the largest vertex set in which every vertex has
+    more neighbours than its capability.
+
+    Removes vertices in batches by colour class (vertex index mod 2) until
+    neither class has a removable one.  Removal only lowers degrees, so any
+    set of removable vertices may go in any sequence: each batch is a legal
+    sequential order, different from the parallel rounds of `peel`, and both
+    end at the core (k-core confluence).  Cost: O(E) edge work over the run
+    plus one O(n) scan per batch.
+    """
+    n = graph.num_vertices
     start, nbr, _ = _incidence(graph)
-    # slack = degree - capability; a vertex is queued once its slack reaches
-    # 0 and never decremented after, so survivors are those with slack > 0
-    slack = (np.diff(start) - graph.vertex_capability).tolist()
-    start, nbr = start.tolist(), nbr.tolist()
-    stack = [v for v, s in enumerate(slack) if s <= 0]
-    while stack:
-        v = stack.pop()  # each vertex is queued at most once
-        for u in nbr[start[v] : start[v + 1]]:
-            if slack[u] > 0:
-                slack[u] -= 1
-                if slack[u] == 0:
-                    stack.append(u)
-    return np.flatnonzero(np.array(slack) > 0)
+    # slack = degree - capability: a live vertex is removable at slack <= 0,
+    # and a removed vertex's slack is never read again
+    slack = np.diff(start) - graph.vertex_capability
+    alive = np.ones(n, dtype=bool)
+    colour, idle = 0, 0
+    while idle < 2:  # stop once both classes come up empty in a row
+        gone = colour + 2 * np.flatnonzero(alive[colour::2] & (slack[colour::2] <= 0))
+        alive[gone] = False
+        slack -= np.bincount(nbr[_slots(start, gone)], minlength=n)
+        idle = 0 if gone.size else idle + 1
+        colour ^= 1
+    return np.flatnonzero(alive)
 
 
 def _mc_trial(args: tuple) -> tuple[float, float, float]:

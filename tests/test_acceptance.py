@@ -15,6 +15,7 @@ from gpclab.codespec import preset_hpc, preset_staircase
 from gpclab.poisson import CapabilityDistribution, initial_loss
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, hpc_demo_graph, random_spec
 from de_reference import de_step_per_type
+from graph_reference import reference_core_oracle
 from poisson_reference import poisson_tail, tail_integral
 from tree_reference import total_progeny_samples, total_progeny_second_moment
 
@@ -149,8 +150,9 @@ def test_07_core_confluence():
         c = float(rng.uniform(1.0, 8.0))
         graph = graphsim.sample_residual(spec, min(c, spec.n - 1), seed=k)
         parallel = graphsim.peel(graph).survivors
-        sequential = graphsim.core_oracle(graph)
-        ok = ok and np.array_equal(parallel, sequential)
+        batched = graphsim.core_oracle(graph)
+        sequential = reference_core_oracle(graph)
+        ok = ok and np.array_equal(parallel, batched) and np.array_equal(batched, sequential)
     elapsed = time.perf_counter() - start
     report(7, "core-confluence", ok, "200 instances, exact set equality",
            elapsed, 10.0)

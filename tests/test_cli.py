@@ -366,6 +366,39 @@ class TestOracleCmd:
         assert float(row[5]) == pytest.approx(bound, rel=1e-15)
 
 
+class TestConfigNumbers:
+    @pytest.mark.parametrize("value", [[1], {"v": 1}, "x", True],
+                             ids=["list", "object", "string", "bool"])
+    @pytest.mark.parametrize("command,field", [
+        ("de", "c"), ("de", "ell"), ("threshold", "bracket_tol"),
+        ("simulate", "c"), ("simulate", "ell"), ("simulate", "trials"),
+        ("simulate", "seed"), ("simulate", "jobs"),
+        ("optimize", "c"), ("optimize", "grid"), ("optimize", "t_max"), ("optimize", "t_min"),
+        ("oracle", "c"), ("oracle", "ell"), ("oracle", "trees"), ("oracle", "seed"),
+    ])
+    def test_wrong_type_names_the_field(self, tmp_path, capsys, command, field, value):
+        # a list used to end in "TypeError: float() argument must be ...",
+        # and true used to run as 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        if command != "optimize":
+            argv += ["--spec", write_spec(tmp_path, preset_hpc(50, 2))]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field!r} must be ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_infinite_integer_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"ell": Infinity}')
+        argv = ["de", "--config", str(cfg), "--spec", write_spec(tmp_path, preset_hpc(50, 2)),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: config field 'ell' must be an integer, got Infinity\n")
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["de", "--seed", "1"],

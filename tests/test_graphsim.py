@@ -19,6 +19,7 @@ from gpclab.graphsim import (
     sample_residual,
 )
 from conftest import hpc_demo_graph, random_spec
+from graph_reference import reference_core_oracle
 
 
 def make_graph(edges, caps):
@@ -372,30 +373,64 @@ class TestScheduledPeeling:
         assert result.failed_fraction == 0.0
 
 
+def assert_core(graph):
+    """The package oracle, the stack reference and `peel` agree; returns the core."""
+    core = core_oracle(graph)
+    assert np.array_equal(core, reference_core_oracle(graph))
+    assert np.array_equal(core, peel(graph).survivors)
+    return core
+
+
 class TestCoreOracle:
     def test_cycle_is_two_core(self):
         edges = [(i, (i + 1) % 5) for i in range(5)]
-        surv = core_oracle(make_graph(edges, [1] * 5))
-        assert surv.tolist() == [0, 1, 2, 3, 4]
+        assert assert_core(make_graph(edges, [1] * 5)).tolist() == [0, 1, 2, 3, 4]
 
     def test_tree_fully_peels(self):
         edges = [(0, 1), (1, 2), (2, 3), (1, 4)]
-        assert core_oracle(make_graph(edges, [1] * 5)).size == 0
+        assert assert_core(make_graph(edges, [1] * 5)).size == 0
+
+    def test_empty_graph(self):
+        core = assert_core(make_graph([], []))
+        assert core.size == 0 and core.dtype == np.int64
+
+    def test_vertices_without_edges(self):
+        # degree 0 is at most any capability, 0 included
+        assert assert_core(make_graph([], [0, 1, 3, 0])).size == 0
+
+    def test_capability_zero(self):
+        # a capability-0 vertex goes only once it has no neighbour left: the
+        # triangle of them stays; the star centre goes after its leaves
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6)]
+        core = assert_core(make_graph(edges, [0, 0, 0, 0, 1, 1, 1]))
+        assert core.tolist() == [0, 1, 2]
+
+    def test_slack_below_zero_in_one_batch(self):
+        # the odd centre 1 has slack 4 - 2 = 2; the even batch removes its
+        # four leaves at once and takes it to -2, and it must still go; the
+        # K4 on 7..10 with capability 2 is the core
+        edges = [(0, 1), (1, 2), (1, 4), (1, 6)]
+        edges += [(u, v) for u in range(7, 11) for v in range(u + 1, 11)]
+        caps = [1, 2, 1, 0, 1, 0, 1, 2, 2, 2, 2]
+        assert assert_core(make_graph(edges, caps)).tolist() == [7, 8, 9, 10]
+
+    def test_staircase_nonempty_core(self):
+        graph = sample_residual(preset_staircase(6, 600, 3), 24.0, seed=11)
+        core = assert_core(graph)
+        assert 0 < core.size < graph.num_vertices
 
     @pytest.mark.parametrize("family", range(len(REFERENCE_FAMILIES)))
     def test_matches_nonempty_parallel_core(self, family):
         spec, _, c_high = REFERENCE_FAMILIES[family]
         for seed in range(3):
             graph = sample_residual(spec, c_high, seed=seed)
-            core = core_oracle(graph)
-            assert core.size > 0
-            assert np.array_equal(core, peel(graph).survivors)
+            assert assert_core(graph).size > 0
 
     def test_matches_parallel_fixpoint(self, rng):
         for k in range(60):
             spec = random_spec(rng, n_scale=6)
             graph = sample_residual(spec, rng.uniform(1.0, 6.0), seed=300 + k)
-            assert np.array_equal(core_oracle(graph), peel(graph).survivors)
+            assert_core(graph)
 
 
 class TestMonteCarlo:
