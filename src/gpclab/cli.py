@@ -99,10 +99,13 @@ def _merge(config: dict, args, keys: list[str]) -> dict:
 
 
 def _number(config: dict, key: str, default: float, kind: type = float):
-    """config[key] (default when absent) read as ``kind``, int or float."""
+    """config[key] (default when absent) read as ``kind``, int or float; an
+    integer field takes 100.0 but not 2.7, which int() would truncate."""
     value = config.get(key, default)
     try:
         if not isinstance(value, bool):  # JSON true and false are not numbers
+            if kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError(value)
             return kind(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -128,11 +131,17 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
     if not isinstance(desc, dict):
         raise InputError(f"schedule must be a JSON object, got {type(desc).__name__}")
     kind = desc.get("type")
+
+    def integer(name: str) -> int:
+        if name not in desc:
+            raise InputError(f"{kind} schedule needs the field {name!r}")
+        return _number(desc, name, 0, int)
+
     try:
         if kind == "full":
-            return de.full_schedule(L, int(desc["steps"]))
+            return de.full_schedule(L, integer("steps"))
         if kind == "window":
-            return de.window_schedule(L, int(desc["width"]), int(desc["steps_per_slide"]))
+            return de.window_schedule(L, integer("width"), integer("steps_per_slide"))
         if kind == "explicit":
             # config uses 1-based positions, matching the x_1..x_L column names
             sets = tuple(frozenset(operator.index(p) - 1 for p in s) for s in desc["sets"])

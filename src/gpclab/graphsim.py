@@ -201,16 +201,16 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
     return _sample(spec, c, _stream_rng(seed, 0))
 
 
-def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
-    joins v to nbr[s] by edge eid[s]; a vertex lists its edges in edge order."""
+    joins v to nbr[s]; a vertex lists its neighbours in edge order."""
     ends = graph.edges.astype(np.int64).ravel()
     m = ends.size
     # the stable argsort of ends; sorting unique (end, slot) keys is faster
     order = np.sort(ends * m + np.arange(m)) % m
     start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
-    return start, ends[order ^ 1], order // 2
+    return start, ends[order ^ 1]
 
 
 def _slots(start: np.ndarray, gone: np.ndarray) -> np.ndarray:
@@ -224,32 +224,30 @@ def _peel(
     graph: ResidualGraph, masks: Iterable[np.ndarray], stop_when_idle: bool
 ) -> PeelingResult:
     """One parallel round per vertex mask, on degrees kept incrementally: a
-    round reads only the incidence slots of the vertices it removes."""
+    round reads only the incidence slots of the vertices it removes.
+
+    A vertex is removed only in a round whose mask holds it, so once its last
+    such round has passed, its failure status is its final ``alive``."""
     n = graph.num_vertices
-    start, nbr, eid = _incidence(graph)
+    start, nbr = _incidence(graph)
     deg = np.diff(start)
     alive = np.ones(n, dtype=bool)
-    edge_alive = np.ones(graph.num_edges, dtype=bool)
-    failed = np.ones(n, dtype=bool)  # before any decoding, everything fails
     removed: list[int] = []
     for mask in masks:
         gone = np.flatnonzero(alive & mask & (deg <= graph.vertex_capability))
         if stop_when_idle and gone.size == 0:
             break
         alive[gone] = False
-        slots = _slots(start, gone)
-        edge_alive[eid[slots]] = False
-        # a slot reaching a live neighbour holds a live edge; degrees of dead
-        # vertices are never read again, so every slot may count
-        deg -= np.bincount(nbr[slots], minlength=n)
+        # a live vertex's degree counts exactly its edges to live neighbours;
+        # degrees of dead vertices are never read again, so every slot may count
+        deg -= np.bincount(nbr[_slots(start, gone)], minlength=n)
         removed.append(gone.size)
-        np.copyto(failed, alive, where=mask)
         if not alive.any():
             break
     return PeelingResult(
-        failed_fraction=float(failed.sum()) / n if n else 0.0,
+        failed_fraction=float(alive.sum()) / n if n else 0.0,
         removed_per_round=tuple(removed),
-        surviving_edges=int(edge_alive.sum()),
+        surviving_edges=int(deg[alive].sum()) // 2,
         rounds_run=len(removed),
         survivors=np.nonzero(alive)[0],
     )
@@ -292,7 +290,7 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
     plus one O(n) scan per batch.
     """
     n = graph.num_vertices
-    start, nbr, _ = _incidence(graph)
+    start, nbr = _incidence(graph)
     # slack = degree - capability: a live vertex is removable at slack <= 0,
     # and a removed vertex's slack is never read again
     slack = np.diff(start) - graph.vertex_capability

@@ -6,7 +6,9 @@ LP: minimize sum_t tau_t * t subject to sum_t tau_t = 1, tau >= 0, and the
 contraction constraint discretized on a grid of M points.  Only a few grid
 rows bind at the optimum, so the LP is solved by row generation: the simplex
 sees a small subset of rows that grows by the most violated ones until the
-point satisfies the whole grid.  Solutions are post-verified on a finer grid
+point satisfies the whole grid.  Each batch of rows is appended to the last
+optimal tableau (``simplex.add_rows``), so a round costs a few dual simplex
+pivots instead of a solve from scratch.  Solutions are post-verified on a finer grid
 and by the mixture's exact threshold, since the discretization admits
 hairline supercriticality between grid points and below the first one.
 
@@ -24,7 +26,7 @@ import numpy as np
 from . import de
 from .codespec import preset_hpc
 from .poisson import CapabilityDistribution, poisson_tail_table
-from .simplex import _TOL, INFEASIBLE, OPTIMAL, SimplexResult, solve_lp
+from .simplex import _TOL, INFEASIBLE, OPTIMAL, add_rows, solve_lp
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -54,8 +56,8 @@ class LpProblem:
 class LpSolution:
     """Result of :func:`solve`, optionally refined by :func:`post_verify`.
 
-    ``pivots`` is the total over all restricted simplex solves, and
-    ``rows_used`` the number of inequality rows in the last one.
+    ``pivots`` is the total over the first restricted solve and every batch
+    of added rows, and ``rows_used`` the number of inequality rows at the end.
     """
 
     status: str
@@ -102,26 +104,19 @@ def solve(problem: LpProblem) -> LpSolution:
     """Solve the LP by row generation on the two-phase simplex.
 
     Starts from a few evenly spaced grid rows, then repeatedly adds the most
-    violated rows of the full grid and re-solves until the point satisfies
-    every row (Kelley's cutting-plane method).  The returned mixture has tiny
+    violated rows of the full grid to the optimal tableau and re-optimizes
+    with dual simplex pivots until the point satisfies every row (Kelley's
+    cutting-plane method).  The returned mixture has tiny
     negative weights clipped and is renormalized; ``raw_weights`` keeps the
     untouched solver output so the solver-side invariants stay checkable.
     """
     m = problem.a_ub.shape[0]
     active = np.zeros(m, dtype=bool)
     active[np.linspace(0, m - 1, min(_START_ROWS, m)).round().astype(int)] = True
-    pivots = 0
-    while True:
-        result: SimplexResult = solve_lp(
-            problem.objective,
-            a_ub=problem.a_ub[active],
-            b_ub=problem.b_ub[active],
-            a_eq=problem.a_eq,
-            b_eq=problem.b_eq,
-        )
-        pivots += result.pivots
-        if result.status != OPTIMAL:
-            break
+    result = solve_lp(problem.objective, a_ub=problem.a_ub[active], b_ub=problem.b_ub[active],
+                      a_eq=problem.a_eq, b_eq=problem.b_eq)
+    pivots = result.pivots
+    while result.status == OPTIMAL:
         slack = problem.b_ub - problem.a_ub @ result.x
         # rows already in the LP are never re-added, so the loop ends
         slack[active] = np.inf
@@ -129,22 +124,16 @@ def solve(problem: LpProblem) -> LpSolution:
         violated = np.flatnonzero(slack < -_TOL)
         if violated.size == 0:
             break
-        active[violated[np.argsort(slack[violated])[:_BATCH_ROWS]]] = True
-    rows_used = int(active.sum())
+        batch = violated[np.argsort(slack[violated])[:_BATCH_ROWS]]
+        active[batch] = True
+        result = add_rows(result, problem.a_ub[batch], problem.b_ub[batch])
+        pivots += result.pivots
+    common = dict(c=problem.c, grid_m=problem.grid_m, t_min=problem.t_min,
+                  t_max=problem.t_max, pivots=pivots, rows_used=int(active.sum()))
     if result.status == INFEASIBLE:
         # a subset of the rows relaxes the LP, so the full LP is infeasible too
-        return LpSolution(
-            status=STATUS_INFEASIBLE,
-            c=problem.c,
-            grid_m=problem.grid_m,
-            t_min=problem.t_min,
-            t_max=problem.t_max,
-            tau=None,
-            t_bar=None,
-            raw_weights=None,
-            pivots=pivots,
-            rows_used=rows_used,
-        )
+        return LpSolution(status=STATUS_INFEASIBLE, tau=None, t_bar=None, raw_weights=None,
+                          **common)
     if result.status != OPTIMAL:
         raise RuntimeError(f"simplex failed: {result.status}")
     raw = result.x.copy()
@@ -154,18 +143,8 @@ def solve(problem: LpProblem) -> LpSolution:
     for value, w in zip(problem.ts, cleaned):
         weights[value - 1] = w
     tau = CapabilityDistribution(tuple(weights))
-    return LpSolution(
-        status=STATUS_OPTIMAL,
-        c=problem.c,
-        grid_m=problem.grid_m,
-        t_min=problem.t_min,
-        t_max=problem.t_max,
-        tau=tau,
-        t_bar=tau.mean(),
-        raw_weights=raw,
-        pivots=pivots,
-        rows_used=rows_used,
-    )
+    return LpSolution(status=STATUS_OPTIMAL, tau=tau, t_bar=tau.mean(), raw_weights=raw,
+                      **common)
 
 
 def post_verify(

@@ -1,16 +1,18 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex for small linear programs, with warm-started rows.
 
 Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  Pivoting
 uses the most-negative reduced cost, falling back to Bland's smallest-index
-rule after a run of degenerate pivots so the method cannot cycle.  Sized for
-the restricted programs of the mixture-design row generation (about 50
-variables and at most a few hundred rows); no sparsity, no revised
-formulation.
+rule after a run of degenerate pivots so the method cannot cycle.  An optimal
+result keeps its tableau, and ``add_rows`` appends further ``<=`` rows to it:
+the tableau stays dual feasible, so dual simplex pivots (Lemke 1954) repair
+primal feasibility without starting over.  Sized for the restricted programs
+of the mixture-design row generation (about 50 variables and at most a few
+hundred rows); no sparsity, no revised formulation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +27,100 @@ class CyclingError(RuntimeError):
     """Pivot budget exceeded; the instance is numerically degenerate."""
 
 
+class _Tableau:
+    """Row i of ``T`` carries B^-1 [A | b] with basic column ``basis[i]``;
+    ``red`` is [cost - cost_B B^-1 A | -objective] for the cost being
+    minimized, and only ``allowed`` columns may enter the basis."""
+
+    def __init__(self, T: np.ndarray, basis: np.ndarray, c: np.ndarray, allowed: np.ndarray):
+        self.T, self.basis, self.c, self.allowed = T, basis, c, allowed
+        self.m, self.N = T.shape[0], T.shape[1] - 1
+        self.red = np.zeros(self.N + 1)
+
+    def price(self, cost: np.ndarray) -> None:
+        red = np.zeros(self.N + 1)
+        red[: cost.size] = cost
+        for i in range(self.m):
+            cb = red[self.basis[i]]
+            if cb != 0.0:
+                red -= cb * self.T[i]
+        self.red = red
+
+    def pivot(self, row: int, col: int) -> None:
+        T = self.T
+        T[row] /= T[row, col]
+        column = T[:, col].copy()
+        column[row] = 0.0
+        T[:] -= np.outer(column, T[row])
+        rc = self.red[col]
+        if rc != 0.0:
+            self.red -= rc * T[row]
+        self.basis[row] = col
+
+    def optimize(self, budget: int, dual: bool = False) -> tuple[str, int]:
+        """Pivot until optimal: primal pivots keep b >= 0 and lower the
+        objective, dual pivots keep every allowed reduced cost >= 0 and repair
+        a negative b.  After a run of degenerate pivots both switch to Bland's
+        smallest-index rule so they cannot cycle."""
+        pivots = 0
+        degenerate_streak = 0
+        bland_after = 2 * (self.m + self.N)
+        choose = self._dual_choice if dual else self._primal_choice
+        while pivots < budget:
+            status, row, col, step = choose(degenerate_streak > bland_after)
+            if status is not None:
+                return status, pivots
+            degenerate_streak = degenerate_streak + 1 if step < 1e-12 else 0
+            self.pivot(row, col)
+            pivots += 1
+        raise CyclingError(f"exceeded {budget} pivots")
+
+    def _primal_choice(self, bland: bool) -> tuple[str | None, int, int, float]:
+        T, red = self.T, self.red
+        candidates = np.nonzero((red[:-1] < -_TOL) & self.allowed)[0]
+        if candidates.size == 0:
+            return OPTIMAL, -1, -1, 0.0
+        # most negative reduced cost; Bland: smallest index
+        col = int(candidates[0] if bland else candidates[np.argmin(red[candidates])])
+        pos = np.nonzero(T[:, col] > _TOL)[0]
+        if pos.size == 0:
+            return UNBOUNDED, -1, -1, 0.0
+        ratios = T[pos, -1] / T[pos, col]
+        best = ratios.min()
+        ties = pos[ratios <= best + 1e-12]  # smallest basis index leaves on ties
+        return None, int(ties[np.argmin(self.basis[ties])]), col, best
+
+    def _dual_choice(self, bland: bool) -> tuple[str | None, int, int, float]:
+        T, red = self.T, self.red
+        rows = np.nonzero(T[:, -1] < -_TOL)[0]
+        if rows.size == 0:
+            return OPTIMAL, -1, -1, 0.0
+        # most negative b; Bland: smallest basis index
+        row = int(rows[np.argmin(self.basis[rows] if bland else T[rows, -1])])
+        cols = np.nonzero((T[row, :-1] < -_TOL) & self.allowed)[0]
+        if cols.size == 0:
+            return INFEASIBLE, -1, -1, 0.0  # row says: nonnegative terms sum to b < 0
+        ratios = red[cols] / -T[row, cols]
+        best = ratios.min()  # smallest index enters on ties
+        return None, row, int(cols[np.argmax(ratios <= best + 1e-12)]), best
+
+    def result(self, status: str, pivots: int) -> SimplexResult:
+        if status != OPTIMAL:
+            return SimplexResult(status, None, None, pivots)
+        x_full = np.zeros(self.N)
+        x_full[self.basis] = self.T[:, -1]
+        x = x_full[: self.c.size]
+        return SimplexResult(OPTIMAL, x, float(self.c @ x), pivots, self)
+
+
 @dataclass(frozen=True)
 class SimplexResult:
     status: str
     x: np.ndarray | None
     objective: float | None
     pivots: int
+    # the optimal tableau that add_rows starts from; None unless OPTIMAL
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 def solve_lp(
@@ -43,129 +133,79 @@ def solve_lp(
 ) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-    if a_ub is not None:
-        for a, b in zip(np.atleast_2d(np.asarray(a_ub, float)), np.asarray(b_ub, float).ravel()):
-            rows.append(np.array(a, float))
-            rhs.append(float(b))
-            kinds.append("ub")
-    if a_eq is not None:
-        for a, b in zip(np.atleast_2d(np.asarray(a_eq, float)), np.asarray(b_eq, float).ravel()):
-            rows.append(np.array(a, float))
-            rhs.append(float(b))
-            kinds.append("eq")
-    m = len(rows)
+    ub, eq = ([] if a is None else list(zip(np.atleast_2d(np.asarray(a, float)),
+                                            np.asarray(r, float).ravel()))
+              for a, r in ((a_ub, b_ub), (a_eq, b_eq)))
+    m, n_slack = len(ub) + len(eq), len(ub)
     if m == 0:
         raise ValueError("no constraints")
-    A = np.array(rows, float)
-    b = np.array(rhs, float)
+    A = np.array([a for a, _ in ub + eq], float)
+    b = np.array([r for _, r in ub + eq], float)
     # normalize to b >= 0; a flipped <= row becomes a >= row (surplus + artificial)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            if kinds[i] == "ub":
-                kinds[i] = "ge"
-    n_slack = sum(k in ("ub", "ge") for k in kinds)
-    n_art = sum(k in ("eq", "ge") for k in kinds)
-    N = n + n_slack + n_art
+    flip = b < 0.0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    # every <= row owns a slack column, in row order; then the artificial
+    # columns of the equality and flipped rows, which start out basic
+    art_rows = np.flatnonzero(flip | (np.arange(m) >= n_slack))
+    art = n + n_slack + np.arange(art_rows.size)
+    N = n + n_slack + art.size
     T = np.zeros((m, N + 1))
-    T[:, :n] = A
-    T[:, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    js, ja = n, n + n_slack
-    art_cols: list[int] = []
-    for i in range(m):
-        if kinds[i] == "ub":
-            T[i, js] = 1.0
-            basis[i] = js
-            js += 1
-        elif kinds[i] == "ge":
-            T[i, js] = -1.0
-            js += 1
-            T[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-        else:
-            T[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-    art = np.array(art_cols, dtype=np.int64)
+    T[:, :n], T[:, -1] = A, b
+    basis = np.arange(n, n + m)
+    T[np.arange(n_slack), basis[:n_slack]] = np.where(flip[:n_slack], -1.0, 1.0)
+    T[art_rows, art] = 1.0
+    basis[art_rows] = art
 
-    def reduced_row(cost: np.ndarray) -> np.ndarray:
-        # red = [cost - cost_B B^-1 A | -objective]; rows carry B^-1 [A | b]
-        red = np.zeros(N + 1)
-        red[: cost.size] = cost
-        for i in range(m):
-            cb = red[basis[i]]
-            if cb != 0.0:
-                red -= cb * T[i]
-        return red
-
-    def pivot(red: np.ndarray, row: int, col: int) -> None:
-        T[row] /= T[row, col]
-        column = T[:, col].copy()
-        column[row] = 0.0
-        T[:] -= np.outer(column, T[row])
-        rc = red[col]
-        if rc != 0.0:
-            red -= rc * T[row]
-        basis[row] = col
-
-    def optimize(red: np.ndarray, allowed: np.ndarray, budget: int) -> tuple[str, int]:
-        pivots = 0
-        degenerate_streak = 0
-        bland_after = 2 * (m + N)
-        while pivots < budget:
-            candidates = np.nonzero((red[:-1] < -_TOL) & allowed)[0]
-            if candidates.size == 0:
-                return OPTIMAL, pivots
-            if degenerate_streak > bland_after:
-                col = int(candidates[0])  # Bland: smallest index
-            else:
-                col = int(candidates[np.argmin(red[candidates])])
-            column = T[:, col]
-            pos = np.nonzero(column > _TOL)[0]
-            if pos.size == 0:
-                return UNBOUNDED, pivots
-            ratios = T[pos, -1] / column[pos]
-            best = ratios.min()
-            ties = pos[ratios <= best + 1e-12]
-            row = int(ties[np.argmin(basis[ties])])  # smallest basis index on ties
-            degenerate_streak = degenerate_streak + 1 if best < 1e-12 else 0
-            pivot(red, row, col)
-            pivots += 1
-        raise CyclingError(f"exceeded {budget} pivots")
-
-    allowed = np.ones(N, dtype=bool)
+    tab = _Tableau(T, basis, c, np.ones(N, dtype=bool))
     pivots_total = 0
-    if n_art:
+    if art.size:
         phase1_cost = np.zeros(N)
         phase1_cost[art] = 1.0
-        red1 = reduced_row(phase1_cost)
-        status, p = optimize(red1, allowed, max_pivots)
+        tab.price(phase1_cost)
+        status, p = tab.optimize(max_pivots)
         pivots_total += p
         if status != OPTIMAL:
             return SimplexResult(status, None, None, pivots_total)
-        if -red1[-1] > 1e-7:
+        if -tab.red[-1] > 1e-7:
             return SimplexResult(INFEASIBLE, None, None, pivots_total)
         # pivot any zero-level artificial out of the basis
         for i in range(m):
             if basis[i] in art:
                 nz = np.nonzero(np.abs(T[i, : n + n_slack]) > _TOL)[0]
                 if nz.size:
-                    pivot(red1, i, int(nz[0]))
-        allowed[art] = False
-    red2 = reduced_row(c)
-    status, p = optimize(red2, allowed, max_pivots - pivots_total)
-    pivots_total += p
-    if status != OPTIMAL:
-        return SimplexResult(status, None, None, pivots_total)
-    x_full = np.zeros(N)
-    x_full[basis] = T[:, -1]
-    x = x_full[:n]
-    return SimplexResult(OPTIMAL, x, float(c @ x), pivots_total)
+                    tab.pivot(i, int(nz[0]))
+        tab.allowed[art] = False
+    tab.price(c)
+    status, p = tab.optimize(max_pivots - pivots_total)
+    return tab.result(status, pivots_total + p)
+
+
+def add_rows(result: SimplexResult, a_ub, b_ub, max_pivots: int = 200_000) -> SimplexResult:
+    """Re-optimize an OPTIMAL ``result`` with the rows A_ub x <= b_ub added.
+
+    Each new row gets a basic slack and has the basic columns eliminated, so
+    the appended tableau keeps its reduced costs and stays dual feasible; dual
+    simplex pivots then restore primal feasibility and a primal pass clears any
+    reduced cost that rounding left negative.  ``pivots`` counts this call
+    only; ``result`` is left as it was.
+    """
+    old = result.tableau
+    if old is None:
+        raise ValueError("add_rows needs an optimal result of solve_lp or add_rows")
+    a = np.atleast_2d(np.asarray(a_ub, float))
+    b = np.asarray(b_ub, float).ravel()
+    m, N, k = old.m, old.N, b.size
+    T = np.zeros((m + k, N + k + 1))
+    T[:m, :N], T[:m, -1] = old.T[:, :-1], old.T[:, -1]
+    T[m:, : a.shape[1]], T[m:, -1] = a, b
+    T[m:, N:-1] = np.eye(k)
+    T[m:] -= T[m:, old.basis] @ T[:m]  # old rows hold the identity on their basis
+    basis = np.concatenate([old.basis, np.arange(N, N + k)])
+    tab = _Tableau(T, basis, old.c, np.concatenate([old.allowed, np.ones(k, dtype=bool)]))
+    tab.red = np.concatenate([old.red[:-1], np.zeros(k), old.red[-1:]])
+    status, pivots = tab.optimize(max_pivots, dual=True)
+    if status == OPTIMAL:
+        status, p = tab.optimize(max_pivots - pivots)
+        pivots += p
+    return tab.result(status, pivots)

@@ -18,7 +18,7 @@ def reference_core_oracle(graph: ResidualGraph) -> np.ndarray:
     """Sequential-removal fixpoint: keep deleting any one vertex with degree
     at most its capability until none qualifies.  Monotone peeling is
     confluent, so this equals the parallel fixpoint exactly."""
-    start, nbr, _ = _incidence(graph)
+    start, nbr = _incidence(graph)
     # slack = degree - capability; a vertex is queued once its slack reaches
     # 0 and never decremented after, so survivors are those with slack > 0
     slack = (np.diff(start) - graph.vertex_capability).tolist()

@@ -399,6 +399,47 @@ class TestConfigNumbers:
             "error: config field 'ell' must be an integer, got Infinity\n")
 
 
+    @pytest.mark.parametrize("value", [2.7, 2.5, 1e-9 + 3])
+    def test_fractional_integer_rejected(self, tmp_path, capsys, value):
+        # int() used to truncate: {"ell": 2.7} ran 2 iterations and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ell": value, "c": 2.0}))
+        argv = ["de", "--config", str(cfg), "--spec", write_spec(tmp_path, preset_hpc(50, 2)),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: config field 'ell' must be an integer, got {json.dumps(value)}\n")
+
+    def test_integral_float_accepted(self, tmp_path):
+        spec_path = write_spec(tmp_path, preset_hpc(100, 4))
+        runs = []
+        for ell in ("100", "100.0"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(f'{{"ell": {ell}, "c": 5.0}}')
+            out = tmp_path / "o.csv"
+            assert main(["de", "--config", str(cfg), "--spec", spec_path,
+                         "--out", str(out)]) == EXIT_OK
+            runs.append(out.read_text().splitlines()[1:])  # past the config hash
+        assert runs[0] == runs[1] and len(runs[0]) > 2
+
+    @pytest.mark.parametrize("schedule,field", [
+        ({"type": "full", "steps": "x"}, "steps"),
+        ({"type": "window", "width": "two", "steps_per_slide": 2}, "width"),
+        ({"type": "window", "width": 2, "steps_per_slide": 1.5}, "steps_per_slide"),
+    ], ids=["full_steps", "window_width", "window_fraction"])
+    def test_schedule_field_names_the_field(self, tmp_path, capsys, schedule, field):
+        # a non-numeric string used to print "invalid literal for int() ..."
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c": 4.0, "schedule": schedule}))
+        argv = ["de", "--config", str(cfg),
+                "--spec", write_spec(tmp_path, preset_staircase(6, 36, 3)),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: config field {field!r} must be an integer, "
+            f"got {json.dumps(schedule[field])}\n")
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["de", "--seed", "1"],

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpclab import de, optimizer
+from gpclab import de, optimizer, simplex
 from gpclab.optimizer import (
     STATUS_DEGENERATE,
     STATUS_INFEASIBLE,
@@ -15,6 +15,7 @@ from gpclab.optimizer import (
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
 from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
+from lp_reference import reference_row_generation
 from poisson_reference import poisson_tail, poisson_tail_block
 
 
@@ -131,6 +132,40 @@ class TestRowGeneration:
         assert sol.rows_used == 10
         assert sol.pivots == full.pivots
         assert np.array_equal(sol.raw_weights, full.x)
+
+
+class TestWarmStart:
+    """Appending each batch of rows to the optimal tableau visits the same row
+    sets as a cold solve per round (``lp_reference``) and ends at the same
+    point."""
+
+    @pytest.mark.parametrize("t_max", [20, 50])
+    @pytest.mark.parametrize("grid_m", [100, 1000])
+    @pytest.mark.parametrize("c, t_min", [(6.0, 1), (10.0, 1), (12.86, 4), (13.4, 1),
+                                          (20.0, 1), (26.0, 1)])
+    def test_design_corpus_matches_cold_row_generation(self, monkeypatch, c, t_min,
+                                                       grid_m, t_max):
+        problem = build_lp(c, grid_m=grid_m, t_max=t_max, t_min=t_min)
+        seen = []  # the right-hand side (i + 1) / M of every row handed to the simplex
+
+        def record_solve(*args, **kwargs):
+            seen.extend(kwargs["b_ub"])
+            return simplex.solve_lp(*args, **kwargs)
+
+        def record_add(result, a_ub, b_ub):
+            seen.extend(b_ub)
+            return simplex.add_rows(result, a_ub, b_ub)
+
+        monkeypatch.setattr(optimizer, "solve_lp", record_solve)
+        monkeypatch.setattr(optimizer, "add_rows", record_add)
+        sol = solve(problem)
+        ref, ref_rows, ref_pivots = reference_row_generation(problem)
+        assert sol.status == STATUS_OPTIMAL and ref.status == OPTIMAL
+        rows = np.rint(np.array(seen) * grid_m).astype(int) - 1
+        assert sol.rows_used == ref_rows.size == rows.size
+        assert np.array_equal(np.sort(rows), ref_rows)
+        assert np.abs(sol.raw_weights - ref.x).max() <= 1e-11
+        assert sol.pivots <= ref_pivots
 
 
 class TestPostVerify:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from gpclab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from gpclab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, CyclingError, add_rows, solve_lp
 
 
 def enumerate_vertices(c, a_ub, b_ub, a_eq, b_eq):
@@ -155,3 +155,102 @@ class TestAgainstOracles:
             res = solve_lp(c[perm], a_ub[:, perm], b_ub, a_eq[:, perm], b_eq)
             assert res.status == OPTIMAL
             assert abs(res.objective - base.objective) <= 1e-9 * max(1.0, abs(base.objective))
+
+
+class TestAddRows:
+    """Rows appended to an optimal tableau and re-optimized by dual simplex
+    pivots must give what a cold solve on all the rows gives."""
+
+    def test_hand_instance(self):
+        base = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        res = add_rows(base, [[1.0, 0.0]], [0.25])
+        assert res.status == OPTIMAL
+        assert res.x == pytest.approx([0.25, 0.75], abs=1e-12)
+        assert res.objective == pytest.approx(1.75, abs=1e-12)
+        assert res.pivots == 1
+        # the result added to is left as it was
+        assert base.x == pytest.approx([1.0, 0.0], abs=1e-12)
+        again = add_rows(base, [[1.0, 0.0]], [0.25])
+        assert np.array_equal(again.x, res.x) and again.pivots == res.pivots
+
+    def test_needs_an_optimal_result(self):
+        res = solve_lp([1.0], a_ub=[[0.0]], b_ub=[-1.0])
+        assert res.status == INFEASIBLE and res.tableau is None
+        with pytest.raises(ValueError):
+            add_rows(res, [[1.0]], [1.0])
+
+    def test_random_batches_match_cold_solve_and_scipy(self, rng):
+        optimal = infeasible = 0
+        for trial in range(120):
+            n = int(rng.integers(2, 7))
+            c = rng.normal(size=n)
+            # sum_t x_t = 1 keeps every program bounded, and the starting rows
+            # admit the uniform point
+            a_eq, b_eq = np.ones((1, n)), np.array([1.0])
+            a_ub = rng.normal(size=(int(rng.integers(1, 6)), n))
+            b_ub = a_ub.mean(axis=1) + rng.uniform(0.1, 1.0, size=a_ub.shape[0])
+            res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+            assert res.status == OPTIMAL
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(1, 5))
+                a_new = rng.normal(size=(k, n))
+                b_new = rng.uniform(-0.3, 1.5, size=k)
+                res = add_rows(res, a_new, b_new)
+                a_ub, b_ub = np.vstack([a_ub, a_new]), np.concatenate([b_ub, b_new])
+                cold = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+                ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                              bounds=(0, None), method="highs")
+                assert res.status == cold.status
+                if res.status != OPTIMAL:
+                    assert res.status == INFEASIBLE and ref.status == 2
+                    infeasible += 1
+                    break
+                assert ref.status == 0
+                assert res.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                assert (a_ub @ res.x - b_ub).max() <= 1e-9
+                assert res.x.min() >= -1e-9 and abs(res.x.sum() - 1.0) <= 1e-9
+                optimal += 1
+        assert optimal > 100 and infeasible > 10
+
+    def test_degenerate_instance(self):
+        # the stalling instance of TestHandInstances with its first row added
+        # later, together with a cut x_1 <= 0.02 that moves the optimum
+        c = [-0.75, 150.0, -0.02, 6.0]
+        rows = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        b = [0.0, 0.0, 1.0]
+        base = solve_lp(c, a_ub=rows[1:], b_ub=b[1:])
+        assert base.objective == pytest.approx(-0.05, abs=1e-9)
+        cuts = [rows[0], [1.0, 0.0, 0.0, 0.0]]
+        res = add_rows(base, cuts, [0.0, 0.02])
+        cold = solve_lp(c, a_ub=rows + cuts, b_ub=b + [0.0, 0.02])
+        assert res.status == cold.status == OPTIMAL
+        assert res.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert res.objective == pytest.approx(-0.035, abs=1e-12)
+
+    def test_cuts_through_the_optimal_vertex(self, rng):
+        # rows tight at the current optimum leave zero right-hand sides: every
+        # ratio ties, and the optimum must stay where it is
+        n = 6
+        c = rng.normal(size=n)
+        a_ub, b_ub = rng.normal(size=(4, n)), rng.uniform(0.5, 2.0, size=4)
+        a_eq, b_eq = np.ones((1, n)), np.array([1.0])
+        base = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        a_new = np.vstack([a_ub, rng.normal(size=(3, n))])
+        res = add_rows(base, a_new, a_new @ base.x)
+        assert res.status == OPTIMAL
+        assert res.objective == pytest.approx(base.objective, abs=1e-12)
+
+    def test_cut_that_empties_the_feasible_set(self):
+        # sum_t x_t = 1 cannot meet sum_t x_t >= 2
+        n = 5
+        base = solve_lp(np.arange(1.0, n + 1), a_ub=np.eye(n), b_ub=np.full(n, 0.5),
+                        a_eq=np.ones((1, n)), b_eq=[1.0])
+        assert base.status == OPTIMAL
+        res = add_rows(base, -np.ones((1, n)), [-2.0])
+        assert res.status == INFEASIBLE and res.x is None and res.tableau is None
+
+    def test_pivot_budget(self):
+        base = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(CyclingError):
+            add_rows(base, [[1.0, 0.0]], [0.25], max_pivots=0)
