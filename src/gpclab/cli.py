@@ -132,10 +132,8 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
         raise InputError(f"schedule must be a JSON object, got {type(desc).__name__}")
     kind = desc.get("type")
 
-    def integer(name: str) -> int:
-        if name not in desc:
-            raise InputError(f"{kind} schedule needs the field {name!r}")
-        return _number(desc, name, 0, int)
+    def integer(name: str) -> int:  # a missing field raises KeyError, caught below
+        return _number({name: desc[name]}, name, 0, int)
 
     try:
         if kind == "full":

@@ -128,12 +128,21 @@ def solve(problem: LpProblem) -> LpSolution:
         active[batch] = True
         result = add_rows(result, problem.a_ub[batch], problem.b_ub[batch])
         pivots += result.pivots
-    common = dict(c=problem.c, grid_m=problem.grid_m, t_min=problem.t_min,
-                  t_max=problem.t_max, pivots=pivots, rows_used=int(active.sum()))
+    rows_used = int(active.sum())
     if result.status == INFEASIBLE:
         # a subset of the rows relaxes the LP, so the full LP is infeasible too
-        return LpSolution(status=STATUS_INFEASIBLE, tau=None, t_bar=None, raw_weights=None,
-                          **common)
+        return LpSolution(
+            status=STATUS_INFEASIBLE,
+            c=problem.c,
+            grid_m=problem.grid_m,
+            t_min=problem.t_min,
+            t_max=problem.t_max,
+            tau=None,
+            t_bar=None,
+            raw_weights=None,
+            pivots=pivots,
+            rows_used=rows_used,
+        )
     if result.status != OPTIMAL:
         raise RuntimeError(f"simplex failed: {result.status}")
     raw = result.x.copy()
@@ -143,8 +152,18 @@ def solve(problem: LpProblem) -> LpSolution:
     for value, w in zip(problem.ts, cleaned):
         weights[value - 1] = w
     tau = CapabilityDistribution(tuple(weights))
-    return LpSolution(status=STATUS_OPTIMAL, tau=tau, t_bar=tau.mean(), raw_weights=raw,
-                      **common)
+    return LpSolution(
+        status=STATUS_OPTIMAL,
+        c=problem.c,
+        grid_m=problem.grid_m,
+        t_min=problem.t_min,
+        t_max=problem.t_max,
+        tau=tau,
+        t_bar=tau.mean(),
+        raw_weights=raw,
+        pivots=pivots,
+        rows_used=rows_used,
+    )
 
 
 def post_verify(

@@ -21,6 +21,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _TOL = 1e-9
+_MAX_PIVOTS = 200_000  # pivot budget of one solve_lp or add_rows call
 
 
 class CyclingError(RuntimeError):
@@ -129,37 +130,66 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    max_pivots: int = 200_000,
+    max_pivots: int = _MAX_PIVOTS,
 ) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    ub, eq = ([] if a is None else list(zip(np.atleast_2d(np.asarray(a, float)),
-                                            np.asarray(r, float).ravel()))
-              for a, r in ((a_ub, b_ub), (a_eq, b_eq)))
-    m, n_slack = len(ub) + len(eq), len(ub)
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    kinds: list[str] = []
+    if a_ub is not None:
+        for a, b in zip(np.atleast_2d(np.asarray(a_ub, float)), np.asarray(b_ub, float).ravel()):
+            rows.append(np.array(a, float))
+            rhs.append(float(b))
+            kinds.append("ub")
+    if a_eq is not None:
+        for a, b in zip(np.atleast_2d(np.asarray(a_eq, float)), np.asarray(b_eq, float).ravel()):
+            rows.append(np.array(a, float))
+            rhs.append(float(b))
+            kinds.append("eq")
+    m = len(rows)
     if m == 0:
         raise ValueError("no constraints")
-    A = np.array([a for a, _ in ub + eq], float)
-    b = np.array([r for _, r in ub + eq], float)
+    A = np.array(rows, float)
+    b = np.array(rhs, float)
     # normalize to b >= 0; a flipped <= row becomes a >= row (surplus + artificial)
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    # every <= row owns a slack column, in row order; then the artificial
-    # columns of the equality and flipped rows, which start out basic
-    art_rows = np.flatnonzero(flip | (np.arange(m) >= n_slack))
-    art = n + n_slack + np.arange(art_rows.size)
-    N = n + n_slack + art.size
+    for i in range(m):
+        if b[i] < 0.0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+            if kinds[i] == "ub":
+                kinds[i] = "ge"
+    n_slack = sum(k in ("ub", "ge") for k in kinds)
+    n_art = sum(k in ("eq", "ge") for k in kinds)
+    N = n + n_slack + n_art
     T = np.zeros((m, N + 1))
-    T[:, :n], T[:, -1] = A, b
-    basis = np.arange(n, n + m)
-    T[np.arange(n_slack), basis[:n_slack]] = np.where(flip[:n_slack], -1.0, 1.0)
-    T[art_rows, art] = 1.0
-    basis[art_rows] = art
+    T[:, :n] = A
+    T[:, -1] = b
+    basis = np.empty(m, dtype=np.int64)
+    js, ja = n, n + n_slack
+    art_cols: list[int] = []
+    for i in range(m):
+        if kinds[i] == "ub":
+            T[i, js] = 1.0
+            basis[i] = js
+            js += 1
+        elif kinds[i] == "ge":
+            T[i, js] = -1.0
+            js += 1
+            T[i, ja] = 1.0
+            basis[i] = ja
+            art_cols.append(ja)
+            ja += 1
+        else:
+            T[i, ja] = 1.0
+            basis[i] = ja
+            art_cols.append(ja)
+            ja += 1
+    art = np.array(art_cols, dtype=np.int64)
 
     tab = _Tableau(T, basis, c, np.ones(N, dtype=bool))
     pivots_total = 0
-    if art.size:
+    if n_art:
         phase1_cost = np.zeros(N)
         phase1_cost[art] = 1.0
         tab.price(phase1_cost)
@@ -181,7 +211,7 @@ def solve_lp(
     return tab.result(status, pivots_total + p)
 
 
-def add_rows(result: SimplexResult, a_ub, b_ub, max_pivots: int = 200_000) -> SimplexResult:
+def add_rows(result: SimplexResult, a_ub, b_ub) -> SimplexResult:
     """Re-optimize an OPTIMAL ``result`` with the rows A_ub x <= b_ub added.
 
     Each new row gets a basic slack and has the basic columns eliminated, so
@@ -204,8 +234,8 @@ def add_rows(result: SimplexResult, a_ub, b_ub, max_pivots: int = 200_000) -> Si
     basis = np.concatenate([old.basis, np.arange(N, N + k)])
     tab = _Tableau(T, basis, old.c, np.concatenate([old.allowed, np.ones(k, dtype=bool)]))
     tab.red = np.concatenate([old.red[:-1], np.zeros(k), old.red[-1:]])
-    status, pivots = tab.optimize(max_pivots, dual=True)
+    status, pivots = tab.optimize(_MAX_PIVOTS, dual=True)
     if status == OPTIMAL:
-        status, p = tab.optimize(max_pivots - pivots)
+        status, p = tab.optimize(_MAX_PIVOTS - pivots)
         pivots += p
     return tab.result(status, pivots)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gpclab import simplex
 from gpclab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, CyclingError, add_rows, solve_lp
 
 
@@ -250,7 +251,8 @@ class TestAddRows:
         res = add_rows(base, -np.ones((1, n)), [-2.0])
         assert res.status == INFEASIBLE and res.x is None and res.tableau is None
 
-    def test_pivot_budget(self):
+    def test_pivot_budget(self, monkeypatch):
         base = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
         with pytest.raises(CyclingError):
-            add_rows(base, [[1.0, 0.0]], [0.25], max_pivots=0)
+            add_rows(base, [[1.0, 0.0]], [0.25])
