@@ -8,8 +8,8 @@ the analytic bounds used to sanity-check and design capability mixtures.
 
 Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
 positions with array operations that evaluate each position's tau-mixed
-Poisson tails in Horner form, with no tail table; the contraction check and
-the closed form read ``poisson_tail_table``.
+Poisson tails in Horner form, with no tail table; the contraction check reads
+the same Horner tails, and the closed form reads ``poisson_tail_table``.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form for position-regular specs, by continuation of the
@@ -40,9 +40,9 @@ DEFAULT_ELL_MAX = 20000
 DEFAULT_SUCCESS_EPSILON = 1e-8
 DEFAULT_X_TOLERANCE = 1e-13
 
-# Grid points per tail table in the contraction check, which bounds its
-# arrays to a few hundred kB whatever the grid size.
-SLACK_BLOCK = 1024
+# Grid points per block of the contraction check: its Horner tails hold a
+# few vectors of this length, 128 kB each, whatever the grid size.
+SLACK_BLOCK = 16384
 # Contraction slack dips smaller than this in magnitude are rounding noise:
 # each summand x - sum_t tau_t P(Pois(c x) >= t) carries O(1e-16) error.
 _NOISE_FLOOR = 1e-12
@@ -163,6 +163,13 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     return _one_step(spec, x, c)[0]
 
 
+def _tail_coefficients(tau_w: np.ndarray):
+    """rest[i, k] = sum_{t >= k} tau_t(i) for k = 0..t_max + 1 (rest[i, 0] = S_i)
+    and inv_fact[k] = 1 / k! for k = 0..t_max: the Horner tails' coefficients."""
+    rest = np.cumsum(np.pad(tau_w, ((0, 0), (1, 1)))[:, ::-1], axis=1)[:, ::-1]
+    return rest, np.cumprod(np.append(1.0, 1.0 / np.arange(1, tau_w.shape[1] + 1)))
+
+
 def _stepper(spec: GpcSpec, c: float):
     """One DE iteration as array operations over all positions.
 
@@ -178,11 +185,9 @@ def _stepper(spec: GpcSpec, c: float):
     per distinct active set.
     """
     pos = _PositionArrays(spec)
-    L, t_max, weights = spec.num_positions, spec.t_max, c * pos.nbr_w
-    # rest[i, k] = sum_{t >= k} tau_t(i), k = 0..t_max + 1, so rest[i, 0] = S_i;
+    L, weights = spec.num_positions, c * pos.nbr_w
     # coef[j, (x, z), i] = (rest[i, k + 1], rest[i, k]) / k! for k = t_max - j
-    rest = np.cumsum(np.pad(pos.tau_w, ((0, 0), (1, 1)))[:, ::-1], axis=1)[:, ::-1]
-    inv_fact = np.cumprod(np.append(1.0, 1.0 / np.arange(1, t_max + 1)))
+    rest, inv_fact = _tail_coefficients(pos.tau_w)
     coef = np.stack([rest[:, 1:], rest[:, :-1]]) * inv_fact
     coef = np.ascontiguousarray(coef.transpose(2, 0, 1)[::-1])
     z_pos = np.ones(L)
@@ -271,18 +276,22 @@ def success_condition(
     """Grid check of the single-position contraction condition.
 
     Decoding succeeds (threshold >= c) when sum_t tau_t P(Pois(c x) >= t) < x
-    on (0, 1].  The check evaluates the slack x - sum(...) at x = i/M; slack
+    on (0, 1].  The check evaluates the slack x - sum(...) at x = i/M, which
+    is x minus one single-position DE step, from ``_stepper``'s Horner tails
+    (lam = c x capped at 750, so the slack stays finite at any finite c); slack
     dips smaller than ``_NOISE_FLOOR`` in magnitude are rounding noise, so
     the verdict is min_slack > -_NOISE_FLOOR.
     """
+    _check_quality(c)
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
     min_slack, worst_x = math.inf, math.nan
-    support = tau.support()
+    rest, inv_fact = _tail_coefficients(np.array([tau.weights]))
+    coef = (rest[0, 1:] * inv_fact)[::-1]  # the x row of ``_stepper``'s coefficients
     for start in range(1, grid_points + 1, SLACK_BLOCK):
         x = np.arange(start, min(start + SLACK_BLOCK, grid_points + 1)) / grid_points
-        tails = poisson_tail_table(c * x, tau.t_max)
-        slack = x - sum(w * tails[:, t - 1] for t, w in support)
+        lam = np.minimum(c * x, 750.0)
+        slack = x - (rest[0, 0] - np.exp(-lam) * np.polyval(coef, lam))
         k = int(np.argmin(slack))
         if slack[k] < min_slack:
             min_slack, worst_x = float(slack[k]), float(x[k])

@@ -107,8 +107,9 @@ def solve(problem: LpProblem) -> LpSolution:
     violated rows of the full grid to the optimal tableau and re-optimizes
     with dual simplex pivots until the point satisfies every row (Kelley's
     cutting-plane method).  The returned mixture has tiny
-    negative weights clipped and is renormalized; ``raw_weights`` keeps the
-    untouched solver output so the solver-side invariants stay checkable.
+    negative weights clipped, is renormalized and stops at its largest
+    supported capability (``t_max`` stays the LP's bound); ``raw_weights`` keeps
+    the untouched solver output so the solver-side invariants stay checkable.
     """
     m = problem.a_ub.shape[0]
     active = np.zeros(m, dtype=bool)
@@ -148,9 +149,9 @@ def solve(problem: LpProblem) -> LpSolution:
     raw = result.x.copy()
     cleaned = np.clip(raw, 0.0, None)
     cleaned /= cleaned.sum()
-    weights = np.zeros(problem.t_max)
-    for value, w in zip(problem.ts, cleaned):
-        weights[value - 1] = w
+    n = int(np.flatnonzero(cleaned > 0.0)[-1]) + 1  # variables up to the largest supported t
+    weights = np.zeros(int(problem.ts[n - 1]))
+    weights[problem.ts[:n] - 1] = cleaned[:n]
     tau = CapabilityDistribution(tuple(weights))
     return LpSolution(
         status=STATUS_OPTIMAL,

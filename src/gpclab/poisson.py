@@ -2,8 +2,8 @@
 
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
-``poisson_tail_table`` is the tail kernel of the contraction check, the
-threshold and the LP rows; a DE step evaluates tau-mixed tails in Horner form.
+``poisson_tail_table`` is the tail kernel of the threshold and the LP rows; a
+DE step and the contraction check evaluate tau-mixed tails in Horner form.
 """
 
 from __future__ import annotations

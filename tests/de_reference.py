@@ -36,7 +36,7 @@ import numpy as np
 
 from gpclab import de
 from gpclab.codespec import GpcSpec, erasure_scaling, mean_capability
-from gpclab.poisson import poisson_tail_table
+from gpclab.poisson import CapabilityDistribution, poisson_tail_table
 from poisson_reference import poisson_tail_block
 
 NOISE_FLOOR = 1e-12
@@ -113,6 +113,26 @@ def reference_de_run(
     return de.DeTrajectory(
         x=np.array(xs), z=np.array(zs), iterations_run=len(xs) - 1, verdict=verdict
     )
+
+
+def reference_success_condition(
+    tau: CapabilityDistribution, c: float, grid_points: int = 10000
+) -> de.SuccessCheck:
+    """``de.success_condition`` from a tail table per block of ``BLOCK`` grid
+    points: the slack x - sum_t tau_t P(Pois(c x) >= t) at x = i / grid_points,
+    i = 1..grid_points, with the same verdict min_slack > -NOISE_FLOOR."""
+    if grid_points < 2:
+        raise ValueError("need at least 2 grid points")
+    min_slack, worst_x = math.inf, math.nan
+    support = tau.support()
+    for start in range(1, grid_points + 1, BLOCK):
+        x = np.arange(start, min(start + BLOCK, grid_points + 1)) / grid_points
+        tails = poisson_tail_table(c * x, tau.t_max)
+        slack = x - sum(w * tails[:, t - 1] for t, w in support)
+        k = int(np.argmin(slack))
+        if slack[k] < min_slack:
+            min_slack, worst_x = float(slack[k]), float(x[k])
+    return de.SuccessCheck(min_slack > -NOISE_FLOOR, min_slack, worst_x)
 
 
 def _slack_dips_below_floor(spec: GpcSpec, c: float, top: float) -> bool:

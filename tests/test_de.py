@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpclab import de
+from gpclab import de, optimizer
 from gpclab.codespec import (
     GpcSpec,
     erasure_scaling,
@@ -19,6 +21,7 @@ from de_reference import (
     de_step_per_type,
     failure_probability,
     reference_de_run,
+    reference_success_condition,
     reference_threshold,
 )
 from poisson_reference import poisson_tail, poisson_tail_block
@@ -280,6 +283,11 @@ class TestNonFiniteQuality:
     def test_run_rejected(self, c):
         with time_limit(10), pytest.raises(ValueError, match="finite"):
             de.de_run(preset_staircase(6, 36, 3), c)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
+    def test_success_condition_rejected(self, c):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            de.success_condition(CapabilityDistribution.point_mass(4), c)
 
 
 class TestVectorPath:
@@ -738,6 +746,26 @@ class TestBounds:
         # never asserted against measured mixtures: diagnostic only
 
 
+@functools.lru_cache(maxsize=None)
+def _designed_mixture(c, t_min):
+    return optimizer.solve(optimizer.build_lp(c, 1000, 50, t_min)).tau
+
+
+# mixtures for the Horner contraction slack: point masses, the benchmark's
+# three designs (M = 1000, t <= 50), the c = 13.4 design zero-padded to t = 50
+# as the LP returned it before trimming, and capabilities up to 64
+SLACK_MIXTURES = {
+    **{f"point_mass_{t}": functools.partial(CapabilityDistribution.point_mass, t)
+       for t in (1, 4, 11, 64)},
+    **{f"design_c{c}_tmin{t_min}": functools.partial(_designed_mixture, c, t_min)
+       for c, t_min in ((13.4, 1), (12.86, 4), (10.0, 1))},
+    "design_c13.4_padded": lambda: CapabilityDistribution(
+        _designed_mixture(13.4, 1).weights + (0.0,) * 39),
+    "spread_to_64": lambda: CapabilityDistribution.from_dict(
+        {2: 0.3, 17: 0.2, 40: 0.2, 64: 0.3}),
+}
+
+
 class TestSuccessCondition:
     def test_uniform_at_design_point(self):
         for n in (4, 8, 12):
@@ -782,6 +810,27 @@ class TestSuccessCondition:
         check = de.success_condition(tau, c, grid_points=grid)
         assert check.worst_x == worst_x
         assert check.min_slack == pytest.approx(min_slack, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.5, 6.0, 13.4, 128.0])
+    @pytest.mark.parametrize("name", sorted(SLACK_MIXTURES))
+    def test_horner_slack_matches_tail_table(self, name, c):
+        tau = SLACK_MIXTURES[name]()
+        for grid in (2, de.SLACK_BLOCK - 1, de.SLACK_BLOCK, de.SLACK_BLOCK + 1, 10000):
+            check = de.success_condition(tau, c, grid_points=grid)
+            ref = reference_success_condition(tau, c, grid_points=grid)
+            assert check.ok == ref.ok
+            assert check.worst_x == ref.worst_x
+            assert check.min_slack == pytest.approx(ref.min_slack, abs=1e-15)
+
+    @pytest.mark.parametrize("grid", [2, 100])
+    @pytest.mark.parametrize("c", [1e8, 1e300])
+    def test_huge_rate_stays_finite(self, c, grid):
+        # uncapped, lam = c x makes p(lam) overflow to inf and the slack NaN,
+        # which would read as ok with min_slack inf
+        tau = CapabilityDistribution.point_mass(64)
+        check = de.success_condition(tau, c, grid_points=grid)
+        assert np.isfinite(check.min_slack) and not check.ok
+        assert check == reference_success_condition(tau, c, grid_points=grid)
 
     @given(
         st.integers(min_value=1, max_value=12),

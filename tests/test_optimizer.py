@@ -15,6 +15,7 @@ from gpclab.optimizer import (
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture
 from gpclab.simplex import INFEASIBLE, OPTIMAL, solve_lp
 from conftest import MIX_TBAR7_MIN4
+from de_reference import reference_success_condition
 from lp_reference import reference_row_generation
 from poisson_reference import poisson_tail, poisson_tail_block
 
@@ -218,6 +219,40 @@ class TestPostVerify:
         )
         with pytest.raises(ValueError):
             post_verify(sol)
+
+
+class TestDesignRegression:
+    """The designs of ROADMAP's defect table, pinned from before the designed
+    mixture was trimmed to its support and the contraction check moved to the
+    Horner tails: only ``tau.t_max`` moves, and the closed-form threshold by
+    rounding (its tails sum fewer zero-weight columns)."""
+
+    @pytest.mark.parametrize("c, grid_m, t_max, top, t_bar, support, pivots, rows, threshold", [
+        (10.0, 1000, 50, 8, 5.302505235031085,
+         {1: 0.1002082466932368, 2: 0.057824516727593034, 3: 0.23734868623316493,
+          7: 0.46234650658487403, 8: 0.1422720437611312}, 23, 60, 9.979218617218772),
+        (6.0, 200, 10, 5, 3.3264473623868027,
+         {1: 0.16757828421081408, 2: 0.1072108501309555, 4: 0.6816069503770741,
+          5: 0.04360391528115623}, 21, 30, 5.967360303928142),
+        (6.0, 1000, 50, 5, 3.3268391857342534,
+         {1: 0.16684250788508068, 2: 0.10832588065531243, 4: 0.6808131407594861,
+          5: 0.04401847070012077}, 24, 40, 5.993676393840767),
+        (13.4, 1000, 50, 11, 6.991798763126033,
+         {1: 0.07036102516659071, 2: 0.1027499287456783, 4: 0.11560579142587102,
+          5: 0.17808375307431146, 10: 0.5020985680699903, 11: 0.03110093351755823},
+         54, 91, 13.399987938850076),
+    ])
+    def test_design_pinned(self, c, grid_m, t_max, top, t_bar, support, pivots, rows,
+                           threshold):
+        sol = solve(build_lp(c, grid_m=grid_m, t_max=t_max))
+        assert sol.t_max == t_max and sol.tau.t_max == top
+        assert sol.t_bar == t_bar and sol.tau.as_dict() == support
+        assert (sol.pivots, sol.rows_used) == (pivots, rows)
+        verified = post_verify(sol)
+        assert verified.status == STATUS_DEGENERATE
+        assert verified.verified_threshold == pytest.approx(threshold, rel=1e-13, abs=0.0)
+        ref = reference_success_condition(sol.tau, c, grid_points=10 * grid_m)
+        assert verified.fine_grid_min_slack == pytest.approx(ref.min_slack, abs=1e-15)
 
 
 class TestSweep:
