@@ -46,6 +46,7 @@ SLACK_BLOCK = 16384
 # Contraction slack dips smaller than this in magnitude are rounding noise:
 # each summand x - sum_t tau_t P(Pois(c x) >= t) carries O(1e-16) error.
 _NOISE_FLOOR = 1e-12
+_LAM_CAP = 750.0  # Horner tails cap lam here: e^-lam is 0 and p(lam) stays finite
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _stepper(spec: GpcSpec, c: float):
 
     def step(x, active):
         nonlocal z_pos
-        lam = np.minimum(np.einsum("ij,ij->i", weights, x[pos.nbr]), 750.0)
+        lam = np.minimum(np.einsum("ij,ij->i", weights, x[pos.nbr]), _LAM_CAP)
         tails = coef[0].copy()
         for row in coef[1:]:
             tails *= lam
@@ -290,7 +291,7 @@ def success_condition(
     coef = (rest[0, 1:] * inv_fact)[::-1]  # the x row of ``_stepper``'s coefficients
     for start in range(1, grid_points + 1, SLACK_BLOCK):
         x = np.arange(start, min(start + SLACK_BLOCK, grid_points + 1)) / grid_points
-        lam = np.minimum(c * x, 750.0)
+        lam = np.minimum(c * x, _LAM_CAP)
         slack = x - (rest[0, 0] - np.exp(-lam) * np.polyval(coef, lam))
         k = int(np.argmin(slack))
         if slack[k] < min_slack:

@@ -106,10 +106,9 @@ def solve(problem: LpProblem) -> LpSolution:
     Starts from a few evenly spaced grid rows, then repeatedly adds the most
     violated rows of the full grid to the optimal tableau and re-optimizes
     with dual simplex pivots until the point satisfies every row (Kelley's
-    cutting-plane method).  The returned mixture has tiny
-    negative weights clipped, is renormalized and stops at its largest
-    supported capability (``t_max`` stays the LP's bound); ``raw_weights`` keeps
-    the untouched solver output so the solver-side invariants stay checkable.
+    cutting-plane method).  The returned mixture has tiny negative weights
+    clipped, is renormalized and stops at its largest supported capability;
+    ``raw_weights`` keeps the untouched solver output for the solver's invariants.
     """
     m = problem.a_ub.shape[0]
     active = np.zeros(m, dtype=bool)
