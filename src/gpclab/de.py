@@ -9,7 +9,10 @@ the analytic bounds used to sanity-check and design capability mixtures.
 Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
 positions with array operations that evaluate each position's tau-mixed
 Poisson tails in Horner form, with no tail table; the contraction check reads
-the same Horner tails, and the closed form reads ``poisson_tail_table``.
+the same Horner tails, and the closed form reads ``poisson_tail_table``.  A
+step runs Horner on mu = -lam and writes in place; ``de_run`` checks its
+stopping rules once per block of ``_BLOCK`` iterations, so it computes and
+discards up to ``_BLOCK - 1`` iterations, and nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form for position-regular specs, by continuation of the
@@ -19,6 +22,7 @@ branch of fixed points for all others.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -47,6 +51,7 @@ SLACK_BLOCK = 16384
 # each summand x - sum_t tau_t P(Pois(c x) >= t) carries O(1e-16) error.
 _NOISE_FLOOR = 1e-12
 _LAM_CAP = 750.0  # Horner tails cap lam here: e^-lam is 0 and p(lam) stays finite
+_BLOCK = 16  # DE iterations between two checks of the stopping rules
 
 
 @dataclass(frozen=True)
@@ -123,28 +128,37 @@ def _check_quality(c: float) -> None:
 
 
 class _PositionArrays:
-    """Neighbour lists padded to the largest degree (padding weight 0) and
-    capability weights zero-padded to the spec's t_max, as arrays."""
+    """Neighbour lists padded to the largest degree d (padding weight 0) and
+    stored transposed, as (d, L) arrays, and capability weights zero-padded to
+    the largest t with positive weight at any position."""
 
-    __slots__ = ("nbr", "nbr_w", "tau_w", "gamma", "t_max")
+    __slots__ = ("nbr", "nbr_w", "tau_w")
 
     def __init__(self, spec: GpcSpec):
-        L, self.t_max = spec.num_positions, spec.t_max
+        L = spec.num_positions
         rows, cols = np.nonzero(spec.eta)
         degree = np.bincount(rows, minlength=L)
         slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.nbr = np.zeros((L, int(degree.max())), dtype=np.intp)
+        self.nbr = np.zeros((int(degree.max()), L), dtype=np.intp)
         self.nbr_w = np.zeros(self.nbr.shape)
-        self.nbr[rows, slot] = cols
-        self.nbr_w[rows, slot] = spec.gamma[cols]
-        self.tau_w = np.zeros((L, self.t_max))
+        self.nbr[slot, rows] = cols
+        self.nbr_w[slot, rows] = spec.gamma[cols]
+        tau_w = np.zeros((L, spec.t_max))
         for i, d in enumerate(spec.tau):
-            self.tau_w[i, : d.t_max] = d.weights
-        self.gamma = spec.gamma
+            tau_w[i, : d.t_max] = d.weights
+        self.tau_w = tau_w[:, : np.flatnonzero(tau_w.any(axis=0))[-1] + 1]
+
+    def neighbour_sum(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] * x[nbr[k]]: one gather, one multiply, d - 1 row adds."""
+        terms = x.take(self.nbr)
+        terms *= weights
+        for row in terms[1:]:
+            terms[0] += row
+        return terms[0]
 
     def means(self, x: np.ndarray, c: float) -> np.ndarray:
         """lam_i = c * sum_j eta_ij gamma_j x_j."""
-        return c * np.einsum("ij,ij->i", self.nbr_w, x[self.nbr])
+        return c * self.neighbour_sum(x, self.nbr_w)
 
 
 def _one_step(spec: GpcSpec, x: Sequence[float], c: float):
@@ -154,7 +168,9 @@ def _one_step(spec: GpcSpec, x: Sequence[float], c: float):
         raise ValueError(f"x must have shape {(spec.num_positions,)}, got {x.shape}")
     if (x < 0.0).any():
         raise ValueError("x must be nonnegative")
-    return _stepper(spec, c)(x, None)
+    new_x, z_pos = np.empty(x.shape), np.empty(x.shape)
+    _stepper(spec, c)(x, None, None, new_x, z_pos)
+    return new_x, float(spec.gamma @ z_pos)
 
 
 def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
@@ -179,44 +195,86 @@ def _stepper(spec: GpcSpec, c: float):
     x) and 1 (failure term), S_i = sum_t tau_t(i), p_i with coefficients
     (sum_{t > k - d} tau_t(i)) / k!: its constant term S_i keeps x = 0 exactly
     absorbing.  lam is capped at 750, where e^-lam is 0 and p_i(lam) finite.
+    The step carries mu = -lam (-c folded into the neighbour weights) and runs
+    Horner on mu with the odd-degree coefficients negated: each intermediate
+    is exactly minus the one on lam, so p_i(lam) is bitwise the same.
 
-    ``step(x, active)`` takes x as a float array and returns the new x
-    (positions outside ``active`` keep theirs bitwise), the failure fraction
-    z, max(x) and the largest change of x.  Schedule masks are built once
-    per distinct active set.
+    ``step(x, z_prev, active, x_out, z_out)`` writes the new x and failure
+    terms into ``x_out`` and ``z_out`` and returns nothing; positions outside
+    ``active`` (None: all active) keep x and ``z_prev`` bitwise.  Schedule
+    masks are built once per distinct active set.  Runs call it in blocks of
+    ``_BLOCK`` (see ``_blocks``), computing and discarding up to ``_BLOCK - 1``
+    iterations; nothing reported changes.
     """
     pos = _PositionArrays(spec)
-    L, weights = spec.num_positions, c * pos.nbr_w
-    # coef[j, (x, z), i] = (rest[i, k + 1], rest[i, k]) / k! for k = t_max - j
+    L, weights = spec.num_positions, -c * pos.nbr_w
+    # coef[j, (x, z), i] = (rest[i, k + 1], rest[i, k]) / k! for k = t_max - j,
+    # negated for odd k
     rest, inv_fact = _tail_coefficients(pos.tau_w)
     coef = np.stack([rest[:, 1:], rest[:, :-1]]) * inv_fact
     coef = np.ascontiguousarray(coef.transpose(2, 0, 1)[::-1])
-    z_pos = np.ones(L)
+    coef[(pos.tau_w.shape[1] + 1) % 2 :: 2] *= -1.0
+    coef = tuple(coef)  # rows, so a step iterates no array
+    total = rest[:, 0].copy()
     masks: dict[frozenset[int], np.ndarray] = {}
 
-    def step(x, active):
-        nonlocal z_pos
-        lam = np.minimum(np.einsum("ij,ij->i", weights, x[pos.nbr]), _LAM_CAP)
-        tails = coef[0].copy()
-        for row in coef[1:]:
-            tails *= lam
+    def step(x, z_prev, active, x_out, z_out):
+        mu = pos.neighbour_sum(x, weights)
+        np.maximum(mu, -_LAM_CAP, out=mu)
+        tails = coef[0] * mu
+        for row in coef[1:-1]:
             tails += row
-        tails *= np.exp(-lam)
-        np.subtract(rest[:, 0], tails, out=tails)
-        new_x, new_z = np.maximum(tails[0], 0.0), np.maximum(tails[1], 0.0)  # copies: runs keep x
-        if active is None:
-            z_pos = new_z
-        else:
+            tails *= mu
+        tails += coef[-1]
+        tails *= np.exp(mu, out=mu)
+        np.subtract(total, tails, out=tails)
+        mask = True
+        if active is not None:
             mask = masks.get(active)
             if mask is None:
                 mask = masks[active] = np.zeros(L, dtype=bool)
                 mask[list(active)] = True
-            new_x = np.where(mask, new_x, x)
-            z_pos = np.where(mask, new_z, z_pos)
-        max_change = float(np.abs(new_x - x).max())
-        return new_x, float(pos.gamma @ z_pos), float(new_x.max()), max_change
+            x_out[:], z_out[:] = x, z_prev
+        np.maximum(tails[0], 0.0, out=x_out, where=mask)
+        np.maximum(tails[1], 0.0, out=z_out, where=mask)
 
     return step
+
+
+def _blocks(spec: GpcSpec, c: float, steps: int, schedule: Schedule | None = None,
+            x_tolerance: float = DEFAULT_X_TOLERANCE,
+            success_epsilon: float = DEFAULT_SUCCESS_EPSILON):
+    """DE from x = 1 for at most ``steps`` iterations, ``_BLOCK`` at a time.
+
+    Yields per block its x rows and per-position failure terms, in arrays of
+    their own, and the verdict, None while the run goes on.  The stopping
+    rules are checked once per block, over all its rows, and the block is cut
+    at the first row that meets one: the rows and the verdict are those of a
+    check after each iteration, and up to ``_BLOCK - 1`` iterations are
+    discarded.
+    """
+    step, L = _stepper(spec, c), spec.num_positions
+    x, z_pos = np.ones((_BLOCK + 1, L)), np.ones((_BLOCK + 1, L))
+    done = 0
+    while True:
+        n = min(_BLOCK, max(steps - done, 0))
+        for k in range(1, n + 1):
+            active = None if schedule is None else schedule.active_sets[done + k - 1]
+            step(x[k - 1], z_pos[k - 1], active, x[k], z_pos[k])
+        x_max = x[1 : n + 1].max(axis=1)
+        stuck = np.abs(x[1 : n + 1] - x[:n]).max(axis=1) < x_tolerance * x_max
+        hit = (x_max <= success_epsilon) | (stuck & (schedule is None))
+        m = int(np.argmax(hit)) + 1 if hit.any() else n
+        done += m
+        verdict = ITERATION_CAP if done >= steps else None
+        if hit.any():
+            verdict = CONVERGED if x_max[m - 1] <= success_epsilon else STUCK
+        yield x[1 : m + 1], z_pos[1 : m + 1], verdict
+        if verdict is not None:
+            return
+        last = x[n], z_pos[n]  # the next block starts from this one's last row
+        x, z_pos = np.empty((_BLOCK + 1, L)), np.empty((_BLOCK + 1, L))
+        x[0], z_pos[0] = last
 
 
 def de_run(
@@ -233,7 +291,10 @@ def de_run(
     positions keep x and their per-position failure term bitwise unchanged,
     and the run executes the whole schedule (stall detection is meaningless
     while positions wait to be activated).  Each iteration updates all
-    positions as arrays, whatever L is (see ``_stepper``).
+    positions as arrays, whatever L is, in place (see ``_stepper``).  The
+    stopping rules are checked once per block of ``_BLOCK`` iterations (see
+    ``_blocks``): up to ``_BLOCK - 1`` iterations are computed and discarded,
+    and nothing reported changes.
     """
     _check_quality(c)
     L = spec.num_positions
@@ -243,26 +304,12 @@ def de_run(
         steps = min(ell_max, len(schedule))
     else:
         steps = ell_max
-    step = _stepper(spec, c)
-
-    x = np.ones(L)
-    xs = [x]
-    zs = [1.0]
-    verdict = ITERATION_CAP
-    for it in range(1, steps + 1):
-        active = schedule.active_sets[it - 1] if schedule is not None else None
-        x, z, x_max, max_change = step(x, active)
+    xs, zs = [np.ones((1, L))], [1.0]
+    for x, z_pos, verdict in _blocks(spec, c, steps, schedule, x_tolerance, success_epsilon):
         xs.append(x)
-        zs.append(z)
-        if x_max <= success_epsilon:
-            verdict = CONVERGED
-            break
-        if schedule is None and max_change < x_tolerance * x_max:
-            verdict = STUCK
-            break
-    return DeTrajectory(
-        x=np.array(xs), z=np.array(zs), iterations_run=len(xs) - 1, verdict=verdict
-    )
+        zs.extend(spec.gamma @ row for row in z_pos)  # a matrix product rounds differently
+    x = np.concatenate(xs)
+    return DeTrajectory(x=x, z=np.array(zs), iterations_run=len(x) - 1, verdict=verdict)
 
 
 class SuccessCheck(NamedTuple):
@@ -349,9 +396,11 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     """Bracket of (1/s) min(1/tau_1, min over lam > 0 of lam / F(lam)): a
     position-regular spec has nonzero fixed points x at c = lam / (s F(lam)),
     lam = c s x.  Newton on F = lam F' refines the minimum on a log grid of lam
-    up to 2 t_max + 2; beyond it lam / F >= lam exceeds the counting bound."""
+    up to 2 t + 2, t the largest capability with positive weight; beyond it
+    lam / F >= lam exceeds the counting bound."""
     w = np.asarray(tau.weights)
-    lam = np.geomspace(_LAM_MIN, 2.0 * tau.t_max + 2.0, _LAM_POINTS)
+    w = w[: np.flatnonzero(w)[-1] + 1]  # zero weights past the support cost nothing
+    lam = np.geomspace(_LAM_MIN, 2.0 * w.size + 2.0, _LAM_POINTS)
     f = _mixed_tails(lam, w, 0)[0]
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
     best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
@@ -397,11 +446,16 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
             u = u + np.linalg.solve(rows, np.append(x - f, normal @ (p - u)))
         return None
 
-    traj = de_run(spec, c)
-    if traj.verdict != STUCK:
+    def run(c: float) -> tuple[str, np.ndarray]:
+        """Verdict and final x of DE at c, keeping only the last block."""
+        ((x, _, verdict),) = deque(_blocks(spec, c, DEFAULT_ELL_MAX), maxlen=1)
+        return verdict, x[-1]
+
+    verdict, x_end = run(c)
+    if verdict != STUCK:
         raise BracketError(f"DE does not stall at the counting bound c = {c0}")
     while True:
-        u, t = on_branch(np.append(traj.final_x, c / c0), down)
+        u, t = on_branch(np.append(x_end, c / c0), down)
         h, turned = _FIRST_STEP, False
         while True:
             while (found := on_branch(u + h * t, t)) is None:
@@ -422,10 +476,10 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
                 break
             h /= 2.0
         c = max(hi - bracket_tol / 2.0, 0.0)
-        traj = de_run(spec, c)
-        if traj.verdict == CONVERGED:
+        verdict, x_end = run(c)
+        if verdict == CONVERGED:
             return c, hi
-        if traj.verdict == ITERATION_CAP:
+        if verdict == ITERATION_CAP:
             return lo, hi
 
 

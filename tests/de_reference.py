@@ -258,6 +258,7 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
     if x_typed.shape != (L, t_max):
         raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
     pos = de._PositionArrays(spec)
+    tau_w = np.pad(pos.tau_w, ((0, 0), (0, t_max - pos.tau_w.shape[1])))
     # collapse the incoming typed state per position, then fan back out
-    tails = poisson_tail_table(pos.means(np.einsum("it,it->i", pos.tau_w, x_typed), c), t_max)
-    return np.where(pos.tau_w > 0.0, tails, 0.0)
+    tails = poisson_tail_table(pos.means(np.einsum("it,it->i", tau_w, x_typed), c), t_max)
+    return np.where(tau_w > 0.0, tails, 0.0)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ class TestHornerTails:
             z = failure_probability(spec, [lam], 1.0)
             assert abs(x - w @ table[:-1]) <= 1e-14, lam
             assert abs(z - w @ table[1:]) <= 1e-14, lam
+
+    @pytest.mark.parametrize("t_max", range(1, 65))
+    def test_negated_rate_is_horner_on_the_rate(self, rng, t_max):
+        # the step runs Horner on mu = -lam with the odd-degree coefficients
+        # negated: bitwise equal to Horner on lam, and within rounding of the
+        # mixed tail table
+        tau = random_mixture(rng, t_max)
+        spec, w = self.single_position(tau), np.array(tau.weights)
+        lam = np.minimum(self.LAMS, de._LAM_CAP)
+        rest, inv_fact = de._tail_coefficients(w[None, :])
+        tails = []
+        for d in (1, 0):  # x, then the failure term
+            p = np.zeros(lam.size)
+            for a in (rest[0, d : d + tau.t_max + 1] * inv_fact)[::-1]:
+                p = p * lam + a
+            tails.append(np.maximum(rest[0, 0] - np.exp(-lam) * p, 0.0))
+        table = poisson_tail_table(np.minimum(self.LAMS, 800.0), tau.t_max + 1)
+        for k, v in enumerate(self.LAMS):
+            x, z = de._one_step(spec, [v], 1.0)
+            assert (x[0], z) == (tails[0][k], tails[1][k]), v
+            assert abs(x[0] - w @ table[k, :-1]) <= 1e-14, v
 
     @pytest.mark.parametrize("spec", [
         pytest.param(preset_hpc(1000, MIX_TBAR7, tau_assignment="random"), id="mix_tbar7"),
@@ -360,7 +382,18 @@ class TestVectorPath:
 
 
 class TestCoupledRuns:
-    """Long L = 200 chains keep their verdicts and iteration counts."""
+    """Long L = 200 chains keep their verdicts and iteration counts; a
+    staircase, whose neighbour sums add two terms, keeps its final z bitwise,
+    and a braided chain, which adds three, to rounding."""
+
+    # (final z, tolerance)
+    FINAL_Z = {
+        (preset_staircase, 5.4): (1.0339618050636546e-13, 0.0),
+        (preset_staircase, 5.6): (1.5876189252139735e-16, 0.0),
+        (preset_staircase, 6.0): (0.7876532251051086, 0.0),
+        (preset_braided, 5.5): (0.0, 1e-14),
+        (preset_braided, 6.0): (0.7853669067862823, 1e-14),
+    }
 
     @pytest.mark.parametrize("preset,c_norm,verdict,iterations", [
         (preset_staircase, 5.4, de.CONVERGED, 609),
@@ -373,16 +406,114 @@ class TestCoupledRuns:
         spec = preset(200, 2000, 3)
         traj = de.de_run(spec, c_norm * erasure_scaling(spec))
         assert (traj.verdict, traj.iterations_run) == (verdict, iterations)
+        final_z, tol = self.FINAL_Z[preset, c_norm]
+        assert abs(traj.final_z - final_z) <= tol
 
     def test_window(self):
         spec = preset_staircase(200, 2000, 3)
         sched = de.window_schedule(200, 20, 10)
         traj = de.de_run(spec, 5.4 * erasure_scaling(spec), schedule=sched)
         assert (traj.verdict, traj.iterations_run) == (de.ITERATION_CAP, 1810)
+        assert traj.final_z == 0.00015368410854541543
         frozen = np.ones((len(sched), 200), dtype=bool)
         for k, active in enumerate(sched.active_sets):
             frozen[k, list(active)] = False
         assert np.array_equal(traj.x[1:][frozen], traj.x[:-1][frozen])
+
+
+class TestBlockBoundaries:
+    """de_run checks its stopping rules once per block of ``de._BLOCK``
+    iterations and cuts the trajectory at the first iteration that meets one;
+    runs must match the iteration-by-iteration reference wherever they end."""
+
+    both_paths = staticmethod(TestVectorPath.both_paths)
+
+    @pytest.mark.parametrize("ell_max", [0, 1, de._BLOCK - 1, de._BLOCK, de._BLOCK + 1,
+                                         2 * de._BLOCK + 1])
+    def test_iteration_cap(self, ell_max):
+        # 6.0 is above the threshold and the tolerance 0 never stalls: the cap ends every run
+        spec = preset_staircase(6, 36, 3)
+        with time_limit(20):
+            traj = self.both_paths(spec, 6.0 * erasure_scaling(spec), ell_max=ell_max,
+                                   x_tolerance=0.0)
+        assert (traj.verdict, traj.iterations_run) == (de.ITERATION_CAP, ell_max)
+        assert traj.x.shape == (ell_max + 1, 6) and traj.z.shape == (ell_max + 1,)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_cap_around_the_stall(self, offset):
+        # the cap one before, at and one after the iteration where the run stalls
+        spec = preset_hpc(100, 4)
+        stall = de.de_run(spec, 7.0).iterations_run
+        traj = self.both_paths(spec, 7.0, ell_max=stall + offset)
+        assert traj.iterations_run == min(stall, stall + offset)
+
+    @pytest.mark.parametrize("c_norm", [5.9, 6.0, 6.2, 7.0, 9.0])
+    def test_stuck_mid_block(self, c_norm):
+        spec = preset_braided(8, 800, 3)
+        traj = self.both_paths(spec, c_norm * erasure_scaling(spec))
+        assert traj.verdict == de.STUCK
+
+    def test_stops_at_every_offset_in_a_block(self):
+        # stalls and convergences landing on every residue mod _BLOCK
+        spec, ends = preset_staircase(6, 36, 3), set()
+        for c in np.linspace(10.0, 30.0, 60):
+            ends.add(self.both_paths(spec, c).iterations_run % de._BLOCK)
+        assert ends == set(range(de._BLOCK))
+
+    def test_window_not_a_multiple_of_the_block(self):
+        spec = preset_staircase(12, 120, 3)
+        sched = de.window_schedule(12, width=4, steps_per_slide=3)
+        assert len(sched) % de._BLOCK != 0
+        traj = self.both_paths(spec, 5.4 * erasure_scaling(spec), schedule=sched)
+        assert (traj.verdict, traj.iterations_run) == (de.ITERATION_CAP, len(sched))
+        for k, active in enumerate(sched.active_sets):
+            frozen = sorted(set(range(12)) - active)
+            assert traj.x[k + 1][frozen].tobytes() == traj.x[k][frozen].tobytes()
+
+    def test_zero_success_epsilon(self):
+        # only an exact 0 converges: HPC t = 4 at c = 6 reaches it
+        spec = preset_hpc(1000, 4)
+        traj = self.both_paths(spec, 6.0, success_epsilon=0.0)
+        assert traj.verdict == de.CONVERGED and traj.final_x[0] == 0.0
+
+    def test_zero_channel(self):
+        spec = preset_braided(8, 800, 3)
+        traj = self.both_paths(spec, 0.0)
+        assert (traj.verdict, traj.iterations_run) == (de.CONVERGED, 1)
+        assert not traj.final_x.any() and traj.final_z == 0.0
+
+
+class TestPaddedCapabilities:
+    """Zero weights past a mixture's support cost nothing and change nothing:
+    the c = 13.4 design padded to t = 50 gives the same bracket and the same
+    DE trajectory, bitwise, as the design trimmed to its support."""
+
+    @staticmethod
+    def both(make):
+        trimmed = _designed_mixture(13.4, 1)
+        padded = CapabilityDistribution(trimmed.weights + (0.0,) * (50 - trimmed.t_max))
+        assert padded.t_max == 50 and trimmed.t_max < 50
+        return make(trimmed), make(padded)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda tau: preset_hpc(1000, tau, tau_assignment="random"), id="hpc"),
+        pytest.param(lambda tau: GpcSpec(eta=np.array([[0, 1], [1, 0]]),
+                                         gamma=np.array([0.4, 0.6]), tau=(tau, tau),
+                                         n=1000, tau_assignment="random"), id="pc_uneven"),
+    ])
+    def test_same_threshold(self, make):
+        trimmed, padded = self.both(make)
+        a, b = de.threshold(trimmed), de.threshold(padded)
+        assert (a.c_star, a.bracket_lo) == (b.c_star, b.bracket_lo)
+
+    def test_same_trajectory(self):
+        trimmed, padded = self.both(
+            lambda tau: GpcSpec(eta=staircase_eta(6), gamma=np.full(6, 1.0 / 6),
+                                tau=(tau,) * 6, n=600, tau_assignment="random"))
+        for c in (40.0, 60.0):
+            a, b = de.de_run(trimmed, c), de.de_run(padded, c)
+            assert (a.verdict, a.iterations_run) == (b.verdict, b.iterations_run)
+            assert a.x.tobytes() == b.x.tobytes() and a.z.tobytes() == b.z.tobytes()
 
 
 class TestSchedule:
@@ -498,7 +629,7 @@ class TestSinglePositionClassifier:
         def no_run(*args, **kwargs):
             raise AssertionError("single-position threshold ran DE")
 
-        monkeypatch.setattr(de, "de_run", no_run)
+        monkeypatch.setattr(de, "_blocks", no_run)
         assert abs(de.threshold(preset_hpc(100, 4)).c_star - 6.8) <= 0.1
 
     def test_stability_edge(self):
@@ -551,7 +682,7 @@ class TestRegularSpecs:
         def no_run(*args, **kwargs):
             raise AssertionError("position-regular threshold ran DE")
 
-        monkeypatch.setattr(de, "de_run", no_run)
+        monkeypatch.setattr(de, "_blocks", no_run)
         assert de.threshold(spec).c_star == pytest.approx(expected, abs=0.2)
 
     @pytest.mark.parametrize("spec", [
@@ -560,14 +691,15 @@ class TestRegularSpecs:
         pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
     ])
     def test_others_run_de(self, monkeypatch, spec):
+        # every DE run, de_run's and the fold's, steps through de._blocks
         calls = []
-        real_run = de.de_run
+        real_run = de._blocks
 
         def counted_run(*args, **kwargs):
             calls.append(args[1])
             return real_run(*args, **kwargs)
 
-        monkeypatch.setattr(de, "de_run", counted_run)
+        monkeypatch.setattr(de, "_blocks", counted_run)
         de.threshold(spec, bracket_tol=0.1)
         assert calls
 
@@ -629,10 +761,18 @@ class TestFold:
         # DE converges at c = 287.6279 after 46336 iterations, so c* is above
         # it; a bisection that counted 20000-iteration runs as failures
         # reported 287.4762
-        with time_limit(30):
-            res = de.threshold(preset_staircase(100, 600, 3), bracket_tol=0.01)
+        # the check run below the fold keeps no trajectory: 20000 iterations
+        # of 100 positions would hold 16 MB
+        tracemalloc.start()
+        try:
+            with time_limit(30):
+                res = de.threshold(preset_staircase(100, 600, 3), bracket_tol=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert 287.6279 <= res.c_star <= 287.8147
         assert res.bracket_width <= 0.01
+        assert peak < 4e6
 
     def test_branch_ending_at_zero(self):
         # with tau_1 > 0 on an uneven product code the branch reaches x = 0
