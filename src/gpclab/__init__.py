@@ -32,7 +32,6 @@ from .de import (
     de_run,
     de_step,
     refined_upper_bound,
-    success_condition,
     threshold,
     upper_bound,
     window_schedule,

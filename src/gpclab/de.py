@@ -8,11 +8,12 @@ the analytic bounds used to sanity-check and design capability mixtures.
 
 Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
 positions with array operations that evaluate each position's tau-mixed
-Poisson tails in Horner form, with no tail table; the contraction check reads
-the same Horner tails, and the closed form reads ``poisson_tail_table``.  A
-step runs Horner on mu = -lam and writes in place; ``de_run`` checks its
-stopping rules once per block of ``_BLOCK`` iterations, so it computes and
-discards up to ``_BLOCK - 1`` iterations, and nothing reported changes.
+Poisson tails in Horner form, with no tail table; the contraction slack that
+post-verification reports reads the same Horner tails, and the closed form
+reads ``poisson_tail_table``.  A step runs Horner on mu = -lam and writes in
+place; ``de_run`` checks its stopping rules once per block of ``_BLOCK``
+iterations, so it computes and discards up to ``_BLOCK - 1`` iterations, and
+nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form for position-regular specs, by continuation of the
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,12 +45,9 @@ DEFAULT_ELL_MAX = 20000
 DEFAULT_SUCCESS_EPSILON = 1e-8
 DEFAULT_X_TOLERANCE = 1e-13
 
-# Grid points per block of the contraction check: its Horner tails hold a
+# Grid points per block of the contraction slack: its Horner tails hold a
 # few vectors of this length, 128 kB each, whatever the grid size.
 SLACK_BLOCK = 16384
-# Contraction slack dips smaller than this in magnitude are rounding noise:
-# each summand x - sum_t tau_t P(Pois(c x) >= t) carries O(1e-16) error.
-_NOISE_FLOOR = 1e-12
 _LAM_CAP = 750.0  # Horner tails cap lam here: e^-lam is 0 and p(lam) stays finite
 _BLOCK = 16  # DE iterations between two checks of the stopping rules
 
@@ -130,7 +128,7 @@ def _check_quality(c: float) -> None:
 class _PositionArrays:
     """Neighbour lists padded to the largest degree d (padding weight 0) and
     stored transposed, as (d, L) arrays, and capability weights zero-padded to
-    the largest t with positive weight at any position."""
+    ``spec.t_max``, the largest t with positive weight at any position."""
 
     __slots__ = ("nbr", "nbr_w", "tau_w")
 
@@ -143,10 +141,9 @@ class _PositionArrays:
         self.nbr_w = np.zeros(self.nbr.shape)
         self.nbr[slot, rows] = cols
         self.nbr_w[slot, rows] = spec.gamma[cols]
-        tau_w = np.zeros((L, spec.t_max))
+        self.tau_w = np.zeros((L, spec.t_max))
         for i, d in enumerate(spec.tau):
-            tau_w[i, : d.t_max] = d.weights
-        self.tau_w = tau_w[:, : np.flatnonzero(tau_w.any(axis=0))[-1] + 1]
+            self.tau_w[i, : d.t_max] = d.weights
 
     def neighbour_sum(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] * x[nbr[k]]: one gather, one multiply, d - 1 row adds."""
@@ -312,38 +309,26 @@ def de_run(
     return DeTrajectory(x=x, z=np.array(zs), iterations_run=len(x) - 1, verdict=verdict)
 
 
-class SuccessCheck(NamedTuple):
-    ok: bool
-    min_slack: float
-    worst_x: float
+def _min_slack(tau: CapabilityDistribution, c: float, grid_points: int) -> float:
+    """Minimum over x = i / grid_points, i = 1..grid_points, of the
+    single-position contraction slack x - sum_t tau_t P(Pois(c x) >= t).
 
-
-def success_condition(
-    tau: CapabilityDistribution, c: float, grid_points: int = 10000
-) -> SuccessCheck:
-    """Grid check of the single-position contraction condition.
-
-    Decoding succeeds (threshold >= c) when sum_t tau_t P(Pois(c x) >= t) < x
-    on (0, 1].  The check evaluates the slack x - sum(...) at x = i/M, which
-    is x minus one single-position DE step, from ``_stepper``'s Horner tails
-    (lam = c x capped at 750, so the slack stays finite at any finite c); slack
-    dips smaller than ``_NOISE_FLOOR`` in magnitude are rounding noise, so
-    the verdict is min_slack > -_NOISE_FLOOR.
+    The slack is x minus one single-position DE step, from ``_stepper``'s
+    Horner tails (lam = c x capped at ``_LAM_CAP``, so it stays finite at any
+    finite c), taken ``SLACK_BLOCK`` grid points at a time.  Post-verification
+    reports it; the verdict on the mixture is its exact threshold.
     """
-    _check_quality(c)
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    min_slack, worst_x = math.inf, math.nan
+    min_slack = math.inf
     rest, inv_fact = _tail_coefficients(np.array([tau.weights]))
     coef = (rest[0, 1:] * inv_fact)[::-1]  # the x row of ``_stepper``'s coefficients
     for start in range(1, grid_points + 1, SLACK_BLOCK):
         x = np.arange(start, min(start + SLACK_BLOCK, grid_points + 1)) / grid_points
         lam = np.minimum(c * x, _LAM_CAP)
         slack = x - (rest[0, 0] - np.exp(-lam) * np.polyval(coef, lam))
-        k = int(np.argmin(slack))
-        if slack[k] < min_slack:
-            min_slack, worst_x = float(slack[k]), float(x[k])
-    return SuccessCheck(min_slack > -_NOISE_FLOOR, min_slack, worst_x)
+        min_slack = min(min_slack, float(slack.min()))
+    return min_slack
 
 
 @dataclass(frozen=True)
@@ -399,7 +384,6 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     up to 2 t + 2, t the largest capability with positive weight; beyond it
     lam / F >= lam exceeds the counting bound."""
     w = np.asarray(tau.weights)
-    w = w[: np.flatnonzero(w)[-1] + 1]  # zero weights past the support cost nothing
     lam = np.geomspace(_LAM_MIN, 2.0 * w.size + 2.0, _LAM_POINTS)
     f = _mixed_tails(lam, w, 0)[0]
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf

@@ -49,7 +49,6 @@ class ResidualGraph:
     vertex_position: np.ndarray
     vertex_capability: np.ndarray
     edges: np.ndarray
-    origin_edge_count: int
 
     @property
     def num_vertices(self) -> int:
@@ -187,7 +186,6 @@ def _sample(spec: GpcSpec, c: float, rng: np.random.Generator) -> ResidualGraph:
         vertex_position=positions,
         vertex_capability=caps,
         edges=edges,
-        origin_edge_count=edges.shape[0],
     )
 
 
@@ -311,11 +309,7 @@ def _mc_trial(args: tuple) -> tuple[float, float, float]:
     result = peel(graph, ell)
     w = result.failed_fraction
     ber = result.surviving_edges * graph.num_vertices / (c * m) if c > 0 else 0.0
-    frac = (
-        result.surviving_edges / graph.origin_edge_count
-        if graph.origin_edge_count
-        else 0.0
-    )
+    frac = result.surviving_edges / graph.num_edges if graph.num_edges else 0.0
     return w, ber, frac
 
 

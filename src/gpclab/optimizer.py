@@ -8,9 +8,10 @@ rows bind at the optimum, so the LP is solved by row generation: the simplex
 sees a small subset of rows that grows by the most violated ones until the
 point satisfies the whole grid.  Each batch of rows is appended to the last
 optimal tableau (``simplex.add_rows``), so a round costs a few dual simplex
-pivots instead of a solve from scratch.  Solutions are post-verified on a finer grid
-and by the mixture's exact threshold, since the discretization admits
-hairline supercriticality between grid points and below the first one.
+pivots instead of a solve from scratch.  Post-verification judges a solution by
+the mixture's exact threshold, since the discretization admits hairline
+supercriticality between grid points and below the first one, and reports the
+contraction slack's minimum on a finer grid.
 
 ``build_lp``, ``solve`` and ``post_verify`` are the whole path; a frontier
 over c is a loop over ``solve(build_lp(c, ...))``, as in
@@ -77,13 +78,14 @@ class LpSolution:
 def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
     """Tabulate the LP: one variable per capability in [t_min, t_max], one
     inequality row per grid point x = i/M (all rows from one tail table),
-    one normalization equality."""
+    one normalization equality.  c must be finite and > 0."""
+    de._check_quality(c)
+    if c == 0.0:
+        raise ValueError(f"effective channel quality must be > 0, got {c}")
     if grid_m < 10:
         raise ValueError("need at least 10 grid points")
     if not (1 <= t_min <= t_max <= 64):
         raise ValueError(f"need 1 <= t_min <= t_max <= 64, got [{t_min}, {t_max}]")
-    if c <= 0.0:
-        raise ValueError(f"effective channel quality must be > 0, got {c}")
     ts = np.arange(t_min, t_max + 1, dtype=np.int64)
     x = np.arange(1, grid_m + 1) / grid_m
     return LpProblem(
@@ -107,8 +109,9 @@ def solve(problem: LpProblem) -> LpSolution:
     violated rows of the full grid to the optimal tableau and re-optimizes
     with dual simplex pivots until the point satisfies every row (Kelley's
     cutting-plane method).  The returned mixture has tiny negative weights
-    clipped, is renormalized and stops at its largest supported capability;
-    ``raw_weights`` keeps the untouched solver output for the solver's invariants.
+    clipped and is renormalized (``CapabilityDistribution`` drops the zero
+    weights past its largest supported capability); ``raw_weights`` keeps the
+    untouched solver output for the solver's invariants.
     """
     m = problem.a_ub.shape[0]
     active = np.zeros(m, dtype=bool)
@@ -148,9 +151,8 @@ def solve(problem: LpProblem) -> LpSolution:
     raw = result.x.copy()
     cleaned = np.clip(raw, 0.0, None)
     cleaned /= cleaned.sum()
-    n = int(np.flatnonzero(cleaned > 0.0)[-1]) + 1  # variables up to the largest supported t
-    weights = np.zeros(int(problem.ts[n - 1]))
-    weights[problem.ts[:n] - 1] = cleaned[:n]
+    weights = np.zeros(problem.t_max)
+    weights[problem.ts - 1] = cleaned
     tau = CapabilityDistribution(tuple(weights))
     return LpSolution(
         status=STATUS_OPTIMAL,
@@ -173,19 +175,17 @@ def post_verify(
 ) -> LpSolution:
     """Re-check an optimal mixture at its design point ``solution.c``.
 
-    ``fine_grid_min_slack`` is the contraction slack's minimum on a grid
-    ``grid_factor`` times finer than the LP's.  ``verified_threshold`` is the
-    exact threshold of the single-position mixture (``de.threshold`` in closed
-    form; one below ``solution.c`` downgrades the solution to a degenerate
-    warning), with no grid in x, so it checks the LP's grid below x = 1/M too.
-    ``bracket_tol`` is not read beyond a check that it is positive; callers
-    still pass it.
+    ``verified_threshold`` is the exact threshold of the single-position
+    mixture (``de.threshold`` in closed form), with no grid in x, so it checks
+    the LP's grid below x = 1/M too; one below ``solution.c`` downgrades the
+    solution to a degenerate warning, and nothing else sets the status.
+    ``fine_grid_min_slack`` is reported only: the contraction slack's minimum
+    on a grid ``grid_factor`` times finer than the LP's.  ``bracket_tol`` is
+    not read beyond a check that it is positive; callers still pass it.
     """
     if solution.status != STATUS_OPTIMAL:
         raise ValueError("can only post-verify an optimal solution")
-    check = de.success_condition(
-        solution.tau, solution.c, grid_points=grid_factor * solution.grid_m
-    )
+    min_slack = de._min_slack(solution.tau, solution.c, grid_factor * solution.grid_m)
     spec = preset_hpc(1000, solution.tau, tau_assignment="random")
     found = de.threshold(spec, bracket_tol=bracket_tol)
     status = solution.status if found.c_star >= solution.c else STATUS_DEGENERATE
@@ -193,6 +193,6 @@ def post_verify(
         solution,
         status=status,
         verified_threshold=found.c_star,
-        fine_grid_min_slack=check.min_slack,
+        fine_grid_min_slack=min_slack,
     )
 

@@ -3,7 +3,7 @@
 Everything downstream (density evolution, analytic bounds, LP coefficients)
 funnels through the functions here, so they are kept branch-light and pure.
 ``poisson_tail_table`` is the tail kernel of the threshold and the LP rows; a
-DE step and the contraction check evaluate tau-mixed tails in Horner form.
+DE step and the contraction slack evaluate tau-mixed tails in Horner form.
 """
 
 from __future__ import annotations
@@ -69,7 +69,10 @@ class CapabilityDistribution:
     """Mixture over erasure-correcting capabilities t = 1..t_max.
 
     weights[k] is the fraction of components able to correct k+1 erasures.
-    Weights must be nonnegative and sum to one (within 1e-12).
+    Weights must be nonnegative and sum to one (within 1e-12).  They are
+    validated as given, then trailing zero weights are dropped, so t_max is
+    the largest capability with positive weight and two mixtures that differ
+    only in zero padding compare equal.
     """
 
     weights: tuple[float, ...]
@@ -79,6 +82,8 @@ class CapabilityDistribution:
         errs = self.violations()
         if errs:
             raise ValueError("; ".join(errs))
+        while self.weights[-1] == 0.0:
+            object.__setattr__(self, "weights", self.weights[:-1])
 
     def violations(self) -> list[str]:
         errs = []

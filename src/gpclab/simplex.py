@@ -130,7 +130,6 @@ def solve_lp(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    max_pivots: int = _MAX_PIVOTS,
 ) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -193,7 +192,7 @@ def solve_lp(
         phase1_cost = np.zeros(N)
         phase1_cost[art] = 1.0
         tab.price(phase1_cost)
-        status, p = tab.optimize(max_pivots)
+        status, p = tab.optimize(_MAX_PIVOTS)
         pivots_total += p
         if status != OPTIMAL:
             return SimplexResult(status, None, None, pivots_total)
@@ -207,7 +206,7 @@ def solve_lp(
                     tab.pivot(i, int(nz[0]))
         tab.allowed[art] = False
     tab.price(c)
-    status, p = tab.optimize(max_pivots - pivots_total)
+    status, p = tab.optimize(_MAX_PIVOTS - pivots_total)
     return tab.result(status, pivots_total + p)
 
 

@@ -82,7 +82,6 @@ def hpc_demo_graph(t: int) -> ResidualGraph:
         vertex_position=np.zeros(5, dtype=np.int64),
         vertex_capability=np.full(5, t, dtype=np.int64),
         edges=edges,
-        origin_edge_count=5,
     )
 
 

@@ -117,22 +117,20 @@ def reference_de_run(
 
 def reference_success_condition(
     tau: CapabilityDistribution, c: float, grid_points: int = 10000
-) -> de.SuccessCheck:
-    """``de.success_condition`` from a tail table per block of ``BLOCK`` grid
-    points: the slack x - sum_t tau_t P(Pois(c x) >= t) at x = i / grid_points,
-    i = 1..grid_points, with the same verdict min_slack > -NOISE_FLOOR."""
+) -> float:
+    """``de._min_slack`` from a tail table per block of ``BLOCK`` grid points:
+    the minimum of the slack x - sum_t tau_t P(Pois(c x) >= t) over
+    x = i / grid_points, i = 1..grid_points."""
     if grid_points < 2:
         raise ValueError("need at least 2 grid points")
-    min_slack, worst_x = math.inf, math.nan
+    min_slack = math.inf
     support = tau.support()
     for start in range(1, grid_points + 1, BLOCK):
         x = np.arange(start, min(start + BLOCK, grid_points + 1)) / grid_points
         tails = poisson_tail_table(c * x, tau.t_max)
         slack = x - sum(w * tails[:, t - 1] for t, w in support)
-        k = int(np.argmin(slack))
-        if slack[k] < min_slack:
-            min_slack, worst_x = float(slack[k]), float(x[k])
-    return de.SuccessCheck(min_slack > -NOISE_FLOOR, min_slack, worst_x)
+        min_slack = min(min_slack, float(slack.min()))
+    return min_slack
 
 
 def _slack_dips_below_floor(spec: GpcSpec, c: float, top: float) -> bool:

@@ -4,7 +4,7 @@
 `gpclab.poisson.poisson_tail_table` (same recursion, ``math.exp`` in place
 of ``np.exp``), and `poisson_tail` reads one entry of it.  The package used
 them for its position-by-position DE step; the tests keep them as the
-reference that the table, the LP rows, the contraction check and the
+reference that the table, the LP rows, the contraction slack and the
 position-by-position DE loop in ``de_reference`` are compared against.
 
 `tail_integral` is the closed form of c times the integral of

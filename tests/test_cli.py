@@ -331,6 +331,16 @@ class TestOptimizeCmd:
         expected = "optimal" if verified >= 6.0 else "degenerate-warning"
         assert rows["status"] == expected
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_non_finite_quality_rejected(self, tmp_path, capsys, c):
+        # inf used to exit 3 as an infeasible LP, and nan to exit 1 only from
+        # inside post-verification
+        code = main(["optimize", "--c", c, "--grid", "100", "--t-max", "10",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_infeasible_exit(self, tmp_path, capsys):
         code = main(["optimize", "--c", "9.0", "--grid", "100", "--t-min", "4",
                      "--t-max", "4", "--out", str(tmp_path / "o.csv")])

@@ -14,6 +14,8 @@ from gpclab.codespec import (
     preset_hpc,
     preset_pc,
     preset_staircase,
+    spec_from_json,
+    spec_to_json,
     staircase_eta,
 )
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
@@ -306,11 +308,6 @@ class TestNonFiniteQuality:
         with time_limit(10), pytest.raises(ValueError, match="finite"):
             de.de_run(preset_staircase(6, 36, 3), c)
 
-    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
-    def test_success_condition_rejected(self, c):
-        with pytest.raises(ValueError, match="finite and >= 0"):
-            de.success_condition(CapabilityDistribution.point_mass(4), c)
-
 
 class TestVectorPath:
     """de_run steps every chain as arrays over one tail table; the
@@ -484,15 +481,21 @@ class TestBlockBoundaries:
 
 
 class TestPaddedCapabilities:
-    """Zero weights past a mixture's support cost nothing and change nothing:
-    the c = 13.4 design padded to t = 50 gives the same bracket and the same
-    DE trajectory, bitwise, as the design trimmed to its support."""
+    """Zero weights past a mixture's support are dropped when it is built: the
+    c = 13.4 design padded to t = 50 is the design trimmed to its support, so
+    it gives the same bracket, the same DE trajectory and the same spec JSON."""
 
     @staticmethod
-    def both(make):
+    def padded_design():
         trimmed = _designed_mixture(13.4, 1)
         padded = CapabilityDistribution(trimmed.weights + (0.0,) * (50 - trimmed.t_max))
-        assert padded.t_max == 50 and trimmed.t_max < 50
+        assert padded == trimmed and padded.weights == trimmed.weights
+        assert padded.t_max == trimmed.t_max == 11
+        return trimmed, padded
+
+    @classmethod
+    def both(cls, make):
+        trimmed, padded = cls.padded_design()
         return make(trimmed), make(padded)
 
     @pytest.mark.parametrize("make", [
@@ -514,6 +517,31 @@ class TestPaddedCapabilities:
             a, b = de.de_run(trimmed, c), de.de_run(padded, c)
             assert (a.verdict, a.iterations_run) == (b.verdict, b.iterations_run)
             assert a.x.tobytes() == b.x.tobytes() and a.z.tobytes() == b.z.tobytes()
+
+    @pytest.mark.parametrize("padded", ["t2_to_t4", "design_to_t50"])
+    def test_spec_json_round_trip(self, padded):
+        # JSON lists only positive weights: a padded mixture used to come back
+        # with a smaller t_max and a tau that compared unequal
+        tau = (CapabilityDistribution((0.5, 0.5, 0.0, 0.0)) if padded == "t2_to_t4"
+               else self.padded_design()[1])
+        spec = preset_hpc(1000, tau, tau_assignment="random")
+        back = spec_from_json(spec_to_json(spec))
+        assert back.tau == spec.tau and back.t_max == spec.t_max == tau.t_max
+
+    def test_padding_only_irregular_spec_takes_closed_form(self, monkeypatch):
+        # positions whose mixtures differ only in zero padding are one
+        # mixture: the spec is position-regular and runs no DE
+        trimmed, padded = self.padded_design()
+        spec = GpcSpec(eta=np.array([[0, 1], [1, 0]]), gamma=np.array([0.5, 0.5]),
+                       tau=(trimmed, padded), n=1000, tau_assignment="random")
+
+        def no_de(*args, **kwargs):
+            raise AssertionError("de._blocks called")
+
+        monkeypatch.setattr(de, "_blocks", no_de)
+        res = de.threshold(spec)
+        hpc = de.threshold(preset_hpc(1000, trimmed, tau_assignment="random"))
+        assert (res.c_star, res.bracket_lo) == (2.0 * hpc.c_star, 2.0 * hpc.bracket_lo)  # s = 1/2
 
 
 class TestSchedule:
@@ -892,8 +920,9 @@ def _designed_mixture(c, t_min):
 
 
 # mixtures for the Horner contraction slack: point masses, the benchmark's
-# three designs (M = 1000, t <= 50), the c = 13.4 design zero-padded to t = 50
-# as the LP returned it before trimming, and capabilities up to 64
+# three designs (M = 1000, t <= 50), the c = 13.4 design built from weights
+# zero-padded to t = 50 (the constructor drops the padding), and capabilities
+# up to 64
 SLACK_MIXTURES = {
     **{f"point_mass_{t}": functools.partial(CapabilityDistribution.point_mass, t)
        for t in (1, 4, 11, 64)},
@@ -907,30 +936,27 @@ SLACK_MIXTURES = {
 
 
 class TestSuccessCondition:
-    def test_uniform_at_design_point(self):
-        for n in (4, 8, 12):
-            tau = CapabilityDistribution.uniform(n)
-            check = de.success_condition(tau, float(n), grid_points=10000)
-            assert check.ok
+    """``de._min_slack``, the contraction slack's grid minimum that
+    post-verification reports; the exact threshold decides whether a mixture
+    decodes at c."""
 
     def test_point_mass_around_threshold(self):
+        # the point mass t = 4 has threshold 6.80: the slack changes sign there
         tau = CapabilityDistribution.point_mass(4)
-        assert de.success_condition(tau, 6.7, grid_points=10000).ok
-        assert not de.success_condition(tau, 6.9, grid_points=10000).ok
+        assert de._min_slack(tau, 6.7, 10000) > 0.0 > de._min_slack(tau, 6.9, 10000)
 
     def test_beyond_capability_budget_fails(self):
         for tau in (CapabilityDistribution.point_mass(5), MIX_TBAR7,
                     CapabilityDistribution.uniform(9)):
             c = 2 * tau.mean() + 1.0
-            check = de.success_condition(tau, c, grid_points=2000)
-            assert not check.ok
-            assert check.min_slack < -1e-6
+            assert de._min_slack(tau, c, 2000) < -1e-6
 
     def test_reports_min_slack(self):
-        check = de.success_condition(CapabilityDistribution.point_mass(4), 5.0)
-        assert check.ok
-        assert 0.0 < check.min_slack < 1.0
-        assert 0.0 < check.worst_x <= 1.0
+        assert 0.0 < de._min_slack(CapabilityDistribution.point_mass(4), 5.0, 10000) < 1.0
+
+    def test_grid_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            de._min_slack(CapabilityDistribution.point_mass(4), 5.0, 1)
 
     @pytest.mark.parametrize("tau,c", [
         (CapabilityDistribution.point_mass(4), 5.0),
@@ -940,37 +966,29 @@ class TestSuccessCondition:
     ])
     def test_matches_scalar_loop(self, tau, c):
         grid = 10000
-        min_slack, worst_x = np.inf, np.nan
+        min_slack = np.inf
         for i in range(1, grid + 1):
             x = i / grid
             tails = poisson_tail_block(tau.t_max, c * x)
-            slack = x - sum(w * tails[t - 1] for t, w in tau.support())
-            if slack < min_slack:
-                min_slack, worst_x = slack, x
-        check = de.success_condition(tau, c, grid_points=grid)
-        assert check.worst_x == worst_x
-        assert check.min_slack == pytest.approx(min_slack, abs=1e-15)
+            min_slack = min(min_slack, x - sum(w * tails[t - 1] for t, w in tau.support()))
+        assert de._min_slack(tau, c, grid) == pytest.approx(min_slack, abs=1e-15)
 
     @pytest.mark.parametrize("c", [0.5, 6.0, 13.4, 128.0])
     @pytest.mark.parametrize("name", sorted(SLACK_MIXTURES))
     def test_horner_slack_matches_tail_table(self, name, c):
         tau = SLACK_MIXTURES[name]()
         for grid in (2, de.SLACK_BLOCK - 1, de.SLACK_BLOCK, de.SLACK_BLOCK + 1, 10000):
-            check = de.success_condition(tau, c, grid_points=grid)
             ref = reference_success_condition(tau, c, grid_points=grid)
-            assert check.ok == ref.ok
-            assert check.worst_x == ref.worst_x
-            assert check.min_slack == pytest.approx(ref.min_slack, abs=1e-15)
+            assert de._min_slack(tau, c, grid) == pytest.approx(ref, abs=1e-15)
 
     @pytest.mark.parametrize("grid", [2, 100])
     @pytest.mark.parametrize("c", [1e8, 1e300])
     def test_huge_rate_stays_finite(self, c, grid):
-        # uncapped, lam = c x makes p(lam) overflow to inf and the slack NaN,
-        # which would read as ok with min_slack inf
+        # uncapped, lam = c x makes p(lam) overflow to inf and the slack NaN
         tau = CapabilityDistribution.point_mass(64)
-        check = de.success_condition(tau, c, grid_points=grid)
-        assert np.isfinite(check.min_slack) and not check.ok
-        assert check == reference_success_condition(tau, c, grid_points=grid)
+        min_slack = de._min_slack(tau, c, grid)
+        assert np.isfinite(min_slack)
+        assert min_slack == reference_success_condition(tau, c, grid_points=grid)
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -981,8 +999,6 @@ class TestSuccessCondition:
     def test_slack_monotone_in_c(self, t, c, shrink):
         # the tail grows with c, so feasibility at c implies it below c
         tau = CapabilityDistribution.point_mass(t)
-        hi = de.success_condition(tau, c, grid_points=300)
-        lo = de.success_condition(tau, c * shrink, grid_points=300)
-        assert lo.min_slack >= hi.min_slack - 1e-12
-        if hi.ok:
-            assert lo.ok
+        hi = de._min_slack(tau, c, 300)
+        lo = de._min_slack(tau, c * shrink, 300)
+        assert lo >= hi - 1e-12

@@ -29,7 +29,6 @@ def make_graph(edges, caps):
         vertex_position=np.zeros(len(caps), dtype=np.int64),
         vertex_capability=caps,
         edges=np.sort(edges, axis=1) if len(edges) else np.empty((0, 2), np.int64),
-        origin_edge_count=len(edges),
     )
 
 
@@ -340,7 +339,6 @@ class TestScheduledPeeling:
             vertex_position=np.array([0, 0, 0, 1, 1, 1]),
             vertex_capability=np.ones(6, dtype=np.int64),
             edges=np.array([[0, 3], [0, 4], [1, 3], [2, 5]]),
-            origin_edge_count=4,
         )
         two_pass = peel_scheduled(
             graph, de.Schedule((frozenset({0}), frozenset({1})))
@@ -361,7 +359,6 @@ class TestScheduledPeeling:
             vertex_position=np.array([0, 1]),
             vertex_capability=np.array([1, 1]),
             edges=np.array([[0, 1]]),
-            origin_edge_count=1,
         )
         result = peel_scheduled(
             graph, de.Schedule((frozenset({1}), frozenset({0}), frozenset({1})))

@@ -53,6 +53,13 @@ class TestBuildLp:
         with pytest.raises(ValueError):
             build_lp(-1.0, grid_m=100, t_max=20)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_quality_rejected(self, c):
+        # a NaN c used to give an "optimal" design with t_bar = 1.0, and an
+        # infinite one an "infeasible" LP
+        with pytest.raises(ValueError, match="effective channel quality"):
+            build_lp(c, grid_m=50, t_max=10)
+
     def test_point_mass_feasibility_tracks_threshold(self):
         # single-variable program: feasible exactly when the point mass works
         below = solve(build_lp(6.7, grid_m=500, t_max=4, t_min=4))
@@ -223,7 +230,7 @@ class TestPostVerify:
 
 class TestDesignRegression:
     """The designs of ROADMAP's defect table, pinned from before the designed
-    mixture was trimmed to its support and the contraction check moved to the
+    mixture was trimmed to its support and the contraction slack moved to the
     Horner tails: only ``tau.t_max`` moves, and the closed-form threshold by
     rounding (its tails sum fewer zero-weight columns)."""
 
@@ -252,7 +259,7 @@ class TestDesignRegression:
         assert verified.status == STATUS_DEGENERATE
         assert verified.verified_threshold == pytest.approx(threshold, rel=1e-13, abs=0.0)
         ref = reference_success_condition(sol.tau, c, grid_points=10 * grid_m)
-        assert verified.fine_grid_min_slack == pytest.approx(ref.min_slack, abs=1e-15)
+        assert verified.fine_grid_min_slack == pytest.approx(ref, abs=1e-15)
 
 
 class TestSweep:

@@ -256,3 +256,5 @@ class TestAddRows:
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
         with pytest.raises(CyclingError):
             add_rows(base, [[1.0, 0.0]], [0.25])
+        with pytest.raises(CyclingError):  # both read the budget when called
+            solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])

@@ -161,7 +161,6 @@ def tree_to_graph(tree: TypedTree) -> ResidualGraph:
         vertex_position=tree.position.copy(),
         vertex_capability=tree.capability.copy(),
         edges=edges,
-        origin_edge_count=edges.shape[0],
     )
 
 
