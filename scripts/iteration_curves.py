@@ -10,46 +10,33 @@ Usage: python scripts/iteration_curves.py --out curves.csv
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from gpclab import de, graphsim
 from gpclab.codespec import preset_hpc
 
-
-@dataclass
-class CurveConfig:
-    t: int = 4
-    n: int = 1000
-    ell: int = 25
-    trials: int = 50
-    seed: int = 2026
-    c_lo: float = 4.5
-    c_hi: float = 7.5
-    c_step: float = 0.25
+C_LO, C_HI, C_STEP = 4.5, 7.5, 0.25
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--t", type=int, default=CurveConfig.t)
-    parser.add_argument("--n", type=int, default=CurveConfig.n)
-    parser.add_argument("--ell", type=int, default=CurveConfig.ell)
-    parser.add_argument("--trials", type=int, default=CurveConfig.trials)
-    parser.add_argument("--seed", type=int, default=CurveConfig.seed)
+    parser.add_argument("--t", type=int, default=4)
+    parser.add_argument("--n", type=int, default=1000)
+    parser.add_argument("--ell", type=int, default=25)
+    parser.add_argument("--trials", type=int, default=50)
+    parser.add_argument("--seed", type=int, default=2026)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
-    cfg = CurveConfig(t=args.t, n=args.n, ell=args.ell, trials=args.trials,
-                      seed=args.seed)
 
-    spec = preset_hpc(cfg.n, cfg.t)
+    spec = preset_hpc(args.n, args.t)
     rows = ["c,de_x_sq,mc_scaled_ber,mc_se,mc_mean_w"]
-    for c in np.arange(cfg.c_lo, cfg.c_hi + 1e-9, cfg.c_step):
+    for c in np.arange(C_LO, C_HI + 1e-9, C_STEP):
         c = round(float(c), 6)
-        traj = de.de_run(spec, c, ell_max=cfg.ell, success_epsilon=0.0)
-        k = min(cfg.ell, traj.iterations_run)
+        traj = de.de_run(spec, c, ell_max=args.ell, success_epsilon=0.0)
+        k = min(args.ell, traj.iterations_run)
         x_sq = float(traj.x[k][0]) ** 2
-        stats = graphsim.monte_carlo(spec, c, cfg.ell, cfg.trials, cfg.seed)
+        stats = graphsim.monte_carlo(spec, c, args.ell, args.trials, args.seed)
         rows.append(
             f"{c!r},{x_sq!r},{stats.mean_scaled_ber!r},"
             f"{stats.se_scaled_ber!r},{stats.mean_w!r}"

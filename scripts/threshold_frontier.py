@@ -12,41 +12,33 @@ Usage: python scripts/threshold_frontier.py --out frontier.csv
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from gpclab import de, optimizer
 from gpclab.codespec import preset_hpc
 from gpclab.poisson import initial_loss_mixture
 
-
-@dataclass
-class FrontierConfig:
-    c_grid: tuple = (6.0, 8.0, 10.0, 12.0, 13.4, 16.0, 20.0, 26.0, 32.0)
-    grid_m: int = 1000
-    t_max: int = 50
-    t_min: int = 1
-    regular_ts: tuple = (3, 4, 5, 6, 7, 8)
+C_GRID = (6.0, 8.0, 10.0, 12.0, 13.4, 16.0, 20.0, 26.0, 32.0)
+REGULAR_TS = (3, 4, 5, 6, 7, 8)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--grid-m", type=int, default=FrontierConfig.grid_m)
-    parser.add_argument("--t-max", type=int, default=FrontierConfig.t_max)
-    parser.add_argument("--t-min", type=int, default=FrontierConfig.t_min)
+    parser.add_argument("--grid-m", type=int, default=1000)
+    parser.add_argument("--t-max", type=int, default=50)
+    parser.add_argument("--t-min", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
-    cfg = FrontierConfig(grid_m=args.grid_m, t_max=args.t_max, t_min=args.t_min)
 
     rows = ["c,t_bar,gap,loss_at_c,conjecture_rhs"]
-    for c in cfg.c_grid:
-        sol = optimizer.solve(optimizer.build_lp(c, cfg.grid_m, cfg.t_max, cfg.t_min))
+    for c in C_GRID:
+        sol = optimizer.solve(optimizer.build_lp(c, args.grid_m, args.t_max, args.t_min))
         if sol.status == optimizer.STATUS_OPTIMAL:
             cols = (sol.t_bar, 2.0 * sol.t_bar - c, initial_loss_mixture(sol.tau, c))
         else:  # infeasible at this t_max
             cols = (math.nan,) * 3
         rows.append(",".join(repr(v) for v in (c, *cols, de.conjectured_capability_floor(c))))
     rows.append("# regular point-mass thresholds: t,c_star,gap")
-    for t in cfg.regular_ts:
+    for t in REGULAR_TS:
         c_star = de.threshold(preset_hpc(100, t)).c_star
         rows.append(f"# {t},{c_star!r},{2 * t - c_star!r}")
     text = "\n".join(rows) + "\n"

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 One JSON config document per run; command-line flags override config fields.
-Every CSV starts with a comment line carrying the hash of the fully resolved
-config, so identical inputs are byte-identical and auditable.
+Each command's fields (name, int or float, default, flag help) are declared
+once, in ``COMMANDS``: the flags, the merge into the config and the typed
+reads all come from there.  Every CSV starts with a comment line carrying the
+hash of the fully resolved config, so identical inputs are byte-identical and
+auditable.
 
 Exit codes: 0 success/converged, 1 input error, 2 analytic non-convergence,
 3 solver failure.
@@ -11,12 +14,13 @@ Exit codes: 0 success/converged, 1 input error, 2 analytic non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import operator
 import os
 import sys
-from typing import Any
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,15 +94,32 @@ def _emit(rows: list[list[str]], config: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _merge(config: dict, args, keys: list[str]) -> dict:
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key] = val
-    return config
+class Field(NamedTuple):
+    """A run-config field; its flag is ``--`` + ``name`` with ``_`` as ``-``."""
+
+    name: str
+    kind: type  # int or float
+    default: float
+    help: str | None = None
 
 
-def _number(config: dict, key: str, default: float, kind: type = float):
+def _settings(args) -> tuple[dict, dict[str, float]]:
+    """The run config with ``spec`` and every given flag merged in, and each
+    of the command's fields read typed, at its default when absent.  Only
+    fields from the config or a flag enter the config hash."""
+    config = _load_config(args.config)
+    _, _, fields = COMMANDS[args.command]
+    for key in ("spec", *(f.name for f in fields)):
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
+    return config, {f.name: _number(config, f.name, f.default, f.kind) for f in fields}
+
+
+def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
+    return [["spec_hash", *values], [spec_hash(spec), *map(repr, values.values())]]
+
+
+def _number(config: dict, key: str, default: float, kind: type):
     """config[key] (default when absent) read as ``kind``, int or float; an
     integer field takes 100.0 but not 2.7, which int() would truncate."""
     value = config.get(key, default)
@@ -120,7 +141,10 @@ def _jobs(config: dict, args) -> int:
         return _number(config, "jobs", 1, int)
     env = os.environ.get("GPCLAB_JOBS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"GPCLAB_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -152,29 +176,23 @@ def _schedule(config: dict, L: int) -> de.Schedule | None:
 
 
 def cmd_de(args) -> int:
-    config = _merge(_load_config(args.config), args, ["spec", "c", "ell"])
+    config, v = _settings(args)
     spec = _resolve_spec(config)
-    c = _number(config, "c", 1.0)
-    ell = _number(config, "ell", de.DEFAULT_ELL_MAX, int)
-    schedule = _schedule(config, spec.num_positions)
-    traj = de.de_run(spec, c, ell_max=ell, schedule=schedule)
+    traj = de.de_run(spec, v["c"], v["ell"], schedule=_schedule(config, spec.num_positions))
     _emit(traj.to_csv_rows(), config, args)
     return EXIT_OK if traj.verdict == de.CONVERGED else EXIT_NONCONVERGED
 
 
 def cmd_threshold(args) -> int:
-    config = _merge(_load_config(args.config), args, ["spec", "bracket_tol"])
+    config, v = _settings(args)
     spec = _resolve_spec(config)
-    result = de.threshold(spec, bracket_tol=_number(config, "bracket_tol", 0.01))
-    rows = [["spec_hash", "c_star", "bracket_lo", "bracket_hi", "bracket_width"],
-            [spec_hash(spec)] + [repr(v) for v in (result.c_star, result.bracket_lo,
-                                                   result.bracket_hi, result.bracket_width)]]
-    _emit(rows, config, args)
+    result = de.threshold(spec, bracket_tol=v["bracket_tol"])
+    _emit(_record(spec, dataclasses.asdict(result)), config, args)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    config = _merge(_load_config(args.config), args, ["spec"])
+    config, _ = _settings(args)
     spec = _resolve_spec(config)
     collapsed = np.zeros(spec.t_max)
     for g, dist in zip(spec.gamma, spec.tau):
@@ -183,87 +201,47 @@ def cmd_bounds(args) -> int:
     mixture = CapabilityDistribution(tuple(collapsed / collapsed.sum()))
     refined = de.refined_upper_bound(mixture)
     # both bounds on the threshold's c axis; the diagnostic stays unscaled
-    rows = [["spec_hash", "t_bar", "upper_2tbar", "refined_upper", "conjecture_rhs"],
-            [spec_hash(spec)] + [repr(v) for v in (
-                mean_capability(spec), de.upper_bound(spec), refined * erasure_scaling(spec),
-                de.conjectured_capability_floor(refined))]]
-    _emit(rows, config, args)
+    _emit(_record(spec, {
+        "t_bar": mean_capability(spec),
+        "upper_2tbar": de.upper_bound(spec),
+        "refined_upper": refined * erasure_scaling(spec),
+        "conjecture_rhs": de.conjectured_capability_floor(refined),
+    }), config, args)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    config = _merge(
-        _load_config(args.config), args, ["spec", "c", "ell", "trials", "seed"]
-    )
+    config, v = _settings(args)
     spec = _resolve_spec(config)
-    stats = graphsim.monte_carlo(
-        spec,
-        c=_number(config, "c", 1.0),
-        ell=_number(config, "ell", 100, int),
-        trials=_number(config, "trials", 100, int),
-        master_seed=_number(config, "seed", 0, int),
-        jobs=_jobs(config, args),
-    )
-    rows = [
-        ["spec_hash", "trials", "mean_w", "se_w", "mean_scaled_ber",
-         "se_scaled_ber", "mean_edge_fraction", "se_edge_fraction"],
-        [
-            spec_hash(spec),
-            str(stats.trials),
-            repr(stats.mean_w),
-            repr(stats.se_w),
-            repr(stats.mean_scaled_ber),
-            repr(stats.se_scaled_ber),
-            repr(stats.mean_edge_fraction),
-            repr(stats.se_edge_fraction),
-        ],
-    ]
-    _emit(rows, config, args)
+    stats = graphsim.monte_carlo(spec, v["c"], v["ell"], v["trials"], v["seed"],
+                                 jobs=_jobs(config, args))
+    _emit(_record(spec, dataclasses.asdict(stats)), config, args)
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    config = _merge(_load_config(args.config), args, ["c", "grid", "t_min", "t_max"])
-    c = _number(config, "c", 10.0)
-    problem = optimizer.build_lp(
-        c,
-        grid_m=_number(config, "grid", 1000, int),
-        t_max=_number(config, "t_max", 50, int),
-        t_min=_number(config, "t_min", 1, int),
-    )
-    solution = optimizer.solve(problem)
+    config, v = _settings(args)
+    solution = optimizer.solve(optimizer.build_lp(v["c"], v["grid"], v["t_max"], v["t_min"]))
     if solution.status == optimizer.STATUS_INFEASIBLE:
-        sys.stderr.write(f"infeasible at c={c}\n")
+        sys.stderr.write(f"infeasible at c={v['c']}\n")
         return EXIT_SOLVER
     solution = optimizer.post_verify(solution)
-    rows = [["key", "value"],
-            ["status", solution.status],
-            ["c", repr(solution.c)],
-            ["t_bar", repr(solution.t_bar)],
-            ["pivots", str(solution.pivots)],
-            ["rows_used", str(solution.rows_used)],
-            ["verified_threshold", repr(solution.verified_threshold)],
-            ["fine_grid_min_slack", repr(solution.fine_grid_min_slack)]]
-    for t, w in solution.tau.support():
-        rows.append([f"tau_{t}", repr(w)])
+    rows = [["key", "value"], ["status", solution.status]]
+    rows += [[key, repr(getattr(solution, key))] for key in (
+        "c", "t_bar", "pivots", "rows_used", "verified_threshold", "fine_grid_min_slack")]
+    rows += [[f"tau_{t}", repr(w)] for t, w in solution.tau.support()]
     _emit(rows, config, args)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
-    config = _merge(
-        _load_config(args.config), args, ["spec", "c", "ell", "trees", "seed"]
-    )
+    config, v = _settings(args)
     spec = _resolve_spec(config)
-    c = _number(config, "c", 1.0)
-    ell = _number(config, "ell", 4, int)
-    trees = _number(config, "trees", 100000, int)
-    seed = _number(config, "seed", 0, int)
     rows = [["ell", "z_de", "z_mc", "stderr", "diff_over_se", "cp95_bound"]]
-    traj = de.de_run(spec, c, ell_max=ell)
-    for depth in range(1, ell + 1):
+    traj = de.de_run(spec, v["c"], ell_max=v["ell"])
+    for depth in range(1, v["ell"] + 1):
         z_de = float(traj.z[min(depth, traj.iterations_run)])
-        est = branching.survival_mc(spec, c, depth, trees, seed)
+        est = branching.survival_mc(spec, v["c"], depth, v["trees"], v["seed"])
         if 0.0 < est.mean < 1.0:
             compare = [repr(abs(est.mean - z_de) / est.stderr), ""]
         else:  # stderr is 0: one-sided 95% Clopper-Pearson bound instead
@@ -297,12 +275,24 @@ def cmd_preset(args) -> int:
     return EXIT_OK
 
 
-def _common(sub: argparse.ArgumentParser, spec: bool = True) -> None:
-    sub.add_argument("--config", help="JSON config path")
-    if spec:
-        sub.add_argument("--spec", help="spec JSON path (overrides config)")
-    sub.add_argument("--out", help="write CSV to this path")
-    sub.add_argument("--csv", action="store_true", help="echo CSV to stdout")
+# command -> (function, help, run-config fields)
+COMMANDS = {
+    "de": (cmd_de, "run density evolution, emit trajectory CSV", (
+        Field("c", float, 1.0, "effective channel quality"),
+        Field("ell", int, de.DEFAULT_ELL_MAX, "iteration cap"))),
+    "threshold": (cmd_threshold, "decoding threshold: the fold of the DE fixed points", (
+        Field("bracket_tol", float, 0.01, "widest bracket around the fold (default 0.01)"),)),
+    "bounds": (cmd_bounds, "2*t_bar and refined bounds on the threshold's c axis", ()),
+    "simulate": (cmd_simulate, "Monte Carlo peeling statistics", (
+        Field("c", float, 1.0), Field("ell", int, 100), Field("trials", int, 100),
+        Field("seed", int, 0, "master seed"))),
+    "optimize": (cmd_optimize, "LP mixture design + post-verification", (
+        Field("c", float, 10.0), Field("grid", int, 1000, "constraint grid size M"),
+        Field("t_min", int, 1), Field("t_max", int, 50))),
+    "oracle": (cmd_oracle, "branching-process cross-check of DE", (
+        Field("c", float, 1.0), Field("ell", int, 4), Field("trees", int, 100000),
+        Field("seed", int, 0, "master seed"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,47 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic GPC analysis: DE, thresholds, peeling MC, mixture design",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("de", help="run density evolution, emit trajectory CSV")
-    _common(p)
-    p.add_argument("--c", type=float, help="effective channel quality")
-    p.add_argument("--ell", type=int, help="iteration cap")
-    p.set_defaults(func=cmd_de)
-
-    p = subs.add_parser("threshold", help="decoding threshold: the fold of the DE fixed points")
-    _common(p)
-    p.add_argument("--bracket-tol", dest="bracket_tol", type=float,
-                   help="widest bracket around the fold (default 0.01)")
-    p.set_defaults(func=cmd_threshold)
-
-    p = subs.add_parser("bounds", help="2*t_bar and refined bounds on the threshold's c axis")
-    _common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = subs.add_parser("simulate", help="Monte Carlo peeling statistics")
-    _common(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--jobs", type=int, help="worker processes (env GPCLAB_JOBS)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("optimize", help="LP mixture design + post-verification")
-    _common(p, spec=False)
-    p.add_argument("--c", type=float)
-    p.add_argument("--grid", type=int, help="constraint grid size M")
-    p.add_argument("--t-min", dest="t_min", type=int)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.set_defaults(func=cmd_optimize)
-
-    p = subs.add_parser("oracle", help="branching-process cross-check of DE")
-    _common(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--trees", type=int)
-    p.add_argument("--seed", type=int, help="master seed")
-    p.set_defaults(func=cmd_oracle)
+    for name, (func, summary, fields) in COMMANDS.items():
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("--config", help="JSON config path")
+        if name != "optimize":
+            p.add_argument("--spec", help="spec JSON path (overrides config)")
+        p.add_argument("--out", help="write CSV to this path")
+        p.add_argument("--csv", action="store_true", help="echo CSV to stdout")
+        for f in fields:
+            p.add_argument("--" + f.name.replace("_", "-"), type=f.kind, help=f.help)
+        if name == "simulate":  # kept out of the config hash: it changes no statistic
+            p.add_argument("--jobs", type=int, help="worker processes (env GPCLAB_JOBS)")
+        p.set_defaults(func=func)
 
     p = subs.add_parser("preset", help="write a family preset as spec JSON")
     p.add_argument("name", help="one of: hpc, pc, staircase, braided")
@@ -371,15 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except de.BracketError as exc:
         sys.stderr.write(f"no threshold bracket: {exc}\n")
         return EXIT_NONCONVERGED
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -98,6 +98,9 @@ def _violations(spec: GpcSpec) -> list[str]:
     if gamma.shape != (L,):
         v.append(f"gamma must have length {L}, got {gamma.shape}")
         return v
+    if not np.isfinite(gamma).all():  # NaN passes both checks below
+        v.append("gamma entries must be finite")
+        return v
     if (gamma < 0.0).any():
         v.append("gamma entries must be nonnegative")
     if abs(float(gamma.sum()) - 1.0) > 1e-12:

@@ -294,6 +294,8 @@ def de_run(
     and nothing reported changes.
     """
     _check_quality(c)
+    if ell_max < 0:
+        raise ValueError(f"need ell_max >= 0, got {ell_max}")
     L = spec.num_positions
     if schedule is not None:
         if not schedule.covers(L):

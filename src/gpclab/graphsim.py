@@ -328,6 +328,8 @@ def monte_carlo(
     reduction runs in trial order, so the statistics are bit-identical for
     any jobs count.
     """
+    if ell < 0:
+        raise ValueError(f"need ell >= 0, got {ell}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if jobs < 1:

@@ -90,6 +90,8 @@ class CapabilityDistribution:
         if len(self.weights) < 1:
             errs.append("capability distribution must have t_max >= 1")
             return errs
+        if not all(map(math.isfinite, self.weights)):  # NaN passes both checks below
+            errs.append("capability weights must be finite")
         if any(w < 0.0 for w in self.weights):
             errs.append("capability weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-12:

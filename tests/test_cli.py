@@ -13,6 +13,7 @@ from gpclab.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_SOLVER,
+    InputError,
     _jobs,
     main,
 )
@@ -450,6 +451,91 @@ class TestConfigNumbers:
             f"got {json.dumps(schedule[field])}\n")
 
 
+class TestInvalidValues:
+    @pytest.mark.parametrize("command", ["threshold", "de"])
+    @pytest.mark.parametrize("doc,message", [
+        ({"eta": [[1]], "gamma": [1.0], "tau": [{"3": 0.5, "4": float("nan"), "5": 0.5}],
+          "n": 100, "assignment": "random"}, "capability weights must be finite"),
+        ({"eta": [[0, 1], [1, 0]], "gamma": [float("nan")] * 2,
+          "tau": [{"3": 1.0}, {"3": 1.0}], "n": 100, "assignment": "random"},
+         "gamma entries must be finite"),
+    ], ids=["nan_tau", "nan_gamma"])
+    def test_nan_spec_rejected(self, tmp_path, capsys, command, doc, message):
+        # threshold printed c* = nan and de rows of nan; json writes NaN
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, "--spec", str(path), "--c", "3.0", "--ell", "3"]
+                    if command == "de" else [command, "--spec", str(path)])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["de", "--c", "3.0"],
+        ["simulate", "--c", "3.0", "--trials", "2", "--jobs", "1"],
+        ["oracle", "--c", "3.0", "--trees", "100"],
+    ], ids=["de", "simulate", "oracle"])
+    def test_negative_ell_rejected(self, tmp_path, capsys, argv):
+        # de exited 2 with a 0-iteration trajectory; simulate reported W = 1.0
+        # after no peeling round; oracle printed only the header
+        spec_path = write_spec(tmp_path, preset_hpc(60, 3))
+        assert main(argv + ["--spec", spec_path, "--ell", "-2"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: need ell")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestFlagOverridesConfig:
+    """A flag and the config field of the same name are one setting: the CSV,
+    config hash included, does not depend on which of the two gave it."""
+
+    CHEAP = {  # keeps each run short; the field under test is left out
+        "de": {"--c": "4.0", "--ell": "20"},
+        "threshold": {},
+        "simulate": {"--c": "3.0", "--ell": "4", "--trials": "3", "--seed": "1", "--jobs": "1"},
+        "optimize": {"--c": "6.0", "--grid": "100", "--t-max": "10"},
+        "oracle": {"--c": "3.0", "--ell": "2", "--trees": "300", "--seed": "1"},
+    }
+
+    @pytest.mark.parametrize("command,field,flag,value,other", [
+        ("de", "c", "--c", 4.5, 3.0),
+        ("de", "ell", "--ell", 7, 30),
+        ("threshold", "bracket_tol", "--bracket-tol", 0.05, 0.2),
+        ("simulate", "c", "--c", 2.5, 3.0),
+        ("simulate", "ell", "--ell", 3, 6),
+        ("simulate", "trials", "--trials", 4, 2),
+        ("simulate", "seed", "--seed", 9, 1),
+        ("optimize", "c", "--c", 5.0, 6.0),
+        ("optimize", "grid", "--grid", 50, 100),
+        ("optimize", "t_max", "--t-max", 8, 10),
+        ("optimize", "t_min", "--t-min", 2, 1),
+        ("oracle", "c", "--c", 2.5, 3.0),
+        ("oracle", "ell", "--ell", 1, 2),
+        ("oracle", "trees", "--trees", 200, 300),
+        ("oracle", "seed", "--seed", 5, 1),
+    ])
+    def test_flag_and_config_field_agree(self, tmp_path, capsys, command, field, flag,
+                                         value, other):
+        argv = [command] + [a for k, v in self.CHEAP[command].items() if k != flag
+                            for a in (k, v)]
+        if command != "optimize":
+            argv += ["--spec", write_spec(tmp_path, preset_hpc(60, 3))]
+
+        def run(config: dict, extra: list[str]) -> tuple[int, str]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            code = main(argv + ["--config", str(cfg)] + extra)
+            return code, capsys.readouterr().out
+
+        from_flag = run({}, [flag, str(value)])
+        assert from_flag[0] in (EXIT_OK, EXIT_NONCONVERGED)
+        assert from_flag[1].startswith("# config_hash=") and from_flag[1].count("\n") >= 3
+        assert run({field: value}, []) == from_flag
+        overridden = run({field: other}, [flag, str(value)])
+        assert overridden == from_flag != run({field: other}, [])
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ["de", "--seed", "1"],
@@ -490,6 +576,17 @@ class TestJobsResolution:
 
         monkeypatch.setenv("GPCLAB_JOBS", "7")
         assert _jobs({"jobs": 5}, Args()) == 5
+
+    @pytest.mark.parametrize("env", ["abc", "2.5"])
+    def test_env_must_be_an_integer(self, monkeypatch, env):
+        # the error used to be "invalid literal for int() with base 10: 'abc'"
+        class Args:
+            jobs = None
+
+        monkeypatch.setenv("GPCLAB_JOBS", env)
+        with pytest.raises(InputError) as err:
+            _jobs({}, Args())
+        assert str(err.value) == f"GPCLAB_JOBS must be an integer, got {env!r}"
 
 
 class TestRuntimeDependencies:

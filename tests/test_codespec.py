@@ -121,6 +121,15 @@ class TestValidate:
                     (CapabilityDistribution.point_mass(2),), 10)
         assert str(err.value) == "invalid spec: gamma must sum to 1, got 0.9"
 
+    @pytest.mark.parametrize("assignment", ["deterministic", "random"])
+    def test_gamma_must_be_finite(self, assignment):
+        # NaN passes both the sign and the sum check; the deterministic
+        # integrality check then raised "cannot convert float NaN to integer"
+        with pytest.raises(ValueError) as err:
+            GpcSpec(np.array([[0, 1], [1, 0]]), np.full(2, np.nan),
+                    (CapabilityDistribution.point_mass(3),) * 2, 100, assignment)
+        assert str(err.value) == "invalid spec: gamma entries must be finite"
+
     def test_every_violation_named(self):
         eta = np.array([[0, 1], [0, 1]])
         with pytest.raises(ValueError, match="symmetric") as err:

@@ -293,6 +293,11 @@ class TestDeRun:
             for i in set(range(8)) - set(active):
                 assert traj.x[k + 1][i] == traj.x[k][i]
 
+    def test_negative_iteration_cap_rejected(self):
+        # ell_max = -2 returned a 0-iteration trajectory at the iteration cap
+        with pytest.raises(ValueError, match="need ell_max >= 0, got -2"):
+            de.de_run(preset_hpc(10, 4), 5.0, ell_max=-2)
+
     def test_csv_rows(self):
         traj = de.de_run(preset_hpc(10, 4), 5.0, ell_max=3)
         rows = traj.to_csv_rows()

@@ -474,6 +474,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(preset_hpc(10, 2), 1.0, 1, 0, 0)
 
+    def test_negative_rounds_rejected(self):
+        # ell = -2 reported W = 1.0 after zero peeling rounds
+        with pytest.raises(ValueError, match="need ell >= 0, got -2"):
+            monte_carlo(preset_hpc(10, 2), 1.0, -2, 2, 0)
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs >= 1"):

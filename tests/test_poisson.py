@@ -212,6 +212,13 @@ class TestCapabilityDistribution:
         with pytest.raises(ValueError):
             CapabilityDistribution((1.5, -0.5))
 
+    @pytest.mark.parametrize("weights", [(0.5, math.nan, 0.5), (0.5, 0.5, math.nan),
+                                         (math.nan,)])
+    def test_weights_must_be_finite(self, weights):
+        # NaN passes both the sign and the sum check
+        with pytest.raises(ValueError, match="capability weights must be finite"):
+            CapabilityDistribution(weights)
+
     def test_uniform_mean(self):
         for n in (1, 4, 9):
             assert CapabilityDistribution.uniform(n).mean() == pytest.approx(
