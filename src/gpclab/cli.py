@@ -121,16 +121,20 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
 
 def _number(config: dict, key: str, default: float, kind: type):
     """config[key] (default when absent) read as ``kind``, int or float; an
-    integer field takes 100.0 but not 2.7, which int() would truncate."""
+    integer field takes 100.0 but not 2.7, which int() would truncate, and
+    nothing below 0: every integer field is a count or a seed."""
     value = config.get(key, default)
+    what = "an integer" if kind is int else "a number"
     try:
         if not isinstance(value, bool):  # JSON true and false are not numbers
             if kind is int and isinstance(value, float) and not value.is_integer():
                 raise ValueError(value)
-            return kind(value)
+            number = kind(value)
+            if kind is float or number >= 0:
+                return number
+            what = "a non-negative integer"
     except (TypeError, ValueError, OverflowError):
         pass
-    what = "an integer" if kind is int else "a number"
     raise InputError(f"config field {key!r} must be {what}, got {json.dumps(value)}")
 
 

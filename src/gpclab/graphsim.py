@@ -3,14 +3,21 @@
 The residual graph of a GPC after a binary erasure channel keeps one vertex
 per component code and one edge per erased bit.  Decoding is the parallel
 peeling process: every round removes all vertices whose current degree is at
-most their capability.  Peeling keeps degrees incrementally on a CSR
-incidence, so a round reads only the edges of the vertices it removes: O(E)
-edge work over the whole run for E edges, plus one O(n) scan of the vertex
-flags per round.  The core oracle removes vertices over the same incidence in
-batches by colour class (vertex index mod 2), a different order from the
-parallel rounds.  Removal only lowers degrees, so every batch is a legal
-sequential removal and both orders end at the same core, which the tests
+most their capability.  Peeling keeps slacks (degree minus capability)
+incrementally on a CSR incidence, so a round reads only the edges of the
+vertices it removes: O(E) edge work over the run for E edges, plus one O(n)
+scan of the slacks per round.  The core oracle removes vertices over the same
+incidence in batches by colour class (vertex index mod 2), a different order
+from the parallel rounds.  Removal only lowers degrees, so every batch is a
+legal sequential removal and both orders end at the same core, which the tests
 check; the oracle costs the same O(E) edge work plus one O(n) scan per batch.
+
+No full-size temporary lives beside the arrays a result needs.  Sampling peaks
+with the vertex arrays, every block's ranks (views of blocks of geometric gaps
+about 1.2 times longer) and the int64 edge list alive; triangles unrank in
+chunks.  Peeling and the core oracle peak while building the incidence: the
+graph, its sort keys (16 B per edge, sorted in place) and the 16 B per edge of
+either the slot ramp that builds the keys or the neighbour list they index.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -100,29 +107,37 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
         return np.arange(n_items, dtype=np.int64)
     chunks = []
     pos = -1
+    # the block sizes and the draw order fix the random stream: keep them
     block = max(64, int(n_items * p * 1.2) + 16)
     while True:
-        gaps = rng.geometric(p, size=block)
-        idx = pos + np.cumsum(gaps)
-        chunks.append(idx[idx < n_items])
+        idx = rng.geometric(p, size=block)
+        np.cumsum(idx, out=idx)
+        idx += pos
+        chunks.append(idx[: np.searchsorted(idx, n_items)])  # a view of the block
         if idx[-1] >= n_items:
             break
         pos = int(idx[-1])
-    return np.concatenate(chunks)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _unrank_triangle(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n."""
-    kk = k.astype(np.float64)
-    r = np.floor(((2 * n - 1) - np.sqrt((2 * n - 1) ** 2 - 8.0 * kk)) / 2.0).astype(np.int64)
-    # fix float drift at block boundaries
-    off = r * (2 * n - r - 1) // 2
-    r -= off > k
-    off = r * (2 * n - r - 1) // 2
-    r += k >= off + (n - 1 - r)
-    off = r * (2 * n - r - 1) // 2
-    c = k - off + r + 1
-    return r, c
+def _unrank_triangle(k: np.ndarray, n: int,
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n.
+
+    r and c are the columns of ``out``, a (k.size, 2) int64 array, which is
+    allocated when not given."""
+    if out is None:
+        out = np.empty((k.size, 2), dtype=np.int64)
+    b, step = 2 * n - 1, 1 << 16  # ranks per pass: bounds the temporaries
+    for lo in range(0, k.size, step):
+        kk = k[lo : lo + step]
+        r = np.floor((b - np.sqrt(b * b - 8.0 * kk)) / 2.0).astype(np.int64)
+        # fix float drift at block boundaries
+        r -= r * (b - r) // 2 > kk
+        r += kk >= r * (b - r) // 2 + (n - 1 - r)
+        out[lo : lo + step, 0] = r
+        out[lo : lo + step, 1] = kk - r * (b - r) // 2 + r + 1
+    return out[:, 0], out[:, 1]
 
 
 def _assign_capabilities(
@@ -159,34 +174,27 @@ def _sample(spec: GpcSpec, c: float, rng: np.random.Generator) -> ResidualGraph:
     caps = _assign_capabilities(spec, counts, rng)
     p = c / n
 
-    edge_blocks = []
-    L = spec.num_positions
-    for i in range(L):
-        if spec.eta[i, i]:
-            n_i = int(counts[i])
-            ks = _bernoulli_indices(rng, n_i * (n_i - 1) // 2, p)
-            if ks.size:
-                u, v = _unrank_triangle(ks, n_i)
-                edge_blocks.append(np.stack([u + offsets[i], v + offsets[i]], axis=1))
-        for j in range(i + 1, L):
-            if spec.eta[i, j]:
-                n_i, n_j = int(counts[i]), int(counts[j])
-                ks = _bernoulli_indices(rng, n_i * n_j, p)
-                if ks.size:
-                    u = ks // n_j + offsets[i]
-                    v = ks % n_j + offsets[j]
-                    edge_blocks.append(np.stack([u, v], axis=1))
-    if edge_blocks:
-        # every block already lists u < v: a triangle unranks to row < column,
-        # and a cross block puts the lower position's offset first
-        edges = np.concatenate(edge_blocks, axis=0)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return ResidualGraph(
-        vertex_position=positions,
-        vertex_capability=caps,
-        edges=edges,
-    )
+    # every block's ranks are drawn first, in row-major block order, so the
+    # edge list is allocated once; block (i, i) ranks same-position pairs
+    blocks = []
+    for i, j in zip(*np.nonzero(np.triu(spec.eta))):
+        n_i, n_j = int(counts[i]), int(counts[j])
+        pairs = n_i * (n_i - 1) // 2 if i == j else n_i * n_j
+        blocks.append((i, j, n_j, _bernoulli_indices(rng, pairs, p)))
+    edges = np.empty((sum(ks.size for *_, ks in blocks), 2), dtype=np.int64)
+    end = 0
+    for i, j, n_j, ks in blocks:
+        out = edges[end : end + ks.size]
+        end += ks.size
+        if i == j:
+            _unrank_triangle(ks, n_j, out)
+        else:
+            np.divmod(ks, n_j, out=(out[:, 0], out[:, 1]))
+        # every block lists u < v: a triangle unranks to row < column, and a
+        # cross block puts the lower position's offset first
+        out[:, 0] += offsets[i]  # one column at a time: a broadcast add is slower
+        out[:, 1] += offsets[j]
+    return ResidualGraph(vertex_position=positions, vertex_capability=caps, edges=edges)
 
 
 def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
@@ -202,52 +210,71 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
 def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
     joins v to nbr[s]; a vertex lists its neighbours in edge order."""
-    ends = graph.edges.astype(np.int64).ravel()
+    ends = graph.edges.astype(np.int64, copy=False).ravel()  # 64-bit keys
     m = ends.size
-    # the stable argsort of ends; sorting unique (end, slot) keys is faster
-    order = np.sort(ends * m + np.arange(m)) % m
+    # the stable argsort of ends: sort the unique keys (end << shift) | slot
+    # in place (faster than an argsort), then keep the slot bits
+    shift = max(m - 1, 1).bit_length()
+    keys = ends << shift
+    keys |= np.arange(m)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    keys ^= 1  # the slot of the edge's other end
     start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
-    return start, ends[order ^ 1]
+    return start, ends[keys]
 
 
-def _slots(start: np.ndarray, gone: np.ndarray) -> np.ndarray:
-    """The incidence slots of the vertices ``gone``, vertex after vertex."""
-    lo = start[gone]
-    size = start[gone + 1] - lo
-    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+_GONE = 1 << 62  # a removed vertex's slack
+
+
+def _removal(graph: ResidualGraph) -> tuple[np.ndarray, Callable[[np.ndarray], None]]:
+    """Each vertex's slack, degree - capability, and the function that
+    removes vertices: it sets their slack to _GONE and lowers each neighbour's
+    slack once per edge to them.  A live vertex is removable at slack <= 0; a
+    removed one loses at most its degree, so it stays above _GONE // 2."""
+    start, nbr = _incidence(graph)
+    size = np.diff(start)
+    slack = size - graph.vertex_capability
+
+    def remove(gone: np.ndarray) -> None:
+        slack[gone] = _GONE
+        sz = size[gone]
+        slots = np.repeat(start[gone] - np.cumsum(sz) + sz, sz) + np.arange(sz.sum())
+        np.subtract(slack, np.bincount(nbr[slots], minlength=slack.size), out=slack)
+
+    return slack, remove
 
 
 def _peel(
-    graph: ResidualGraph, masks: Iterable[np.ndarray], stop_when_idle: bool
+    graph: ResidualGraph, masks: Iterable[np.ndarray | None], stop_when_idle: bool
 ) -> PeelingResult:
-    """One parallel round per vertex mask, on degrees kept incrementally: a
-    round reads only the incidence slots of the vertices it removes.
+    """One parallel round per vertex mask (None: every vertex), on slacks
+    kept incrementally: a round reads only the incidence slots of the
+    vertices it removes.
 
     A vertex is removed only in a round whose mask holds it, so once its last
-    such round has passed, its failure status is its final ``alive``."""
+    such round has passed, its failure status is whether it is still live."""
     n = graph.num_vertices
-    start, nbr = _incidence(graph)
-    deg = np.diff(start)
-    alive = np.ones(n, dtype=bool)
+    slack, remove = _removal(graph)
+    left = n
     removed: list[int] = []
     for mask in masks:
-        gone = np.flatnonzero(alive & mask & (deg <= graph.vertex_capability))
+        gone = np.flatnonzero(slack <= 0 if mask is None else (slack <= 0) & mask)
         if stop_when_idle and gone.size == 0:
             break
-        alive[gone] = False
-        # a live vertex's degree counts exactly its edges to live neighbours;
-        # degrees of dead vertices are never read again, so every slot may count
-        deg -= np.bincount(nbr[_slots(start, gone)], minlength=n)
+        remove(gone)
         removed.append(gone.size)
-        if not alive.any():
+        left -= gone.size
+        if not left:
             break
+    alive = slack < _GONE // 2
     return PeelingResult(
-        failed_fraction=float(alive.sum()) / n if n else 0.0,
+        failed_fraction=left / n if n else 0.0,
         removed_per_round=tuple(removed),
-        surviving_edges=int(deg[alive].sum()) // 2,
+        surviving_edges=int((slack[alive] + graph.vertex_capability[alive]).sum()) // 2,
         rounds_run=len(removed),
-        survivors=np.nonzero(alive)[0],
+        survivors=np.flatnonzero(alive),
     )
 
 
@@ -255,8 +282,7 @@ def peel(graph: ResidualGraph, ell: int | None = None) -> PeelingResult:
     """Parallel peeling: each round removes, simultaneously, every vertex
     whose degree is at most its capability; stops at the round cap or at a
     fixpoint (a round that would remove nothing)."""
-    everyone = np.ones(graph.num_vertices, dtype=bool)
-    rounds = itertools.repeat(everyone) if ell is None else itertools.repeat(everyone, ell)
+    rounds = itertools.repeat(None) if ell is None else itertools.repeat(None, ell)
     return _peel(graph, rounds, True)
 
 
@@ -287,20 +313,14 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
     end at the core (k-core confluence).  Cost: O(E) edge work over the run
     plus one O(n) scan per batch.
     """
-    n = graph.num_vertices
-    start, nbr = _incidence(graph)
-    # slack = degree - capability: a live vertex is removable at slack <= 0,
-    # and a removed vertex's slack is never read again
-    slack = np.diff(start) - graph.vertex_capability
-    alive = np.ones(n, dtype=bool)
+    slack, remove = _removal(graph)
     colour, idle = 0, 0
     while idle < 2:  # stop once both classes come up empty in a row
-        gone = colour + 2 * np.flatnonzero(alive[colour::2] & (slack[colour::2] <= 0))
-        alive[gone] = False
-        slack -= np.bincount(nbr[_slots(start, gone)], minlength=n)
+        gone = colour + 2 * np.flatnonzero(slack[colour::2] <= 0)
+        remove(gone)
         idle = 0 if gone.size else idle + 1
         colour ^= 1
-    return np.flatnonzero(alive)
+    return np.flatnonzero(slack < _GONE // 2)
 
 
 def _mc_trial(args: tuple) -> tuple[float, float, float]:

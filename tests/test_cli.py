@@ -478,12 +478,35 @@ class TestInvalidValues:
     ], ids=["de", "simulate", "oracle"])
     def test_negative_ell_rejected(self, tmp_path, capsys, argv):
         # de exited 2 with a 0-iteration trajectory; simulate reported W = 1.0
-        # after no peeling round; oracle printed only the header
+        # after no peeling round; oracle printed only the header.  The field
+        # is named as the command names it, not as the API's ell_max.
         spec_path = write_spec(tmp_path, preset_hpc(60, 3))
         assert main(argv + ["--spec", spec_path, "--ell", "-2"]) == EXIT_INPUT
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: need ell")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert out == ""
+        assert err == "error: config field 'ell' must be a non-negative integer, got -2\n"
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,field", [
+        ("simulate", "seed"), ("simulate", "trials"), ("oracle", "seed"),
+        ("oracle", "trees"), ("optimize", "grid"), ("optimize", "t_min"),
+        ("optimize", "t_max"),
+    ])
+    def test_negative_count_names_the_field(self, tmp_path, capsys, command, field, via):
+        # simulate --seed -1 printed numpy's "expected non-negative integer"
+        argv = [command, "--out", str(tmp_path / "o.csv")]
+        if command != "optimize":
+            argv += ["--spec", write_spec(tmp_path, preset_hpc(60, 3)), "--c", "3.0"]
+        if via == "flag":
+            argv += ["--" + field.replace("_", "-"), "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({field: -1}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: config field {field!r} must be a non-negative integer, got -1\n"
 
 
 class TestFlagOverridesConfig:

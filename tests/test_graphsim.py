@@ -1,13 +1,18 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as scistats
 
 from gpclab import de
-from gpclab.codespec import cn_counts, cn_degrees, preset_hpc, preset_pc, preset_staircase
+from gpclab.codespec import (
+    cn_counts, cn_degrees, preset_braided, preset_hpc, preset_pc, preset_staircase,
+)
 from gpclab.graphsim import (
+    McStatistics,
     ResidualGraph,
     _bernoulli_indices,
     _incidence,
@@ -18,6 +23,7 @@ from gpclab.graphsim import (
     peel_scheduled,
     sample_residual,
 )
+from gpclab.poisson import CapabilityDistribution
 from conftest import hpc_demo_graph, random_spec
 from graph_reference import reference_core_oracle
 
@@ -484,3 +490,102 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="jobs >= 1"):
             monte_carlo(preset_hpc(10, 2), 1.0, 1, 2, 0, jobs=jobs)
 
+
+
+class TestPinnedOutputs:
+    """Sampled graphs and Monte Carlo statistics, pinned bit for bit.
+
+    Any change to the draw order, the block sizes of the geometric-gap walk
+    or the unranking shows here as a different digest."""
+
+    # name -> (spec, c, seed, edge count, SHA-256 of edges.tobytes()); every
+    # edge array is int64.  The HPC graph has more ranks than one unranking
+    # chunk; the mixture is assigned at random.
+    SAMPLES = {
+        "hpc": (preset_hpc(30000, 4), 7.0, 1, 105557,
+                "afe846dfec743c9643df6d44c05b04c8a1d9e040c911159159526cf16ae190eb"),
+        "hpc_random_tau": (
+            preset_hpc(3000, CapabilityDistribution.from_dict({3: 0.3, 5: 0.7}), "random"),
+            6.5, 2, 9793,
+            "0f003b87cb9319d719a1b3893a00399324273935ff25ab7c8373618ec0985501"),
+        "staircase": (preset_staircase(6, 360, 3), 12.0, 3, 646,
+                      "673485cb4b3ba058db92e5e222fbbe50953db5a7f8bfffe69d00a2931d910e8a"),
+        "braided": (preset_braided(4, 400, 3), 10.0, 4, 975,
+                    "b4ca1e4e7ea3e7ff8b53527ff59e5fb047643733e096e118e8def2c60c6cce0f"),
+        "pc": (preset_pc(2000, (0.5, 0.5), 3), 9.0, 5, 4587,
+               "efb5d2823993f61cd6580204d83ac49d1fa2b2ad3fdda8cc446d7eb282ee5c0e"),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_sampled_edges(self, name):
+        spec, c, seed, count, digest = self.SAMPLES[name]
+        edges = sample_residual(spec, c, seed).edges
+        assert edges.dtype == np.int64 and edges.shape == (count, 2)
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
+
+    def test_bernoulli_indices_over_two_blocks(self):
+        # seed 3573 runs past the first block of gaps (1.2 * 80 + 16 of them)
+        # before reaching n_items, so the walk draws a second block
+        hits = _bernoulli_indices(np.random.default_rng(3573), 8000, 0.01)
+        assert hits.dtype == np.int64 and hits.size == 114
+        assert hashlib.sha256(hits.tobytes()).hexdigest() == (
+            "c8c3f8dc3c4c1327d831f2211f3a13020ecc8280cca81a5ec33ba5007c76737e")
+
+    def test_monte_carlo_statistics(self):
+        assert monte_carlo(preset_hpc(5000, 4), 7.0, 25, 20, 12, jobs=1) == McStatistics(
+            trials=20, mean_w=0.6934400000000002, se_w=0.00530349636411778,
+            mean_scaled_ber=0.6960020575543682, se_scaled_ber=0.007428637008658387,
+            mean_edge_fraction=0.6959501332759759, se_edge_fraction=0.006165152042554143)
+
+
+class TestMemory:
+    """Traced peak bytes per edge of each phase on HPC t = 4, n = 200k at
+    c = 6.75 (about 675k edges; the edge list alone is 16 B/edge).  The peak
+    counts everything alive during the call: the graph too for peeling."""
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        tracemalloc.start()
+        try:
+            graph = sample_residual(preset_hpc(200_000, 4), 6.75, 0)
+            return graph, tracemalloc.get_traced_memory()[1] / graph.num_edges
+        finally:
+            tracemalloc.stop()
+
+    def test_sampling_peak(self, sampled):
+        assert sampled[1] <= 40
+
+    @pytest.mark.parametrize("phase", [peel, core_oracle], ids=["peel", "core_oracle"])
+    def test_peeling_peak(self, sampled, phase):
+        graph = sampled[0]
+        tracemalloc.start()
+        try:
+            # a copy made under tracing puts the graph itself in the peak
+            traced = ResidualGraph(graph.vertex_position.copy(),
+                                   graph.vertex_capability.copy(), graph.edges.copy())
+            tracemalloc.reset_peak()
+            phase(traced)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / graph.num_edges <= 60
+
+
+class TestNarrowEdges:
+    # (spec, c) above threshold; the HPC graph's incidence keys
+    # (end << shift) | slot pass 2**32 (20000 << 18), so they need 64 bits
+    CASES = [(spec, c_high) for spec, _, c_high in REFERENCE_FAMILIES]
+    CASES.append((preset_hpc(20000, 4), 7.5))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_int32_edges_peel_like_int64(self, case):
+        spec, c = self.CASES[case]
+        wide = sample_residual(spec, c, seed=7)
+        narrow = ResidualGraph(wide.vertex_position, wide.vertex_capability,
+                               wide.edges.astype(np.int32))
+        for got, want in zip(_incidence(narrow), _incidence(wide)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        for ell in (None, 2):
+            assert fields(peel(narrow, ell)) == fields(peel(wide, ell))
+        core = core_oracle(narrow)
+        assert core.size > 0 and np.array_equal(core, core_oracle(wide))
