@@ -28,6 +28,10 @@ from .de import _check_quality
 from .graphsim import _stream_rng
 
 
+BATCH_SIZE = 20000  # trees per batch, each batch on a random stream of its own
+NODE_BUDGET = 50_000_000  # nodes one batch may draw
+
+
 class TreeSizeLimit(RuntimeError):
     """Sampling aborted: the tree exceeded the per-trial node budget."""
 
@@ -64,29 +68,28 @@ def survival_mc(
     ell: int,
     trees: int,
     master_seed: int,
-    batch_size: int = 20000,
     root_type: tuple[int, int] | None = None,
-    node_budget: int = 50_000_000,
 ) -> SurvivalEstimate:
     """Monte Carlo estimate of the root-survival probability at depth ell.
 
-    Each batch of trees draws its root types as one multinomial (or pins
-    ``root_type``) and lays every level out type by type.  For each parent
-    position i and child type (j, t) a level draws one Poisson(n_i * m)
-    total, m = c * gamma_j * tau_t(j), and gives each child a parent by a
-    uniform draw over the n_i position-i nodes.  At the leaf level (depth
-    ell - 1) only the Binomial(total, P(Pois(M_j) >= t)) leaves that survive
-    get parents; at ell = 1 the roots survive with P(Pois(M_i) >= t + 1).
-    Survival is folded bottom-up by counting each node's surviving children.
+    Each batch of ``BATCH_SIZE`` trees draws its root types as one
+    multinomial (or pins ``root_type``) and lays every level out type by
+    type.  For each parent position i and child type (j, t) a level draws one
+    Poisson(n_i * m) total, m = c * gamma_j * tau_t(j), and gives each child
+    a parent by a uniform draw over the n_i position-i nodes.  At the leaf
+    level (depth ell - 1) only the Binomial(total, P(Pois(M_j) >= t)) leaves
+    that survive get parents; at ell = 1 the roots survive with
+    P(Pois(M_i) >= t + 1).  Survival is folded bottom-up by counting each
+    node's surviving children.
 
-    ``node_budget`` bounds the nodes a batch draws: roots, every internal
+    ``NODE_BUDGET`` bounds the nodes a batch draws: roots, every internal
     level and every leaf, survivor or not.  The totals of a level are
     checked against it before any array of that level is allocated, and
     TreeSizeLimit is raised once they exceed it.
     """
     _check_quality(c)
-    if ell < 0 or trees < 1 or batch_size < 1:
-        raise ValueError("need ell >= 0, trees >= 1 and batch_size >= 1")
+    if ell < 0 or trees < 1:
+        raise ValueError("need ell >= 0 and trees >= 1")
     if ell == 0:
         return SurvivalEstimate(1.0, 0.0, trees)
     L = spec.num_positions
@@ -106,7 +109,7 @@ def survival_mc(
     done = 0
     batch_idx = 0
     while done < trees:
-        b = min(batch_size, trees - done)
+        b = min(BATCH_SIZE, trees - done)
         rng = _stream_rng(master_seed, batch_idx)
         batch_idx += 1
         count = rng.multinomial(b, probs)
@@ -125,9 +128,10 @@ def survival_mc(
             start = np.cumsum(size) - size
             kids = rng.poisson(size[link_i] * link_mean)
             nodes_seen += int(kids.sum())
-            if nodes_seen > node_budget:
+            if nodes_seen > NODE_BUDGET:
                 raise TreeSizeLimit(
-                    f"batch exceeded {node_budget} nodes; lower ell, c, or batch_size"
+                    f"batch exceeded NODE_BUDGET = {NODE_BUDGET} nodes; lower ell, c, "
+                    "or BATCH_SIZE"
                 )
             if d < ell - 1:
                 parent = np.concatenate([start[i] + rng.integers(0, size[i], n)

@@ -263,7 +263,7 @@ def cmd_preset(args) -> int:
         spec = preset_hpc(args.n, t)
     elif name == "pc":
         split = (args.split, 1.0 - args.split)
-        spec = preset_pc(args.n, split, t_row=t, t_col=args.t_col or t)
+        spec = preset_pc(args.n, split, t_row=t, t_col=args.t_col)
     elif name == "staircase":
         spec = preset_staircase(args.L, args.n, t)
     elif name == "braided":

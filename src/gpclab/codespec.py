@@ -202,8 +202,7 @@ def preset_hpc(n: int, tau: CapabilityDistribution | int,
 
 
 def preset_pc(n: int, split: Sequence[float] = (0.5, 0.5), t_row: int = 3,
-              t_col: int | None = None,
-              tau_assignment: str = DETERMINISTIC) -> GpcSpec:
+              t_col: int | None = None) -> GpcSpec:
     """Product family: two coupled positions (rows and columns)."""
     if t_col is None:
         t_col = t_row
@@ -216,7 +215,6 @@ def preset_pc(n: int, split: Sequence[float] = (0.5, 0.5), t_row: int = 3,
         tau=(CapabilityDistribution.point_mass(t_row),
              CapabilityDistribution.point_mass(t_col)),
         n=n,
-        tau_assignment=tau_assignment,
     )
 
 
@@ -229,15 +227,13 @@ def staircase_eta(L: int) -> np.ndarray:
     return eta
 
 
-def preset_staircase(L: int, n: int, t: int,
-                     tau_assignment: str = DETERMINISTIC) -> GpcSpec:
+def preset_staircase(L: int, n: int, t: int) -> GpcSpec:
     """Chain of L positions, each coupled to its neighbours, uniform gamma."""
     return GpcSpec(
         eta=staircase_eta(L),
         gamma=np.full(L, 1.0 / L),
         tau=_uniform_tau(L, CapabilityDistribution.point_mass(t)),
         n=n,
-        tau_assignment=tau_assignment,
     )
 
 
@@ -254,15 +250,13 @@ def braided_eta(L: int) -> np.ndarray:
     return eta
 
 
-def preset_braided(L: int, n: int, t: int,
-                   tau_assignment: str = DETERMINISTIC) -> GpcSpec:
+def preset_braided(L: int, n: int, t: int) -> GpcSpec:
     """Block-wise braided chain with skew couplings, uniform gamma."""
     return GpcSpec(
         eta=braided_eta(L),
         gamma=np.full(L, 1.0 / L),
         tau=_uniform_tau(L, CapabilityDistribution.point_mass(t)),
         n=n,
-        tau_assignment=tau_assignment,
     )
 
 
@@ -296,15 +290,13 @@ def block_array_eta(eta_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eta, gamma
 
 
-def preset_from_block_array(eta_prime: np.ndarray, n: int, t: int,
-                            tau_assignment: str = DETERMINISTIC) -> GpcSpec:
+def preset_from_block_array(eta_prime: np.ndarray, n: int, t: int) -> GpcSpec:
     eta, gamma = block_array_eta(eta_prime)
     return GpcSpec(
         eta=eta,
         gamma=gamma,
         tau=_uniform_tau(len(gamma), CapabilityDistribution.point_mass(t)),
         n=n,
-        tau_assignment=tau_assignment,
     )
 
 
@@ -319,6 +311,16 @@ def spec_to_json(spec: GpcSpec) -> str:
         "assignment": spec.tau_assignment,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _integral(value):
+    """``value``, a number or nested lists of them, unchanged.  Like an
+    integer config field, an entry may be 36.0 but not 36.9 or true, which an
+    integer cast reads as 36 and 1: those raise ValueError."""
+    for x in np.asarray(value, dtype=object).flat:
+        if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+            raise ValueError(f"{json.dumps(x)} is not an integer")
+    return value
 
 
 def spec_from_json(text: str) -> GpcSpec:
@@ -337,9 +339,9 @@ def spec_from_json(text: str) -> GpcSpec:
 
     tau = field("tau", lambda v: tuple(CapabilityDistribution.from_dict(
         {int(t): float(w) for t, w in entry.items()}) for entry in v))
-    return GpcSpec(eta=field("eta", lambda v: np.asarray(v, dtype=np.int64)),
+    return GpcSpec(eta=field("eta", lambda v: np.asarray(_integral(v), dtype=np.int64)),
                    gamma=field("gamma", lambda v: np.asarray(v, dtype=np.float64)),
-                   tau=tau, n=field("n", int),
+                   tau=tau, n=field("n", lambda v: int(_integral(v))),
                    tau_assignment=doc.get("assignment", DETERMINISTIC))
 
 

@@ -239,7 +239,6 @@ def _stepper(spec: GpcSpec, c: float):
 
 
 def _blocks(spec: GpcSpec, c: float, steps: int, schedule: Schedule | None = None,
-            x_tolerance: float = DEFAULT_X_TOLERANCE,
             success_epsilon: float = DEFAULT_SUCCESS_EPSILON):
     """DE from x = 1 for at most ``steps`` iterations, ``_BLOCK`` at a time.
 
@@ -248,7 +247,8 @@ def _blocks(spec: GpcSpec, c: float, steps: int, schedule: Schedule | None = Non
     rules are checked once per block, over all its rows, and the block is cut
     at the first row that meets one: the rows and the verdict are those of a
     check after each iteration, and up to ``_BLOCK - 1`` iterations are
-    discarded.
+    discarded.  A run stalls once every position moves by less than
+    ``DEFAULT_X_TOLERANCE``, read as the run goes, times the largest x.
     """
     step, L = _stepper(spec, c), spec.num_positions
     x, z_pos = np.ones((_BLOCK + 1, L)), np.ones((_BLOCK + 1, L))
@@ -259,7 +259,7 @@ def _blocks(spec: GpcSpec, c: float, steps: int, schedule: Schedule | None = Non
             active = None if schedule is None else schedule.active_sets[done + k - 1]
             step(x[k - 1], z_pos[k - 1], active, x[k], z_pos[k])
         x_max = x[1 : n + 1].max(axis=1)
-        stuck = np.abs(x[1 : n + 1] - x[:n]).max(axis=1) < x_tolerance * x_max
+        stuck = np.abs(x[1 : n + 1] - x[:n]).max(axis=1) < DEFAULT_X_TOLERANCE * x_max
         hit = (x_max <= success_epsilon) | (stuck & (schedule is None))
         m = int(np.argmax(hit)) + 1 if hit.any() else n
         done += m
@@ -279,7 +279,6 @@ def de_run(
     c: float,
     ell_max: int = DEFAULT_ELL_MAX,
     schedule: Schedule | None = None,
-    x_tolerance: float = DEFAULT_X_TOLERANCE,
     success_epsilon: float = DEFAULT_SUCCESS_EPSILON,
 ) -> DeTrajectory:
     """Iterate DE until convergence, a stall, or the iteration cap.
@@ -304,7 +303,7 @@ def de_run(
     else:
         steps = ell_max
     xs, zs = [np.ones((1, L))], [1.0]
-    for x, z_pos, verdict in _blocks(spec, c, steps, schedule, x_tolerance, success_epsilon):
+    for x, z_pos, verdict in _blocks(spec, c, steps, schedule, success_epsilon):
         xs.append(x)
         zs.extend(spec.gamma @ row for row in z_pos)  # a matrix product rounds differently
     x = np.concatenate(xs)
@@ -343,10 +342,6 @@ class ThresholdResult:
     bracket_lo: float
     bracket_hi: float
     bracket_width: float
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.bracket_lo + self.bracket_hi)
 
 
 class BracketError(RuntimeError):
@@ -487,8 +482,9 @@ def upper_bound(spec: GpcSpec) -> float:
     return 2.0 * mean_capability(spec) * erasure_scaling(spec)
 
 
-def refined_upper_bound(tau: CapabilityDistribution, tol: float = 1e-10) -> float:
-    """Largest c satisfying c <= 2*t_bar - 2*initial_loss_mixture(tau, c).
+def refined_upper_bound(tau: CapabilityDistribution) -> float:
+    """Largest c satisfying c <= 2*t_bar - 2*initial_loss_mixture(tau, c),
+    bisected to within 1e-10.
 
     Accounting for the correction potential wasted before the first round
     tightens the 2*t_bar bound; the gap never closes since the initial loss
@@ -511,7 +507,7 @@ def refined_upper_bound(tau: CapabilityDistribution, tol: float = 1e-10) -> floa
     if lo is None:
         return 0.0
     hi = top
-    while hi - lo > tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if slack(mid) > 0.0:
             lo = mid

@@ -120,14 +120,9 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _unrank_triangle(k: np.ndarray, n: int,
-                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n.
-
-    r and c are the columns of ``out``, a (k.size, 2) int64 array, which is
-    allocated when not given."""
-    if out is None:
-        out = np.empty((k.size, 2), dtype=np.int64)
+def _unrank_triangle(k: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n,
+    written as the rows of ``out``, a (k.size, 2) int64 array."""
     b, step = 2 * n - 1, 1 << 16  # ranks per pass: bounds the temporaries
     for lo in range(0, k.size, step):
         kk = k[lo : lo + step]
@@ -137,7 +132,6 @@ def _unrank_triangle(k: np.ndarray, n: int,
         r += kk >= r * (b - r) // 2 + (n - 1 - r)
         out[lo : lo + step, 0] = r
         out[lo : lo + step, 1] = kk - r * (b - r) // 2 + r + 1
-    return out[:, 0], out[:, 1]
 
 
 def _assign_capabilities(

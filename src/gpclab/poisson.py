@@ -111,9 +111,6 @@ class CapabilityDistribution:
         """(t, weight) pairs with nonzero weight, ascending in t."""
         return [(t + 1, w) for t, w in enumerate(self.weights) if w > 0.0]
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.support())
-
     @classmethod
     def point_mass(cls, t: int) -> "CapabilityDistribution":
         if t < 1:
@@ -121,12 +118,11 @@ class CapabilityDistribution:
         return cls(tuple([0.0] * (t - 1) + [1.0]))
 
     @classmethod
-    def uniform(cls, n: int, t_min: int = 1) -> "CapabilityDistribution":
-        """Equal weight on each of {t_min, ..., t_min + n - 1}."""
-        if n < 1 or t_min < 1:
-            raise ValueError("uniform mixture needs n >= 1 and t_min >= 1")
-        w = [0.0] * (t_min - 1) + [1.0 / n] * n
-        return cls(tuple(w))
+    def uniform(cls, n: int) -> "CapabilityDistribution":
+        """Equal weight on each of {1, ..., n}."""
+        if n < 1:
+            raise ValueError("uniform mixture needs n >= 1")
+        return cls(tuple([1.0 / n] * n))
 
     @classmethod
     def from_dict(cls, mapping: Mapping[int, float]) -> "CapabilityDistribution":

@@ -1,12 +1,21 @@
-"""Every name the package exports has a caller outside the tests.
+"""Every name the package exports, and every setting it takes, has a caller
+outside the tests.
 
 A name imported in ``gpclab/__init__.py`` must be used, as code and not only
 in a docstring or comment, somewhere in ``src/gpclab/``, ``scripts/`` or
 ``perfbench/`` other than its own ``def``/``class`` line and that import.
 The few exports kept without such a caller are listed with their reason.
+
+A parameter with a default, on an exported function or a classmethod of an
+exported class, must be passed, by keyword or by position, by at least one
+call in those directories; a value that only the tests change belongs in a
+module constant that they patch.  An export kept without a caller can
+therefore take no such parameter.  The few settings kept without a caller
+are listed with their reason.
 """
 
 import ast
+import inspect
 import io
 import tokenize
 from pathlib import Path
@@ -27,6 +36,13 @@ KEPT_WITHOUT_CALLER = {
 }
 
 
+SET_ONLY_BY_TESTS = {
+    "survival_mc.root_type": "the only way the tests check the oracle one root type at a "
+                             "time against the typed recursion; a mixed-root estimate "
+                             "cannot show a type mix-up",
+}
+
+
 def exported_names() -> list[str]:
     tree = ast.parse(INIT.read_text())
     return [alias.asname or alias.name for node in tree.body
@@ -39,14 +55,17 @@ def init_import_lines() -> set[int]:
             for line in range(node.lineno, node.end_lineno + 1)}
 
 
+def caller_files() -> list[Path]:
+    return [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+            *(ROOT / "perfbench").glob("*.py")]
+
+
 def code_uses() -> dict[str, int]:
     """Count of NAME tokens per name over the caller directories, leaving out
     the name after ``def``/``class`` and the package's own export lines."""
     skip_init = init_import_lines()
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-             *(ROOT / "perfbench").glob("*.py")]
     uses: dict[str, int] = {}
-    for path in files:
+    for path in caller_files():
         previous = None
         for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
             if tok.type != tokenize.NAME:
@@ -74,3 +93,76 @@ def test_allowlist_is_exact(uses):
     for name in KEPT_WITHOUT_CALLER:
         assert name in exported, f"{name} is allowlisted but not exported"
         assert uses.get(name, 0) == 0, f"{name} has a caller now: drop it from the allowlist"
+
+
+def exported_callables() -> dict[str, object]:
+    """Exported functions by name, and each classmethod of an exported class
+    as ``Class.method``."""
+    found = {}
+    for name in exported_names():
+        obj = getattr(gpclab, name)
+        if inspect.isfunction(obj):
+            found[name] = obj
+        elif inspect.isclass(obj):
+            found.update({f"{name}.{k}": getattr(obj, k) for k, v in vars(obj).items()
+                          if isinstance(v, classmethod)})
+    return found
+
+
+def defaulted_parameters() -> list[str]:
+    return [f"{name}.{p.name}" for name, f in exported_callables().items()
+            for p in inspect.signature(f).parameters.values() if p.default is not p.empty]
+
+
+def callee(func: ast.expr, callables: dict) -> str | None:
+    """The export a call's function expression names: ``f``, ``module.f`` or
+    ``Class.method``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        owner = getattr(func.value, "attr", getattr(func.value, "id", None))
+        method = f"{owner}.{func.attr}"
+        return method if method in callables else func.attr
+    return None
+
+
+def passed_settings() -> set[str]:
+    """``export.parameter`` for each parameter some call in the caller
+    directories passes, positional arguments mapped through the signature."""
+    callables = exported_callables()
+    passed = set()
+    for path in caller_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = callee(node.func, callables)
+            if name not in callables:
+                continue
+            params = [p.name for p in inspect.signature(callables[name]).parameters.values()
+                      if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+            for k, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred) or k >= len(params):
+                    break
+                passed.add(f"{name}.{params[k]}")
+            passed.update(f"{name}.{kw.arg}" for kw in node.keywords if kw.arg is not None)
+    return passed
+
+
+@pytest.fixture(scope="module")
+def passed():
+    return passed_settings()
+
+
+@pytest.mark.parametrize("setting", [s for s in defaulted_parameters()
+                                     if s not in SET_ONLY_BY_TESTS])
+def test_setting_has_a_caller(setting, passed):
+    assert setting in passed, (
+        f"gpclab.{setting} has a default that no caller changes: make it a module "
+        "constant the tests patch, or drop it")
+
+
+def test_setting_allowlist_is_exact(passed):
+    defaulted = set(defaulted_parameters())
+    for setting in SET_ONLY_BY_TESTS:
+        assert setting in defaulted, f"{setting} is allowlisted but is no defaulted parameter"
+        assert setting not in passed, f"{setting} has a caller now: drop it from the allowlist"

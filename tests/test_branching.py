@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpclab import de
+from gpclab import branching, de
 from gpclab.branching import TreeSizeLimit, survival_mc
 from gpclab.codespec import GpcSpec, preset_hpc, preset_pc, preset_staircase
 from gpclab.graphsim import peel, sample_residual
@@ -179,15 +179,15 @@ class TestSurvivalMc:
                               root_type=(i, 2))
             assert abs(est.mean - z_typed) <= 3 * est.stderr + 1e-12
 
-    def test_over_budget_level_is_never_built(self):
+    def test_over_budget_level_is_never_built(self, monkeypatch):
         # levels of 100, 3e3 and 9e4 nodes fit the budget; the next one,
         # about 2.7e6 nodes (65 MB of node arrays), must raise unbuilt
         budget = 100_000
+        monkeypatch.setattr(branching, "NODE_BUDGET", budget)
         tracemalloc.start()
         try:
             with pytest.raises(TreeSizeLimit):
-                survival_mc(preset_hpc(1000, 3), 30.0, 5, trees=100, master_seed=1,
-                            node_budget=budget)
+                survival_mc(preset_hpc(1000, 3), 30.0, 5, trees=100, master_seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,14 +195,14 @@ class TestSurvivalMc:
         # level is copied once while it is concatenated
         assert peak < 64 * budget
 
-    def test_leaf_level_counts_against_budget(self):
+    def test_leaf_level_counts_against_budget(self, monkeypatch):
         # roots, depth 1 and depth 2 hold about 1e2 + 3e3 + 9e4 nodes, inside
         # the budget; at ell = 4 the 2.7e6 leaves alone exceed it
-        budget = 150_000
+        monkeypatch.setattr(branching, "NODE_BUDGET", 150_000)
         spec = preset_hpc(1000, 3)
-        survival_mc(spec, 30.0, 3, trees=100, master_seed=1, node_budget=budget)
+        survival_mc(spec, 30.0, 3, trees=100, master_seed=1)
         with pytest.raises(TreeSizeLimit):
-            survival_mc(spec, 30.0, 4, trees=100, master_seed=1, node_budget=budget)
+            survival_mc(spec, 30.0, 4, trees=100, master_seed=1)
 
     @pytest.mark.parametrize("name,spec,c,root_type", [
         ("hpc", preset_hpc(1000, 4), 5.0, None),
@@ -220,16 +220,17 @@ class TestSurvivalMc:
             tol = 4 * math.sqrt(new.stderr**2 + ref.stderr**2)
             assert abs(new.mean - ref.mean) <= tol, (name, ell, new, ref)
 
-    def test_z_scores_over_seeds(self):
+    def test_z_scores_over_seeds(self, monkeypatch):
         # independent seeds give z-scores against DE with mean 0 and sd 1;
         # children whose parents are drawn in a correlated way, or batches
-        # that share a stream, widen them
+        # that share a stream, widen them; 5 batches, so 5 streams, per estimate
+        monkeypatch.setattr(branching, "BATCH_SIZE", 1000)
         spec = preset_hpc(1000, 4)
         c, ell, trees = 5.0, 3, 5000
         z_de = float(de.de_run(spec, c, ell_max=ell, success_epsilon=0.0).z[ell])
         zs = []
         for seed in range(1000, 1040):
-            est = survival_mc(spec, c, ell, trees=trees, master_seed=seed, batch_size=1000)
+            est = survival_mc(spec, c, ell, trees=trees, master_seed=seed)
             zs.append((est.mean - z_de) / est.stderr)
         assert abs(np.mean(zs)) <= 0.5
         assert 0.7 <= np.std(zs, ddof=1) <= 1.3
@@ -245,10 +246,9 @@ class TestSurvivalMc:
 
     def test_arguments_checked(self):
         spec = preset_hpc(10, 2)
-        for ell, trees, batch_size in ((-1, 10, 5), (2, 0, 5), (2, 10, 0)):
+        for ell, trees in ((-1, 10), (2, 0)):
             with pytest.raises(ValueError):
-                survival_mc(spec, 1.0, ell, trees=trees, master_seed=0,
-                            batch_size=batch_size)
+                survival_mc(spec, 1.0, ell, trees=trees, master_seed=0)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
     def test_bad_quality_rejected(self, c):

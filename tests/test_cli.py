@@ -72,6 +72,11 @@ class TestPreset:
         doc = json.loads(capsys.readouterr().out)
         assert doc["eta"] == [[1]]
 
+    def test_zero_column_capability_rejected(self, capsys):
+        # a column capability of 0 used to read as "not given", so t_col = t
+        assert main(["preset", "pc", "--n", "10", "--t", "3", "--t-col", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: capability must be >= 1, got 0\n"
+
 
 class TestDe:
     def test_converged_run(self, tmp_path, capsys):
@@ -129,7 +134,13 @@ class TestDe:
         ([[1]], "spec must be a JSON object, got list"),
         ({"eta": [[1]], "gamma": [1.0], "tau": [{"2": 1.0}], "n": "ten"},
          "spec field 'n'"),
-    ], ids=["no_eta", "list", "bad_n"])
+        ({"eta": [[1]], "gamma": [1.0], "tau": [{"2": 1.0}], "n": 36.9},
+         "spec field 'n': 36.9 is not an integer"),
+        ({"eta": [[0, 1.7], [1, 0]], "gamma": [0.5, 0.5], "tau": [{"2": 1.0}] * 2, "n": 36},
+         "spec field 'eta': 1.7 is not an integer"),
+        ({"eta": [[0, True], [1, 0]], "gamma": [0.5, 0.5], "tau": [{"2": 1.0}] * 2, "n": 36},
+         "spec field 'eta': true is not an integer"),
+    ], ids=["no_eta", "list", "bad_n", "fractional_n", "fractional_eta", "boolean_eta"])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

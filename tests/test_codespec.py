@@ -353,6 +353,26 @@ class TestSerialization:
             assert spec.tau == again.tau
             assert spec.n == again.n
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("n", 36.9, "36.9"), ("n", True, "true"), ("eta", [[0, 1.7], [1, 0]], "1.7"),
+        ("eta", [[0, True], [True, 0]], "true"), ("eta", [[0, 1], [1, False]], "false"),
+    ])
+    def test_integer_fields_not_truncated(self, field, value, shown):
+        # int() and an int64 cast read 36.9 as 36 and true as 1
+        doc = json.loads(spec_to_json(preset_pc(36, (0.5, 0.5), 2)))
+        doc[field] = value
+        with pytest.raises(ValueError) as err:
+            spec_from_json(json.dumps(doc))
+        assert str(err.value) == f"spec field {field!r}: {shown} is not an integer"
+
+    def test_integral_floats_read_as_integers(self):
+        spec = preset_pc(36, (0.5, 0.5), 2)
+        doc = json.loads(spec_to_json(spec))
+        doc["n"], doc["eta"] = 36.0, [[0.0, 1.0], [1.0, 0.0]]
+        again = spec_from_json(json.dumps(doc))
+        assert again.n == 36 and type(again.n) is int
+        assert again.eta.dtype == np.int64 and spec_to_json(again) == spec_to_json(spec)
+
     def test_fields(self):
         doc = json.loads(spec_to_json(preset_staircase(6, 36, 3)))
         assert set(doc) == {"eta", "gamma", "tau", "n", "assignment"}

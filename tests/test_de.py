@@ -314,6 +314,13 @@ class TestNonFiniteQuality:
             de.de_run(preset_staircase(6, 36, 3), c)
 
 
+def assert_same_run(vector, scalar):
+    assert vector.verdict == scalar.verdict
+    assert vector.iterations_run == scalar.iterations_run
+    assert np.max(np.abs(vector.x - scalar.x)) <= 1e-12
+    assert np.max(np.abs(vector.z - scalar.z)) <= 1e-12
+
+
 class TestVectorPath:
     """de_run steps every chain as arrays over one tail table; the
     position-by-position loop of ``de_reference`` must reach the same run,
@@ -322,11 +329,7 @@ class TestVectorPath:
     @staticmethod
     def both_paths(spec, c, **kwargs):
         vector = de.de_run(spec, c, **kwargs)
-        scalar = reference_de_run(spec, c, **kwargs)
-        assert vector.verdict == scalar.verdict
-        assert vector.iterations_run == scalar.iterations_run
-        assert np.max(np.abs(vector.x - scalar.x)) <= 1e-12
-        assert np.max(np.abs(vector.z - scalar.z)) <= 1e-12
+        assert_same_run(vector, reference_de_run(spec, c, **kwargs))
         return vector
 
     @pytest.mark.parametrize("c_norm,verdict", [(5.0, de.CONVERGED), (6.0, de.STUCK)])
@@ -432,12 +435,14 @@ class TestBlockBoundaries:
 
     @pytest.mark.parametrize("ell_max", [0, 1, de._BLOCK - 1, de._BLOCK, de._BLOCK + 1,
                                          2 * de._BLOCK + 1])
-    def test_iteration_cap(self, ell_max):
+    def test_iteration_cap(self, monkeypatch, ell_max):
         # 6.0 is above the threshold and the tolerance 0 never stalls: the cap ends every run
         spec = preset_staircase(6, 36, 3)
+        c = 6.0 * erasure_scaling(spec)
+        monkeypatch.setattr(de, "DEFAULT_X_TOLERANCE", 0.0)
         with time_limit(20):
-            traj = self.both_paths(spec, 6.0 * erasure_scaling(spec), ell_max=ell_max,
-                                   x_tolerance=0.0)
+            traj = de.de_run(spec, c, ell_max=ell_max)
+            assert_same_run(traj, reference_de_run(spec, c, ell_max=ell_max, x_tolerance=0.0))
         assert (traj.verdict, traj.iterations_run) == (de.ITERATION_CAP, ell_max)
         assert traj.x.shape == (ell_max + 1, 6) and traj.z.shape == (ell_max + 1,)
 
@@ -575,7 +580,8 @@ class TestThreshold:
 
     def test_bracket_contains_c_star(self):
         res = de.threshold(preset_hpc(100, 3), bracket_tol=0.05)
-        assert res.bracket_lo <= res.midpoint <= res.c_star == res.bracket_hi
+        assert res.bracket_lo <= (res.bracket_lo + res.bracket_hi) / 2 <= res.c_star
+        assert res.c_star == res.bracket_hi
 
     @pytest.mark.parametrize("spec,expected", [
         (preset_staircase(6, 36, 3), 4.97),

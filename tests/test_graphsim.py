@@ -177,8 +177,9 @@ class TestSampling:
         for n in (2, 3, 5, 11):
             want = list(itertools.combinations(range(n), 2))
             ks = np.arange(len(want), dtype=np.int64)
-            r, c = _unrank_triangle(ks, n)
-            assert list(zip(r.tolist(), c.tolist())) == want
+            out = np.empty((ks.size, 2), dtype=np.int64)
+            _unrank_triangle(ks, n, out)
+            assert list(map(tuple, out.tolist())) == want
 
     def test_bernoulli_indices_density(self):
         gen = np.random.default_rng(5)

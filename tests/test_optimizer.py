@@ -253,7 +253,7 @@ class TestDesignRegression:
                            threshold):
         sol = solve(build_lp(c, grid_m=grid_m, t_max=t_max))
         assert sol.t_max == t_max and sol.tau.t_max == top
-        assert sol.t_bar == t_bar and sol.tau.as_dict() == support
+        assert sol.t_bar == t_bar and dict(sol.tau.support()) == support
         assert (sol.pivots, sol.rows_used) == (pivots, rows)
         verified = post_verify(sol)
         assert verified.status == STATUS_DEGENERATE

@@ -170,7 +170,7 @@ class TestInitialLoss:
 
     def test_mixture_brute_force(self):
         c = 13.42
-        brute = sum(w * initial_loss(t, c) for t, w in MIX_TBAR7.as_dict().items())
+        brute = sum(w * initial_loss(t, c) for t, w in MIX_TBAR7.support())
         assert initial_loss_mixture(MIX_TBAR7, c) == pytest.approx(brute, abs=1e-14)
 
     def test_mixture_at_least_regular(self):
@@ -226,7 +226,7 @@ class TestCapabilityDistribution:
             )
 
     def test_from_dict_roundtrip(self):
-        assert MIX_TBAR7.as_dict() == {
+        assert dict(MIX_TBAR7.support()) == {
             1: 0.070, 2: 0.103, 4: 0.115, 5: 0.179, 10: 0.496, 11: 0.037
         }
 
