@@ -129,10 +129,8 @@ def survival_mc(
             kids = rng.poisson(size[link_i] * link_mean)
             nodes_seen += int(kids.sum())
             if nodes_seen > NODE_BUDGET:
-                raise TreeSizeLimit(
-                    f"batch exceeded NODE_BUDGET = {NODE_BUDGET} nodes; lower ell, c, "
-                    "or BATCH_SIZE"
-                )
+                raise TreeSizeLimit(f"a batch of trees exceeded {NODE_BUDGET} nodes; "
+                                    "lower ell, c or trees")
             if d < ell - 1:
                 parent = np.concatenate([start[i] + rng.integers(0, size[i], n)
                                          for i, n in zip(link_i, kids)])

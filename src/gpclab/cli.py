@@ -27,6 +27,7 @@ import numpy as np
 from . import branching, de, graphsim, optimizer
 from .codespec import (
     GpcSpec,
+    _integral,
     erasure_scaling,
     mean_capability,
     preset_braided,
@@ -79,7 +80,9 @@ def _resolve_spec(config: dict) -> GpcSpec:
 
 
 def _config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    # the worker count changes no statistic, so it stays out of the hash
+    blob = json.dumps({k: v for k, v in config.items() if k != "jobs"},
+                      sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -121,18 +124,19 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
 
 def _number(config: dict, key: str, default: float, kind: type):
     """config[key] (default when absent) read as ``kind``, int or float; an
-    integer field takes 100.0 but not 2.7, which int() would truncate, and
-    nothing below 0: every integer field is a count or a seed."""
+    integer field takes what ``codespec._integral`` takes, 100.0 but not 2.7
+    or true, and nothing below 0: every integer field is a count or a seed."""
     value = config.get(key, default)
     what = "an integer" if kind is int else "a number"
     try:
-        if not isinstance(value, bool):  # JSON true and false are not numbers
-            if kind is int and isinstance(value, float) and not value.is_integer():
-                raise ValueError(value)
-            number = kind(value)
-            if kind is float or number >= 0:
-                return number
-            what = "a non-negative integer"
+        if kind is int:
+            _integral(value)
+        elif isinstance(value, bool):  # JSON true and false are not numbers
+            raise ValueError(value)
+        number = kind(value)
+        if kind is float or number >= 0:
+            return number
+        what = "a non-negative integer"
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"config field {key!r} must be {what}, got {json.dumps(value)}")
@@ -336,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, branching.TreeSizeLimit) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except de.BracketError as exc:

@@ -6,9 +6,9 @@ mixtures ``tau``, and the total check-node count ``n``.  A ``GpcSpec`` is
 valid by construction: building one that breaks any of these rules (or leaves
 eta reducible, or gives non-integral capability counts under deterministic
 assignment) raises ``ValueError`` naming every violation, so the analysis
-modules never re-check a spec.  Presets cover the classic shapes:
-half-product, product, staircase, block-wise braided, and arbitrary block
-arrays.
+modules never re-check a spec; each mixture in ``tau`` checked itself when it
+was built.  Presets cover half-product, product and arbitrary block arrays;
+the staircase and block-wise braided presets are banded block arrays.
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ def _violations(spec: GpcSpec) -> list[str]:
     if len(spec.tau) != L:
         v.append(f"tau must list {L} capability distributions, got {len(spec.tau)}")
         return v
-    for i, dist in enumerate(spec.tau):
-        for err in dist.violations():
-            v.append(f"tau({i}): {err}")
     if spec.n < 1:
         v.append(f"n must be positive, got {spec.n}")
     if spec.tau_assignment not in (DETERMINISTIC, RANDOM):
@@ -183,10 +180,6 @@ def mean_capability(spec: GpcSpec) -> float:
     return float(sum(g * d.mean() for g, d in zip(spec.gamma, spec.tau)))
 
 
-def _uniform_tau(L: int, dist: CapabilityDistribution) -> tuple[CapabilityDistribution, ...]:
-    return tuple([dist] * L)
-
-
 def preset_hpc(n: int, tau: CapabilityDistribution | int,
                tau_assignment: str = DETERMINISTIC) -> GpcSpec:
     """Half-product family: one self-coupled position (complete CN graph)."""
@@ -218,48 +211,6 @@ def preset_pc(n: int, split: Sequence[float] = (0.5, 0.5), t_row: int = 3,
     )
 
 
-def staircase_eta(L: int) -> np.ndarray:
-    if L < 2:
-        raise ValueError(f"staircase needs L >= 2, got {L}")
-    eta = np.zeros((L, L), dtype=np.int64)
-    for i in range(L - 1):
-        eta[i, i + 1] = eta[i + 1, i] = 1
-    return eta
-
-
-def preset_staircase(L: int, n: int, t: int) -> GpcSpec:
-    """Chain of L positions, each coupled to its neighbours, uniform gamma."""
-    return GpcSpec(
-        eta=staircase_eta(L),
-        gamma=np.full(L, 1.0 / L),
-        tau=_uniform_tau(L, CapabilityDistribution.point_mass(t)),
-        n=n,
-    )
-
-
-def braided_eta(L: int) -> np.ndarray:
-    if L < 4 or L % 2:
-        raise ValueError(f"block-wise braided needs even L >= 4, got {L}")
-    eta = np.zeros((L, L), dtype=np.int64)
-    for i in range(L - 1):
-        eta[i, i + 1] = eta[i + 1, i] = 1
-    # extra skew couplings between odd and even positions two steps apart
-    for i in range(1, L // 2):
-        a, b = 2 * i - 2, 2 * i + 1
-        eta[a, b] = eta[b, a] = 1
-    return eta
-
-
-def preset_braided(L: int, n: int, t: int) -> GpcSpec:
-    """Block-wise braided chain with skew couplings, uniform gamma."""
-    return GpcSpec(
-        eta=braided_eta(L),
-        gamma=np.full(L, 1.0 / L),
-        tau=_uniform_tau(L, CapabilityDistribution.point_mass(t)),
-        n=n,
-    )
-
-
 def block_array_eta(eta_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coupling matrix for an arbitrary code array of square blocks.
 
@@ -274,30 +225,41 @@ def block_array_eta(eta_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("block array must be a nonzero 2-d 0/1 matrix")
     if not np.isin(ep, (0, 1)).all():
         raise ValueError("block array entries must be 0 or 1")
-    a_rows, b_cols = ep.shape
-    a = max(a_rows, b_cols)
-    L = 2 * a
+    i, j = np.nonzero(ep)
+    rows, cols = 2 * i + 1, 2 * j  # 1-based positions 2(i+1) and 2(j+1)-1
+    used = np.zeros(2 * max(ep.shape), dtype=bool)
+    used[rows] = used[cols] = True
+    index = np.cumsum(used) - 1  # position after the empty ones are pruned
+    L = int(used.sum())
     eta = np.zeros((L, L), dtype=np.int64)
-    for i in range(a_rows):
-        for j in range(b_cols):
-            if ep[i, j]:
-                # 1-based positions 2(i+1) and 2(j+1)-1
-                r, c = 2 * i + 1, 2 * j
-                eta[r, c] = eta[c, r] = 1
-    keep = np.nonzero(eta.any(axis=1))[0]
-    eta = eta[np.ix_(keep, keep)]
-    gamma = np.full(len(keep), 1.0 / len(keep))
-    return eta, gamma
+    eta[index[rows], index[cols]] = 1
+    eta[index[cols], index[rows]] = 1
+    return eta, np.full(L, 1.0 / L)
 
 
 def preset_from_block_array(eta_prime: np.ndarray, n: int, t: int) -> GpcSpec:
+    """Block-array family (``block_array_eta``) with capability t everywhere."""
     eta, gamma = block_array_eta(eta_prime)
-    return GpcSpec(
-        eta=eta,
-        gamma=gamma,
-        tau=_uniform_tau(len(gamma), CapabilityDistribution.point_mass(t)),
-        n=n,
-    )
+    return GpcSpec(eta=eta, gamma=gamma,
+                   tau=(CapabilityDistribution.point_mass(t),) * len(gamma), n=n)
+
+
+def preset_staircase(L: int, n: int, t: int) -> GpcSpec:
+    """Staircase: the block array with blocks on its diagonal and
+    superdiagonal, a chain of L positions each coupled to its neighbours."""
+    if L < 2:
+        raise ValueError(f"staircase needs L >= 2, got {L}")
+    a = (L + 1) // 2
+    return preset_from_block_array((np.eye(a) + np.eye(a, k=1))[: L // 2], n, t)
+
+
+def preset_braided(L: int, n: int, t: int) -> GpcSpec:
+    """Block-wise braided: the tridiagonal block array, a chain of L
+    positions with skew couplings 2i - 2 -- 2i + 1."""
+    if L < 4 or L % 2:
+        raise ValueError(f"block-wise braided needs even L >= 4, got {L}")
+    a = L // 2
+    return preset_from_block_array(np.eye(a, k=-1) + np.eye(a) + np.eye(a, k=1), n, t)
 
 
 # JSON round-trip ------------------------------------------------------------

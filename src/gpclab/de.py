@@ -490,23 +490,14 @@ def refined_upper_bound(tau: CapabilityDistribution) -> float:
     tightens the 2*t_bar bound; the gap never closes since the initial loss
     is strictly positive at any finite c.
     """
-    tbar = tau.mean()
-    top = 2.0 * tbar
+    top = 2.0 * tau.mean()
 
     def slack(c: float) -> float:
         return top - 2.0 * initial_loss_mixture(tau, c) - c
 
-    lo = None
-    for k in range(1, 80):
-        cand = top * (1.0 - 0.5**k)
-        if cand <= 0.0:
-            break
-        if slack(cand) > 0.0:
-            lo = cand
-            break
-    if lo is None:
-        return 0.0
-    hi = top
+    # slack(0) = 0 with slope 1 there, and slack is concave: positive below
+    # its one root in (0, top], negative above it
+    lo, hi = 0.0, top
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if slack(mid) > 0.0:

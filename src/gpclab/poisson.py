@@ -78,27 +78,21 @@ class CapabilityDistribution:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        errs = self.violations()
+        w = tuple(float(x) for x in self.weights)
+        object.__setattr__(self, "weights", w)
+        if not w:
+            raise ValueError("capability distribution must have t_max >= 1")
+        errs = []
+        if not all(map(math.isfinite, w)):  # NaN passes both checks below
+            errs.append("capability weights must be finite")
+        if any(x < 0.0 for x in w):
+            errs.append("capability weights must be nonnegative")
+        if abs(sum(w) - 1.0) > 1e-12:
+            errs.append(f"capability weights must sum to 1 (got {sum(w)!r})")
         if errs:
             raise ValueError("; ".join(errs))
         while self.weights[-1] == 0.0:
             object.__setattr__(self, "weights", self.weights[:-1])
-
-    def violations(self) -> list[str]:
-        errs = []
-        if len(self.weights) < 1:
-            errs.append("capability distribution must have t_max >= 1")
-            return errs
-        if not all(map(math.isfinite, self.weights)):  # NaN passes both checks below
-            errs.append("capability weights must be finite")
-        if any(w < 0.0 for w in self.weights):
-            errs.append("capability weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            errs.append(
-                f"capability weights must sum to 1 (got {sum(self.weights)!r})"
-            )
-        return errs
 
     @property
     def t_max(self) -> int:

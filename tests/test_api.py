@@ -31,7 +31,6 @@ INIT = PACKAGE / "__init__.py"
 KEPT_WITHOUT_CALLER = {
     "de_step": "the one-iteration form of the DE recursion; the Horner-tail tests drive it",
     "cn_degrees": "the component-code lengths of a family",
-    "preset_from_block_array": "the paper's general block-array construction",
     "peel_scheduled": "windowed peeling, which waits for window-decoding thresholds",
 }
 

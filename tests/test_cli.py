@@ -17,7 +17,7 @@ from gpclab.cli import (
     _jobs,
     main,
 )
-from gpclab import de
+from gpclab import branching, de
 from gpclab.codespec import (
     preset_braided,
     preset_hpc,
@@ -26,6 +26,7 @@ from gpclab.codespec import (
     spec_from_json,
     spec_to_json,
 )
+from gpclab.poisson import CapabilityDistribution
 from conftest import time_limit
 
 
@@ -252,8 +253,6 @@ class TestThresholdCmd:
 
 class TestBoundsCmd:
     def test_uniform_upper_bound(self, tmp_path):
-        from gpclab.poisson import CapabilityDistribution
-
         spec = preset_hpc(100, CapabilityDistribution.uniform(10))
         spec_path = write_spec(tmp_path, spec)
         out = tmp_path / "bounds.csv"
@@ -290,6 +289,10 @@ class TestBoundsCmd:
         pytest.param(preset_braided(20, 1200, 3), id="braided20"),
         pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
         pytest.param(preset_staircase(20, 120, 3), id="staircase20"),
+        # the refined bound's root lies below t_bar = 10.9: it used to read 0,
+        # and the conjecture column then raised ZeroDivisionError
+        pytest.param(preset_hpc(1000, CapabilityDistribution.from_dict({1: 0.9, 100: 0.1}),
+                                tau_assignment="random"), id="root_below_tbar"),
     ])
     def test_bounds_dominate_threshold(self, tmp_path, spec):
         row = self.bounds_row(tmp_path, spec)
@@ -323,6 +326,20 @@ class TestSimulateCmd:
                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")]
         assert main(argv + flag) == EXIT_INPUT
         assert "need jobs >= 1" in capsys.readouterr().err
+
+    def test_jobs_stays_out_of_the_config_hash(self, tmp_path):
+        # --jobs stayed out of the hash, but a config "jobs" went into it
+        spec_path = write_spec(tmp_path, preset_hpc(200, 3))
+        argv = ["simulate", "--spec", spec_path, "--c", "4.0", "--ell", "6",
+                "--trials", "10", "--seed", "3"]
+        outs = []
+        for i, (config, flag) in enumerate([({"jobs": 1}, []), ({"jobs": 2}, []),
+                                            ({}, ["--jobs", "2"]), ({}, [])]):
+            cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}.csv"
+            cfg.write_text(json.dumps(config))
+            assert main(argv + ["--config", str(cfg), "--out", str(out)] + flag) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 class TestOptimizeCmd:
@@ -386,6 +403,17 @@ class TestOracleCmd:
         row = out.read_text().strip().splitlines()[2].split(",")
         assert row[2:5] == [z_mc, "0.0", ""]
         assert float(row[5]) == pytest.approx(bound, rel=1e-15)
+
+    def test_tree_size_limit_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        # TreeSizeLimit used to escape as a traceback naming BATCH_SIZE,
+        # which no flag sets
+        monkeypatch.setattr(branching, "NODE_BUDGET", 10_000)
+        code = main(["oracle", "--spec", write_spec(tmp_path, preset_hpc(1000, 4)),
+                     "--c", "6", "--ell", "6", "--trees", "1000",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: a batch of trees exceeded 10000 nodes; lower ell, c or trees\n")
 
 
 class TestConfigNumbers:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from gpclab.codespec import (
     GpcSpec,
     block_array_eta,
-    braided_eta,
     cn_counts,
     cn_degrees,
     code_length,
@@ -21,7 +21,6 @@ from gpclab.codespec import (
     spec_from_json,
     spec_hash,
     spec_to_json,
-    staircase_eta,
 )
 from gpclab.poisson import CapabilityDistribution
 from codespec_reference import (
@@ -64,20 +63,29 @@ class TestPresets:
         assert spec.gamma.tolist() == [1.0]
 
     def test_staircase_matrix(self):
-        assert np.array_equal(staircase_eta(6), STAIRCASE_6)
+        assert np.array_equal(preset_staircase(6, 36, 3).eta, STAIRCASE_6)
 
     def test_braided_matrix(self):
-        assert np.array_equal(braided_eta(8), BRAIDED_8)
+        assert np.array_equal(preset_braided(8, 80, 3).eta, BRAIDED_8)
 
     def test_braided_parity_rejected(self):
-        with pytest.raises(ValueError):
-            braided_eta(7)
-        with pytest.raises(ValueError):
-            braided_eta(2)
+        with pytest.raises(ValueError, match="braided needs even L >= 4, got 7"):
+            preset_braided(7, 70, 3)
+        with pytest.raises(ValueError, match="braided needs even L >= 4, got 2"):
+            preset_braided(2, 20, 3)
 
     def test_staircase_size_rejected(self):
-        with pytest.raises(ValueError):
-            staircase_eta(1)
+        with pytest.raises(ValueError, match="staircase needs L >= 2, got 1"):
+            preset_staircase(1, 10, 3)
+
+    def test_block_array_presets_pinned(self):
+        # the staircase and braided presets are built as block arrays; their
+        # spec JSON matches, byte for byte, what the direct constructions gave
+        docs = [spec_to_json(preset_staircase(L, 10 * L, 3)) for L in range(2, 120)]
+        docs += [spec_to_json(preset_braided(L, 10 * L, 3)) for L in range(4, 119, 2)]
+        docs.append(spec_to_json(preset_from_block_array(np.ones((3, 2), dtype=int), 20, 3)))
+        assert hashlib.sha256("".join(docs).encode()).hexdigest() == (
+            "ec20bbeb1046b40e7873ad5e5745bfd4504a3f86f012689c5396fbb42ec9f8aa")
 
 
 class TestValidate:
@@ -273,7 +281,7 @@ class TestBlockArray:
     def test_staircase_band(self):
         band = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         eta, gamma = block_array_eta(band)
-        assert np.array_equal(eta, staircase_eta(6))
+        assert np.array_equal(eta, STAIRCASE_6)
         assert gamma.tolist() == [1.0 / 6] * 6
 
     def test_all_zero_rejected(self):

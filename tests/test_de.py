@@ -16,7 +16,6 @@ from gpclab.codespec import (
     preset_staircase,
     spec_from_json,
     spec_to_json,
-    staircase_eta,
 )
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
@@ -50,7 +49,7 @@ def mixed_capability_staircase():
     """Staircase whose positions have capability mixtures of different t_max."""
     L = 18
     taus = [MIX_TBAR7, MIX_TBAR7_MIN4, CapabilityDistribution.point_mass(2)]
-    return GpcSpec(eta=staircase_eta(L), gamma=np.full(L, 1.0 / L),
+    return GpcSpec(eta=preset_staircase(L, L, 1).eta, gamma=np.full(L, 1.0 / L),
                    tau=tuple(taus[i % 3] for i in range(L)), n=1800,
                    tau_assignment="random")
 
@@ -521,7 +520,7 @@ class TestPaddedCapabilities:
 
     def test_same_trajectory(self):
         trimmed, padded = self.both(
-            lambda tau: GpcSpec(eta=staircase_eta(6), gamma=np.full(6, 1.0 / 6),
+            lambda tau: GpcSpec(eta=preset_staircase(6, 6, 1).eta, gamma=np.full(6, 1.0 / 6),
                                 tau=(tau,) * 6, n=600, tau_assignment="random"))
         for c in (40.0, 60.0):
             a, b = de.de_run(trimmed, c), de.de_run(padded, c)
@@ -905,7 +904,9 @@ class TestBounds:
 
     def test_refined_dominates_threshold(self):
         for tau in (CapabilityDistribution.point_mass(4),
-                    CapabilityDistribution.point_mass(7), MIX_TBAR7, MIX_TBAR7_MIN4):
+                    CapabilityDistribution.point_mass(7), MIX_TBAR7, MIX_TBAR7_MIN4,
+                    # the root lies below t_bar = 10.9: the bound used to read 0
+                    CapabilityDistribution.from_dict({1: 0.9, 100: 0.1})):
             spec = preset_hpc(1000, tau, tau_assignment="random")
             c_star = de.threshold(spec).c_star
             assert de.refined_upper_bound(tau) >= c_star - 1e-9
