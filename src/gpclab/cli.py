@@ -28,6 +28,7 @@ from . import branching, de, graphsim, optimizer
 from .codespec import (
     GpcSpec,
     _integral,
+    _numeric,
     erasure_scaling,
     mean_capability,
     preset_braided,
@@ -123,16 +124,13 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
 
 
 def _number(config: dict, key: str, default: float, kind: type):
-    """config[key] (default when absent) read as ``kind``, int or float; an
-    integer field takes what ``codespec._integral`` takes, 100.0 but not 2.7
-    or true, and nothing below 0: every integer field is a count or a seed."""
+    """config[key] (default when absent) read as ``kind``, int or float, never
+    from true or a string; an integer field takes 100.0 but not 2.7 (as
+    ``codespec._integral``) and nothing below 0: every one is a count or a seed."""
     value = config.get(key, default)
     what = "an integer" if kind is int else "a number"
     try:
-        if kind is int:
-            _integral(value)
-        elif isinstance(value, bool):  # JSON true and false are not numbers
-            raise ValueError(value)
+        (_integral if kind is int else _numeric)(value)
         number = kind(value)
         if kind is float or number >= 0:
             return number

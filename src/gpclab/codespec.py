@@ -88,7 +88,7 @@ def _violations(spec: GpcSpec) -> list[str]:
     L = eta.shape[0]
     if not np.array_equal(eta, eta.T):
         v.append("eta must be symmetric")
-    if not np.isin(eta, (0, 1)).all():
+    if not ((eta == 0) | (eta == 1)).all():
         v.append("eta entries must be 0 or 1")
     zero_rows = np.nonzero(~eta.any(axis=1))[0]
     if zero_rows.size:
@@ -223,7 +223,7 @@ def block_array_eta(eta_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ep = np.asarray(eta_prime, dtype=np.int64)
     if ep.ndim != 2 or not ep.any():
         raise ValueError("block array must be a nonzero 2-d 0/1 matrix")
-    if not np.isin(ep, (0, 1)).all():
+    if not ((ep == 0) | (ep == 1)).all():
         raise ValueError("block array entries must be 0 or 1")
     i, j = np.nonzero(ep)
     rows, cols = 2 * i + 1, 2 * j  # 1-based positions 2(i+1) and 2(j+1)-1
@@ -275,12 +275,21 @@ def spec_to_json(spec: GpcSpec) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _numeric(value):
+    """``value``, a number or nested lists of them, unchanged; an entry that is
+    true or a string, which a float cast reads as 1.0 or parses, raises ValueError."""
+    for x in np.asarray(value, dtype=object).flat:
+        if isinstance(x, (bool, str)):
+            raise ValueError(f"{json.dumps(x)} is not a number")
+    return value
+
+
 def _integral(value):
     """``value``, a number or nested lists of them, unchanged.  Like an
-    integer config field, an entry may be 36.0 but not 36.9 or true, which an
-    integer cast reads as 36 and 1: those raise ValueError."""
+    integer config field, an entry may be 36.0 but not 36.9, true or "36",
+    which an integer cast reads as 36, 1 and 36: those raise ValueError."""
     for x in np.asarray(value, dtype=object).flat:
-        if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
             raise ValueError(f"{json.dumps(x)} is not an integer")
     return value
 
@@ -300,9 +309,9 @@ def spec_from_json(text: str) -> GpcSpec:
             raise ValueError(f"spec field {name!r}: {exc}") from exc
 
     tau = field("tau", lambda v: tuple(CapabilityDistribution.from_dict(
-        {int(t): float(w) for t, w in entry.items()}) for entry in v))
+        {int(t): float(_numeric(w)) for t, w in entry.items()}) for entry in v))
     return GpcSpec(eta=field("eta", lambda v: np.asarray(_integral(v), dtype=np.int64)),
-                   gamma=field("gamma", lambda v: np.asarray(v, dtype=np.float64)),
+                   gamma=field("gamma", lambda v: np.asarray(_numeric(v), dtype=np.float64)),
                    tau=tau, n=field("n", lambda v: int(_integral(v))),
                    tau_assignment=doc.get("assignment", DETERMINISTIC))
 

@@ -131,40 +131,29 @@ def solve(problem: LpProblem) -> LpSolution:
         active[batch] = True
         result = add_rows(result, problem.a_ub[batch], problem.b_ub[batch])
         pivots += result.pivots
-    rows_used = int(active.sum())
-    if result.status == INFEASIBLE:
-        # a subset of the rows relaxes the LP, so the full LP is infeasible too
-        return LpSolution(
-            status=STATUS_INFEASIBLE,
-            c=problem.c,
-            grid_m=problem.grid_m,
-            t_min=problem.t_min,
-            t_max=problem.t_max,
-            tau=None,
-            t_bar=None,
-            raw_weights=None,
-            pivots=pivots,
-            rows_used=rows_used,
-        )
-    if result.status != OPTIMAL:
+    if result.status not in (OPTIMAL, INFEASIBLE):
         raise RuntimeError(f"simplex failed: {result.status}")
-    raw = result.x.copy()
-    cleaned = np.clip(raw, 0.0, None)
-    cleaned /= cleaned.sum()
-    weights = np.zeros(problem.t_max)
-    weights[problem.ts - 1] = cleaned
-    tau = CapabilityDistribution(tuple(weights))
+    optimal = result.status == OPTIMAL
+    tau = raw = None
+    if optimal:
+        raw = result.x.copy()
+        cleaned = np.clip(raw, 0.0, None)
+        cleaned /= cleaned.sum()
+        weights = np.zeros(problem.t_max)
+        weights[problem.ts - 1] = cleaned
+        tau = CapabilityDistribution(tuple(weights))
+    # a subset of the rows relaxes the LP, so when it is infeasible the full LP is too
     return LpSolution(
-        status=STATUS_OPTIMAL,
+        status=STATUS_OPTIMAL if optimal else STATUS_INFEASIBLE,
         c=problem.c,
         grid_m=problem.grid_m,
         t_min=problem.t_min,
         t_max=problem.t_max,
         tau=tau,
-        t_bar=tau.mean(),
+        t_bar=tau.mean() if optimal else None,
         raw_weights=raw,
         pivots=pivots,
-        rows_used=rows_used,
+        rows_used=int(active.sum()),
     )
 
 

@@ -8,6 +8,10 @@ the tableau stays dual feasible, so dual simplex pivots (Lemke 1954) repair
 primal feasibility without starting over.  Sized for the restricted programs
 of the mixture-design row generation (about 50 variables and at most a few
 hundred rows); no sparsity, no revised formulation.
+
+Tableau columns: the n variables, one slack per ``<=`` row in row order (-1,
+a surplus, in a row flipped to b >= 0), then one artificial per flipped or
+equality row in row order; unflipped slacks and the artificials start basic.
 """
 
 from __future__ import annotations
@@ -124,71 +128,41 @@ class SimplexResult:
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-) -> SimplexResult:
+def _rows(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint rows and right-hand sides as float arrays of one length."""
+    a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()
+    if a.shape[0] != b.size:
+        raise ValueError(f"{a_name} has {a.shape[0]} rows but {b_name} has {b.size} entries")
+    return a, b
+
+
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-    if a_ub is not None:
-        for a, b in zip(np.atleast_2d(np.asarray(a_ub, float)), np.asarray(b_ub, float).ravel()):
-            rows.append(np.array(a, float))
-            rhs.append(float(b))
-            kinds.append("ub")
-    if a_eq is not None:
-        for a, b in zip(np.atleast_2d(np.asarray(a_eq, float)), np.asarray(b_eq, float).ravel()):
-            rows.append(np.array(a, float))
-            rhs.append(float(b))
-            kinds.append("eq")
-    m = len(rows)
+    empty = np.zeros((0, n)), np.zeros(0)
+    a_ub, b_ub = empty if a_ub is None else _rows(a_ub, b_ub, "a_ub", "b_ub")
+    a_eq, b_eq = empty if a_eq is None else _rows(a_eq, b_eq, "a_eq", "b_eq")
+    A, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
+    m, n_slack = b.size, b_ub.size
     if m == 0:
         raise ValueError("no constraints")
-    A = np.array(rows, float)
-    b = np.array(rhs, float)
     # normalize to b >= 0; a flipped <= row becomes a >= row (surplus + artificial)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            if kinds[i] == "ub":
-                kinds[i] = "ge"
-    n_slack = sum(k in ("ub", "ge") for k in kinds)
-    n_art = sum(k in ("eq", "ge") for k in kinds)
-    N = n + n_slack + n_art
+    flip = b < 0.0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    art_rows = np.flatnonzero(flip | (np.arange(m) >= n_slack))
+    art = n + n_slack + np.arange(art_rows.size)
+    N = n + n_slack + art.size
     T = np.zeros((m, N + 1))
-    T[:, :n] = A
-    T[:, -1] = b
-    basis = np.empty(m, dtype=np.int64)
-    js, ja = n, n + n_slack
-    art_cols: list[int] = []
-    for i in range(m):
-        if kinds[i] == "ub":
-            T[i, js] = 1.0
-            basis[i] = js
-            js += 1
-        elif kinds[i] == "ge":
-            T[i, js] = -1.0
-            js += 1
-            T[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-        else:
-            T[i, ja] = 1.0
-            basis[i] = ja
-            art_cols.append(ja)
-            ja += 1
-    art = np.array(art_cols, dtype=np.int64)
+    T[:, :n], T[:, -1] = A, b
+    basis = np.arange(n, n + m)
+    T[np.arange(n_slack), basis[:n_slack]] = np.where(flip[:n_slack], -1.0, 1.0)
+    T[art_rows, art] = 1.0
+    basis[art_rows] = art
 
     tab = _Tableau(T, basis, c, np.ones(N, dtype=bool))
     pivots_total = 0
-    if n_art:
+    if art.size:
         phase1_cost = np.zeros(N)
         phase1_cost[art] = 1.0
         tab.price(phase1_cost)
@@ -222,8 +196,7 @@ def add_rows(result: SimplexResult, a_ub, b_ub) -> SimplexResult:
     old = result.tableau
     if old is None:
         raise ValueError("add_rows needs an optimal result of solve_lp or add_rows")
-    a = np.atleast_2d(np.asarray(a_ub, float))
-    b = np.asarray(b_ub, float).ravel()
+    a, b = _rows(a_ub, b_ub, "a_ub", "b_ub")
     m, N, k = old.m, old.N, b.size
     T = np.zeros((m + k, N + k + 1))
     T[:m, :N], T[:m, -1] = old.T[:, :-1], old.T[:, -1]

@@ -141,7 +141,16 @@ class TestDe:
          "spec field 'eta': 1.7 is not an integer"),
         ({"eta": [[0, True], [1, 0]], "gamma": [0.5, 0.5], "tau": [{"2": 1.0}] * 2, "n": 36},
          "spec field 'eta': true is not an integer"),
-    ], ids=["no_eta", "list", "bad_n", "fractional_n", "fractional_eta", "boolean_eta"])
+        ({"eta": [[1]], "gamma": [1.0], "tau": [{"2": 1.0}], "n": "10"},
+         'spec field \'n\': "10" is not an integer'),
+        ({"eta": [["1"]], "gamma": [1.0], "tau": [{"2": 1.0}], "n": 10},
+         'spec field \'eta\': "1" is not an integer'),
+        ({"eta": [[1]], "gamma": ["1.0"], "tau": [{"2": 1.0}], "n": 10},
+         'spec field \'gamma\': "1.0" is not a number'),
+        ({"eta": [[1]], "gamma": [1.0], "tau": [{"3": "1.0"}], "n": 10},
+         'spec field \'tau\': "1.0" is not a number'),
+    ], ids=["no_eta", "list", "bad_n", "fractional_n", "fractional_eta", "boolean_eta",
+            "string_n", "string_eta", "string_gamma", "string_tau_weight"])
     def test_malformed_spec_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -509,6 +518,20 @@ class TestInvalidValues:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"ell": "3", "c": 2.0}, "config field 'ell' must be an integer, got \"3\""),
+        ({"ell": 3, "c": "2.0"}, "config field 'c' must be a number, got \"2.0\""),
+    ], ids=["string_ell", "string_c"])
+    def test_numeric_string_rejected(self, tmp_path, capsys, doc, message):
+        # a string that int() or float() reads ran, under a config hash that
+        # differed from the same run given numbers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["de", "--config", str(cfg), "--spec", write_spec(tmp_path, preset_hpc(50, 2)),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["de", "--c", "3.0"],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -251,6 +252,21 @@ class TestAddRows:
         res = add_rows(base, -np.ones((1, n)), [-2.0])
         assert res.status == INFEASIBLE and res.x is None and res.tableau is None
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: solve_lp([1.0, 1.0], a_ub=[[1.0, 0.0]], b_ub=[1.0, -5.0]),
+         "a_ub has 1 rows but b_ub has 2 entries"),
+        (lambda: solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0, 3.0]),
+         "a_eq has 1 rows but b_eq has 2 entries"),
+        (lambda: add_rows(solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+                          [[1.0, 0.0]], [0.25, 0.75]),
+         "a_ub has 1 rows but b_ub has 2 entries"),
+    ], ids=["solve_lp_ub", "solve_lp_eq", "add_rows"])
+    def test_row_count_mismatch_rejected(self, call, message):
+        # rows were zipped with right-hand sides, dropping the extra ones, and
+        # add_rows broadcast a single row over two right-hand sides
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_pivot_budget(self, monkeypatch):
         base = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
@@ -258,3 +274,31 @@ class TestAddRows:
             add_rows(base, [[1.0, 0.0]], [0.25])
         with pytest.raises(CyclingError):  # both read the budget when called
             solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+
+
+class TestPinnedPath:
+    """Status, solution bytes and pivot count of 1200 seeded random programs,
+    pinned by SHA-256: a change to the tableau's column order or to a pivot
+    rule moves the digest.  About half the ``<=`` rows have b < 0 and so
+    become ``>=`` rows with a surplus and an artificial column."""
+
+    def test_pivot_path_pinned(self):
+        rng = np.random.default_rng(20151)
+        digest = hashlib.sha256()
+        statuses = set()
+        for _ in range(1200):
+            n, mu, me = (int(k) for k in rng.integers((1, 0, 0), (8, 8, 3)))
+            if mu + me == 0:
+                mu = 1
+            c = rng.normal(size=n)
+            a_ub, b_ub = rng.normal(size=(mu, n)), rng.normal(size=mu)
+            a_eq, b_eq = rng.normal(size=(me, n)), rng.normal(size=me)
+            res = solve_lp(c, a_ub if mu else None, b_ub if mu else None,
+                           a_eq if me else None, b_eq if me else None)
+            statuses.add(res.status)
+            digest.update(res.status.encode())
+            digest.update(b"" if res.x is None else res.x.tobytes())
+            digest.update(res.pivots.to_bytes(4, "little"))
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        assert digest.hexdigest() == (
+            "420257deba375db0d69a20c1aa945024b9b4aa9626269444ea78ef6ba4a0a757")
