@@ -30,6 +30,7 @@ from .graphsim import _stream_rng
 
 BATCH_SIZE = 20000  # trees per batch, each batch on a random stream of its own
 NODE_BUDGET = 50_000_000  # nodes one batch may draw
+LEAF_CHUNK = 1 << 22  # leaf parents drawn at once, 32 MB of draws
 
 
 class TreeSizeLimit(RuntimeError):
@@ -60,6 +61,15 @@ def _tail(mean: float, t: int) -> float:
         cdf += pmf
         pmf *= mean / (k + 1)
     return max(0.0, 1.0 - cdf)
+
+
+def _parent_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
+    """Children per parent as n children pick among ``size`` parents, drawn and
+    counted ``LEAF_CHUNK`` at a time: the draws are those of one call."""
+    counts = np.bincount(rng.integers(0, size, min(n, LEAF_CHUNK)), minlength=size)
+    for done in range(LEAF_CHUNK, n, LEAF_CHUNK):
+        counts += np.bincount(rng.integers(0, size, min(LEAF_CHUNK, n - done)), minlength=size)
+    return counts
 
 
 def survival_mc(
@@ -138,8 +148,7 @@ def survival_mc(
                 levels.append((ts, count, parent))
                 seg_pos = ps
         kept = np.bincount(link_i, weights=rng.binomial(kids, leaf_q), minlength=L)
-        alive = np.concatenate([np.bincount(rng.integers(0, size[i], int(kept[i])),
-                                            minlength=size[i]) for i in range(L)])
+        alive = np.concatenate([_parent_counts(rng, size[i], int(kept[i])) for i in range(L)])
         for d in range(len(levels) - 1, -1, -1):
             need, count, parent = levels[d]
             survive = alive >= np.repeat(need, count)

@@ -9,19 +9,20 @@ the analytic bounds used to sanity-check and design capability mixtures.
 Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
 positions with array operations that evaluate each position's tau-mixed
 Poisson tails in Horner form, with no tail table; the contraction slack that
-post-verification reports reads the same Horner tails, and the closed form
-reads ``poisson_tail_table``.  A step runs Horner on mu = -lam and writes in
-place; ``de_run`` checks its stopping rules once per block of ``_BLOCK``
-iterations, so it computes and discards up to ``_BLOCK - 1`` iterations, and
-nothing reported changes.
+post-verification reports reads the same Horner tails, the closed form and the
+continuation read ``poisson_tail_table``.  A step runs Horner on mu = -lam and
+writes in place; ``de_run`` checks its stopping rules once per block of
+``_BLOCK`` iterations, so it computes and discards up to ``_BLOCK - 1``
+iterations, and nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
-counts: in closed form for position-regular specs, by continuation of the
-branch of fixed points for all others.
+counts: in closed form, on a lam grid built once per capability range, for
+position-regular specs, and by continuation of the fixed points for all others.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -360,14 +361,23 @@ def _mixed_tails(lam: np.ndarray, tau_w: np.ndarray, derivatives: int) -> list:
     """F(lam) = sum_t tau_t P(Pois(lam) >= t) and its first ``derivatives``
     derivatives, from one tail table: dP(Pois >= t)/dlam = P(Pois = t-1) is a
     difference of neighbouring tails, and so is each further derivative."""
-    t_max, ones = tau_w.shape[-1], np.ones(lam.shape + (derivatives,))
+    t_max = tau_w.shape[-1]
     # column k holds P(Pois(lam) >= k + 1 - derivatives), 1 for k < derivatives
-    table = np.concatenate([ones, poisson_tail_table(lam, t_max)], axis=-1)
-    terms = []
-    for _ in range(derivatives + 1):
-        terms.append((table[..., -t_max:] * tau_w).sum(axis=-1))
+    table = np.ones(lam.shape + (derivatives + t_max,))  # C order: each sum runs along a row
+    table[..., derivatives:] = poisson_tail_table(lam, t_max)
+    terms = [(table[..., derivatives:] * tau_w).sum(axis=-1)]
+    for _ in range(derivatives):
         table = table[..., :-1] - table[..., 1:]
+        terms.append((table[..., -t_max:] * tau_w).sum(axis=-1))
     return terms
+
+
+@functools.lru_cache
+def _lam_grid(t_max: int) -> np.ndarray:
+    """The closed form's lam grid for capabilities up to t_max; shared, so read-only."""
+    lam = np.geomspace(_LAM_MIN, 2.0 * t_max + 2.0, _LAM_POINTS)
+    lam.flags.writeable = False
+    return lam
 
 
 def _exact(c: float) -> tuple[float, float]:
@@ -381,7 +391,7 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     up to 2 t + 2, t the largest capability with positive weight; beyond it
     lam / F >= lam exceeds the counting bound."""
     w = np.asarray(tau.weights)
-    lam = np.geomspace(_LAM_MIN, 2.0 * w.size + 2.0, _LAM_POINTS)
+    lam = _lam_grid(w.size)
     f = _mixed_tails(lam, w, 0)[0]
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
     best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)

@@ -1,9 +1,9 @@
 """Numerically stable Poisson tail evaluation and erasure-capability mixtures.
 
-Everything downstream (density evolution, analytic bounds, LP coefficients)
-funnels through the functions here, so they are kept branch-light and pure.
-``poisson_tail_table`` is the tail kernel of the threshold and the LP rows; a
-DE step and the contraction slack evaluate tau-mixed tails in Horner form.
+Everything downstream (DE, analytic bounds, LP rows) funnels through the
+functions here, so they are kept branch-light and pure.  The threshold and the
+LP rows read ``poisson_tail_table``, whose running cdf lives in its output
+buffer; DE steps and the contraction slack evaluate mixed tails in Horner form.
 """
 
 from __future__ import annotations
@@ -20,27 +20,27 @@ def poisson_tail_table(lam: np.ndarray, t_max: int) -> np.ndarray:
     P(Pois(lam[i]) >= t_max)], shape ``lam.shape + (t_max,)``.
 
     One running-pmf recursion (pmf_0 = exp(-lam), pmf_k = pmf_{k-1} * lam / k,
-    tail = 1 - running cdf), one array operation per threshold.  A running cdf
-    that rounds above 1 would give a tail of about -2e-16; such entries read
-    0, so the table stays a probability and DE rates stay nonnegative.  Once
-    exp(-lam) underflows (lam > ~745) every tail reads 1, within rounding of
-    the truth while t_max stays well below lam.
+    tail = 1 - running cdf) in the threshold-major output, whose row k holds
+    lam / k until one multiply and one add per threshold turn it into the cdf;
+    1 - cdf and a clamp at 0 over the buffer follow, and a transposed view of
+    it is returned.  A running cdf that rounds above 1 would give a tail of about
+    -2e-16; the clamp reads it as 0, so the table stays a probability and DE
+    rates stay nonnegative.  Once exp(-lam) underflows (lam > ~745) every tail
+    reads 1, within rounding of the truth while t_max stays well below lam.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if (lam < 0.0).any():
         raise ValueError("Poisson rates must be nonnegative")
-    # threshold-major, so each step writes one contiguous row
     out = np.empty((t_max,) + lam.shape)
-    if t_max > 0:
-        pmf = np.exp(-lam)
-        cdf = pmf.copy()
-        np.subtract(1.0, cdf, out=out[0, ...])
-        for k in range(1, t_max):
-            pmf *= lam / k
-            cdf += pmf
-            np.subtract(1.0, cdf, out=out[k, ...])
-        np.maximum(out, 0.0, out=out)
-    return np.moveaxis(out, 0, -1)
+    np.divide(lam, np.arange(1.0, t_max).reshape((-1,) + (1,) * lam.ndim), out=out[1:])
+    pmf = np.exp(-lam)
+    out[:1] = pmf  # a slice, so t_max = 0 needs no branch
+    for k in range(1, t_max):
+        pmf *= out[k]
+        np.add(out[k - 1], pmf, out=out[k, ...])
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out.transpose((*range(1, out.ndim), 0))
 
 
 def initial_loss(t: int, c: float) -> float:

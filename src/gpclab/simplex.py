@@ -129,8 +129,10 @@ class SimplexResult:
 
 
 def _rows(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint rows and right-hand sides as float arrays of one length."""
-    a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()
+    """Constraint rows and right-hand sides as finite float arrays of one length."""
+    a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()  # None reads NaN
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"{a_name} and {b_name} must be given and finite")
     if a.shape[0] != b.size:
         raise ValueError(f"{a_name} has {a.shape[0]} rows but {b_name} has {b.size} entries")
     return a, b

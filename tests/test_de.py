@@ -863,6 +863,43 @@ class TestClosedForm:
         assert res.bracket_lo <= exact <= res.c_star
         assert res.bracket_width <= 3e-9 * res.c_star
 
+    def test_benchmark_families_pinned(self):
+        # the threshold table of the benchmark: HPC t = 3..8, the two
+        # reference mixtures, PC and braided L = 4 (t = 3, 5, 7 and 3, 5)
+        # and uniform mixtures of 4, 8 and 12, bit for bit
+        specs = [preset_hpc(1000, t) for t in range(3, 9)]
+        specs += [preset_hpc(1000, mix, tau_assignment="random")
+                  for mix in (MIX_TBAR7, MIX_TBAR7_MIN4)]
+        specs += [preset_pc(1000, t_row=t) for t in (3, 5, 7)]
+        specs += [preset_braided(4, 1000, t) for t in (3, 5)]
+        specs += [preset_hpc(1000, CapabilityDistribution.uniform(n), tau_assignment="random")
+                  for n in (4, 8, 12)]
+        pairs = [repr((r.c_star, r.bracket_lo)) for r in (de.threshold(s, 0.005) for s in specs)]
+        assert pairs == [
+            "(5.149402752135857, 5.149402741837051)", "(6.799275495417361, 6.79927548181881)",
+            "(8.365340778413044, 8.365340761682361)", "(9.875290734719192, 9.87529071496861)",
+            "(11.34412890883422, 11.344128886145961)", "(12.781099708780648, 12.781099683218448)",
+            "(13.408711410691057, 13.408711383873634)", "(12.887298917264161, 12.887298891489563)",
+            "(10.298805504271714, 10.298805483674101)", "(16.730681556826088, 16.730681523364723)",
+            "(22.68825781766844, 22.688257772291923)", "(10.298805504271714, 10.298805483674101)",
+            "(16.730681556826088, 16.730681523364723)", "(4.000000004, 3.999999996)",
+            "(8.000000007999017, 7.999999991999016)", "(12.000000011997455, 11.999999987997455)",
+        ]
+
+    def test_lambda_grid_cached_read_only(self):
+        # one grid per capability range, shared by every threshold on it
+        grid = de._lam_grid(12)
+        assert grid is de._lam_grid(12) and not grid.flags.writeable
+        assert np.array_equal(grid, np.geomspace(de._LAM_MIN, 26.0, de._LAM_POINTS))
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+
+    def test_fold_pinned(self):
+        # the README staircase goes through the continuation, whose Jacobian
+        # reads the same tail kernel as the closed form
+        lo, hi = de._fold(preset_staircase(6, 36, 3), 0.005)
+        assert (repr(float(lo)), repr(float(hi))) == ("17.87277989938349", "17.875279899383493")
+
 
 class TestBounds:
     def test_upper_bound_point_mass(self):

@@ -261,6 +261,22 @@ class TestDesignRegression:
         ref = reference_success_condition(sol.tau, c, grid_points=10 * grid_m)
         assert verified.fine_grid_min_slack == pytest.approx(ref, abs=1e-15)
 
+    @pytest.mark.parametrize("c, t_min, weights, pivots, threshold", [
+        (13.40, 1, (0.07036102516659071, 0.1027499287456783, 0.0, 0.11560579142587102,
+                    0.17808375307431146, 0.0, 0.0, 0.0, 0.0, 0.5020985680699903,
+                    0.03110093351755823), 54, "13.399987938850067"),
+        (12.86, 4, (0.0, 0.0, 0.0, 0.4954716850403187, 0.0, 0.0, 0.0, 0.0,
+                    0.036886502268291814, 0.46764181269138966), 15, "12.859999681590295"),
+        (10.0, 1, (0.1002082466932368, 0.057824516727593034, 0.23734868623316493, 0.0, 0.0,
+                   0.0, 0.46234650658487403, 0.1422720437611312), 23, "9.979218617218772"),
+    ])
+    def test_benchmark_design_pinned(self, c, t_min, weights, pivots, threshold):
+        # the benchmark's designs at M = 1000, t_max = 50, bit for bit: the LP
+        # rows and the verified closed-form threshold read the tail kernel
+        sol = solve(build_lp(c, 1000, 50, t_min))
+        assert sol.tau.weights == weights and sol.pivots == pivots
+        assert repr(post_verify(sol).verified_threshold) == threshold
+
 
 class TestSweep:
     """The frontier quantities that scripts/threshold_frontier.py reports."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -129,6 +130,25 @@ class TestTailTable:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             poisson_tail_table(np.array([1.0, -0.5]), 3)
+
+    # SHA-256 over the tables of each rate as a 0-d array, of the seven rates
+    # as a vector and of a (7, 9) array of rates, pinned from the kernel that
+    # kept its running cdf in a buffer of its own: the kernel's IEEE
+    # operations and their order must not change
+    @pytest.mark.parametrize("t_max, digest", [
+        (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (1, "2d5224b771ec0b588d7eec2fa7ac613fdb1f35f47960f919f73fe8f383342050"),
+        (2, "78d6ac54dfe9d7b4e51595435f1196ec59333e1fd2362b2a61f5d0a3e45faa4b"),
+        (3, "9e97a55730c4295dd8f2a244a8477b620d7e34da5ccc5161acbaae0d3cec6ae6"),
+        (12, "d7ca1ddb8225c87e00ab5532945686c8fb1421b945ffeb845fb367035d4d9a2c"),
+        (51, "6731dd0936b6a35d68770720419f46e83a781f9162d8a2f39bb82486492ae26b"),
+    ])
+    def test_tables_pinned(self, t_max, digest):
+        rates = np.array((0.0, 1e-6, 0.05, 2.5, 31.0, 650.0, 800.0))
+        h = hashlib.sha256()
+        for lam in (*map(np.array, rates), rates, rates[:, None] * (np.arange(1, 10) / 4.0)):
+            h.update(poisson_tail_table(lam, t_max).tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestInitialLoss:

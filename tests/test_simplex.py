@@ -267,6 +267,22 @@ class TestAddRows:
         with pytest.raises(ValueError, match=message):
             call()
 
+    @pytest.mark.parametrize("call, names", [
+        (lambda: solve_lp([1.0], a_ub=[[1.0]]), "a_ub and b_ub"),
+        (lambda: solve_lp([-1.0], a_ub=[[1.0]]), "a_ub and b_ub"),
+        (lambda: solve_lp([1.0], a_eq=[[1.0]]), "a_eq and b_eq"),
+        (lambda: solve_lp([1.0], a_ub=[[1.0]], b_ub=[np.nan]), "a_ub and b_ub"),
+        (lambda: solve_lp([1.0], a_eq=[[np.inf]], b_eq=[1.0]), "a_eq and b_eq"),
+        (lambda: add_rows(solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+                          [[1.0, np.nan]], [0.25]), "a_ub and b_ub"),
+    ], ids=["missing_b_ub", "missing_b_ub_unbounded", "missing_b_eq", "nan_b_ub", "inf_a_eq",
+            "add_rows_nan"])
+    def test_missing_or_nonfinite_rows_rejected(self, call, names):
+        # a missing right-hand side was read as NaN: the first call returned
+        # x = 0 as optimal, the second failed on an argmin of nothing
+        with pytest.raises(ValueError, match=f"{names} must be given and finite"):
+            call()
+
     def test_pivot_budget(self, monkeypatch):
         base = solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
         monkeypatch.setattr(simplex, "_MAX_PIVOTS", 0)
