@@ -148,7 +148,8 @@ def survival_mc(
                 levels.append((ts, count, parent))
                 seg_pos = ps
         kept = np.bincount(link_i, weights=rng.binomial(kids, leaf_q), minlength=L)
-        alive = np.concatenate([_parent_counts(rng, size[i], int(kept[i])) for i in range(L)])
+        alive = [_parent_counts(rng, size[i], int(kept[i])) for i in range(L)]
+        alive = alive[0] if L == 1 else np.concatenate(alive)  # no copy of one part
         for d in range(len(levels) - 1, -1, -1):
             need, count, parent = levels[d]
             survive = alive >= np.repeat(need, count)

@@ -13,7 +13,6 @@ the staircase and block-wise braided presets are banded block arrays.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -317,4 +316,5 @@ def spec_from_json(text: str) -> GpcSpec:
 
 
 def spec_hash(spec: GpcSpec) -> str:
+    import hashlib  # only here, so that importing gpclab does not load it
     return hashlib.sha256(spec_to_json(spec).encode()).hexdigest()[:16]

@@ -9,10 +9,11 @@ the analytic bounds used to sanity-check and design capability mixtures.
 Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
 positions with array operations that evaluate each position's tau-mixed
 Poisson tails in Horner form, with no tail table; the contraction slack that
-post-verification reports reads the same Horner tails, the closed form and the
-continuation read ``poisson_tail_table``.  A step runs Horner on mu = -lam and
-writes in place; ``de_run`` checks its stopping rules once per block of
-``_BLOCK`` iterations, so it computes and discards up to ``_BLOCK - 1``
+post-verification reports reads the same Horner tails, and the closed form and
+the continuation read sums of Poisson pmf terms over the same coefficients, with
+F' and F'' accurate where differences of tails lose them.  A step runs Horner on
+mu = -lam and writes in place; ``de_run`` checks its stopping rules once per
+block of ``_BLOCK`` iterations, so it computes and discards up to ``_BLOCK - 1``
 iterations, and nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
@@ -31,12 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .codespec import GpcSpec, erasure_scaling, mean_capability
-from .poisson import (
-    CapabilityDistribution,
-    initial_loss,
-    initial_loss_mixture,
-    poisson_tail_table,
-)
+from .poisson import CapabilityDistribution, initial_loss, initial_loss_mixture
 
 CONVERGED = "converged_to_zero"
 STUCK = "stuck_positive"
@@ -178,11 +174,21 @@ def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
     return _one_step(spec, x, c)[0]
 
 
+@functools.lru_cache
+def _reciprocals(n: int) -> np.ndarray:
+    """[1, 1/1, 1/2, ..., 1/(n - 1)]; shared, so read-only."""
+    r = 1.0 / np.maximum(np.arange(n), 1.0)
+    r.flags.writeable = False
+    return r
+
+
 def _tail_coefficients(tau_w: np.ndarray):
     """rest[i, k] = sum_{t >= k} tau_t(i) for k = 0..t_max + 1 (rest[i, 0] = S_i)
     and inv_fact[k] = 1 / k! for k = 0..t_max: the Horner tails' coefficients."""
-    rest = np.cumsum(np.pad(tau_w, ((0, 0), (1, 1)))[:, ::-1], axis=1)[:, ::-1]
-    return rest, np.cumprod(np.append(1.0, 1.0 / np.arange(1, tau_w.shape[1] + 1)))
+    rest = np.zeros((tau_w.shape[0], tau_w.shape[1] + 2))
+    np.cumsum(tau_w[:, ::-1], axis=1, out=rest[:, -2:0:-1])
+    rest[:, 0] = rest[:, 1]
+    return rest, np.cumprod(_reciprocals(tau_w.shape[1] + 1))
 
 
 def _stepper(spec: GpcSpec, c: float):
@@ -357,19 +363,32 @@ _CLOSED_FORM_RTOL, _LAM_MIN, _LAM_POINTS, _NEWTON_STEPS = 1e-9, 1e-2, 200, 5
 _FIRST_STEP, _RESIDUAL_TOL, _MIN_STEP, _X_ZERO = 0.05, 1e-12, 1e-10, 1e-6
 
 
-def _mixed_tails(lam: np.ndarray, tau_w: np.ndarray, derivatives: int) -> list:
-    """F(lam) = sum_t tau_t P(Pois(lam) >= t) and its first ``derivatives``
-    derivatives, from one tail table: dP(Pois >= t)/dlam = P(Pois = t-1) is a
-    difference of neighbouring tails, and so is each further derivative."""
-    t_max = tau_w.shape[-1]
-    # column k holds P(Pois(lam) >= k + 1 - derivatives), 1 for k < derivatives
-    table = np.ones(lam.shape + (derivatives + t_max,))  # C order: each sum runs along a row
-    table[..., derivatives:] = poisson_tail_table(lam, t_max)
-    terms = [(table[..., derivatives:] * tau_w).sum(axis=-1)]
-    for _ in range(derivatives):
-        table = table[..., :-1] - table[..., 1:]
-        terms.append((table[..., -t_max:] * tau_w).sum(axis=-1))
-    return terms
+def _pmf_coefficients(tau_w: np.ndarray) -> np.ndarray:
+    """coef[i, d] for d = 0, 1, 2: the d-th derivative of F_i(lam) = sum_t
+    tau_t(i) P(Pois(lam) >= t) is coef[i, d] . (pmf_0, ..., pmf_{t_max - 1}, 1),
+    pmf_k = P(Pois(lam) = k).  Rows: F = S_i - sum_k pmf_k sum_{t > k} tau_t(i),
+    F' = sum_k tau_{k+1}(i) pmf_k (dP(Pois >= t)/dlam = pmf_{t-1}) and
+    F'' = sum_k (tau_{k+2}(i) - tau_{k+1}(i)) pmf_k (dpmf_k/dlam = pmf_{k-1} - pmf_k)."""
+    rest = _tail_coefficients(tau_w)[0]
+    coef = np.zeros((tau_w.shape[0], 3, tau_w.shape[1] + 1))
+    np.negative(rest[:, 1:-1], out=coef[:, 0, :-1])
+    coef[:, 0, -1] = rest[:, 0]
+    coef[:, 1, :-1] = tau_w
+    np.subtract(coef[:, 1, 1:], coef[:, 1, :-1], out=coef[:, 2, :-1])
+    return coef
+
+
+def _tail_sums(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """F and its derivatives at lam, ``_pmf_coefficients`` rows (last axis of
+    the result) dotted with (pmf_0, ..., pmf_{t_max - 1}, 1), the pmf from one
+    cumulative product over (e^-lam, lam / 1, lam / 2, ...).  lam is capped at
+    ``_LAM_CAP``, as in ``_stepper``: e^-lam is 0 there and all stays finite."""
+    lam = np.minimum(lam, _LAM_CAP)
+    pmf = lam[..., None] * _reciprocals(coef.shape[-1])
+    pmf[..., 0] = np.exp(-lam)
+    pmf[..., -1] = 1.0
+    np.cumprod(pmf[..., :-1], axis=-1, out=pmf[..., :-1])
+    return (coef * pmf[..., None, :]).sum(axis=-1)
 
 
 @functools.lru_cache
@@ -391,16 +410,16 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     up to 2 t + 2, t the largest capability with positive weight; beyond it
     lam / F >= lam exceeds the counting bound."""
     w = np.asarray(tau.weights)
-    lam = _lam_grid(w.size)
-    f = _mixed_tails(lam, w, 0)[0]
+    lam, coef = _lam_grid(w.size), _pmf_coefficients(w[None, :])[0]
+    f = _tail_sums(lam, coef[:1])[:, 0]
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
     best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
-    x = lam[[k]]
+    x = lam[k]
     for _ in range(_NEWTON_STEPS if 0 < k < lam.size - 1 else 0):
-        f, f1, f2 = _mixed_tails(x, w, 2)
-        best = min(best, x[0] / f[0])
+        f, f1, f2 = _tail_sums(x, coef)
+        best = min(best, x / f)
         x = x + (f - x * f1) / (x * f2)
-        if not lam[k - 1] < x[0] < lam[k + 1]:
+        if not lam[k - 1] < x < lam[k + 1]:
             break
     return _exact(float(best) / s)
 
@@ -410,7 +429,8 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
 
     From DE's stall at the counting bound, pseudo-arclength continuation
     follows G(x, c) = f(x; c) - x = 0 down in c, with df_i/dx_j =
-    c eta_ij gamma_j F_i'(lam_i) and df_i/dc = F_i'(lam_i) lam_i / c.  Past the
+    c eta_ij gamma_j F_i'(lam_i) and df_i/dc = F_i'(lam_i) lam_i / c, F_i and F_i'
+    pmf sums (``_tail_sums``) over the coefficients of DE's own tails.  Past the
     turn the step halves until hi, the lowest c found, is within tol = bracket_tol
     / 2 of the crossing of the tangent lines on either side (a lower bound while
     c is convex).  DE at hi - tol then converges (the threshold is above that),
@@ -419,6 +439,7 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
     A branch reaching x = 0 ends where c tau_1(i) eta_ij gamma_j has spectral radius 1."""
     pos, L = _PositionArrays(spec), spec.num_positions
     coupling, down = spec.eta * spec.gamma, -np.eye(L + 1)[L]
+    coef = _pmf_coefficients(pos.tau_w)[:, :2]
     c = c0 = upper_bound(spec)
 
     def on_branch(p: np.ndarray, normal: np.ndarray):
@@ -428,7 +449,7 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
             if (u < 0.0).any():
                 return None
             x, lam = u[:-1], pos.means(u[:-1], u[-1] * c0)
-            f, fp = _mixed_tails(lam, pos.tau_w, 1)
+            f, fp = _tail_sums(lam, coef).T
             rows = np.vstack([np.column_stack([(u[-1] * c0 * fp)[:, None] * coupling
                                                - np.eye(L), fp * lam / u[-1]]), normal])
             if np.abs(f - x).max() <= _RESIDUAL_TOL:

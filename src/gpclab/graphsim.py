@@ -15,16 +15,16 @@ check; the oracle costs the same O(E) edge work plus one O(n) scan per batch.
 No full-size temporary lives beside the arrays a result needs.  Sampling peaks
 with the vertex arrays, every block's ranks (views of blocks of geometric gaps
 about 1.2 times longer) and the int64 edge list alive; triangles unrank in
-chunks.  Peeling and the core oracle peak while building the incidence: the
-graph, its sort keys (16 B per edge, sorted in place) and the 16 B per edge of
-either the slot ramp that builds the keys or the neighbour list they index.
+chunks.  Peeling and the core oracle hold the graph, the incidence's sort keys
+(16 B per edge, sorted in place; they take the slot ramp and then become the
+neighbour list a chunk at a time) and two vertex arrays, and peak with the
+slots of the first round's removed vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -205,18 +205,22 @@ def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
     joins v to nbr[s]; a vertex lists its neighbours in edge order."""
     ends = graph.edges.astype(np.int64, copy=False).ravel()  # 64-bit keys
-    m = ends.size
+    m, step = ends.size, 1 << 16  # slots per pass: bounds the temporaries
     # the stable argsort of ends: sort the unique keys (end << shift) | slot
     # in place (faster than an argsort), then keep the slot bits
     shift = max(m - 1, 1).bit_length()
     keys = ends << shift
-    keys |= np.arange(m)
+    for lo in range(0, m, step):
+        keys[lo : lo + step] |= np.arange(lo, min(lo + step, m))
     keys.sort()
-    keys &= (1 << shift) - 1
-    keys ^= 1  # the slot of the edge's other end
+    for lo in range(0, m, step):  # the neighbour list takes the keys' place
+        slots = keys[lo : lo + step]
+        slots &= (1 << shift) - 1
+        slots ^= 1  # the slot of the edge's other end
+        keys[lo : lo + step] = ends[slots]
     start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
-    return start, ends[keys]
+    return start, keys
 
 
 _GONE = 1 << 62  # a removed vertex's slack
@@ -228,14 +232,17 @@ def _removal(graph: ResidualGraph) -> tuple[np.ndarray, Callable[[np.ndarray], N
     slack once per edge to them.  A live vertex is removable at slack <= 0; a
     removed one loses at most its degree, so it stays above _GONE // 2."""
     start, nbr = _incidence(graph)
-    size = np.diff(start)
-    slack = size - graph.vertex_capability
+    slack = np.diff(start)
+    slack -= graph.vertex_capability
 
     def remove(gone: np.ndarray) -> None:
         slack[gone] = _GONE
-        sz = size[gone]
-        slots = np.repeat(start[gone] - np.cumsum(sz) + sz, sz) + np.arange(sz.sum())
-        np.subtract(slack, np.bincount(nbr[slots], minlength=slack.size), out=slack)
+        first = start[gone]
+        sz = start[gone + 1] - first
+        slots = np.repeat(first - np.cumsum(sz) + sz, sz)
+        slots += np.arange(slots.size)
+        slots = nbr[slots]  # the neighbours, each once per edge to gone
+        np.subtract(slack, np.bincount(slots, minlength=slack.size), out=slack)
 
     return slack, remove
 
@@ -351,6 +358,7 @@ def monte_carlo(
     m = code_length(spec)
     work = [(spec, c, ell, master_seed, r, m) for r in range(trials)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_mc_trial, work, chunksize=max(1, trials // (4 * jobs))))
     else:

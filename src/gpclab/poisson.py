@@ -1,9 +1,9 @@
 """Numerically stable Poisson tail evaluation and erasure-capability mixtures.
 
 Everything downstream (DE, analytic bounds, LP rows) funnels through the
-functions here, so they are kept branch-light and pure.  The threshold and the
-LP rows read ``poisson_tail_table``, whose running cdf lives in its output
-buffer; DE steps and the contraction slack evaluate mixed tails in Horner form.
+functions here, so they are kept branch-light and pure.  The LP rows read
+``poisson_tail_table``, whose running cdf lives in its output buffer; DE and
+the slack evaluate mixed tails in Horner form, the threshold as pmf sums.
 """
 
 from __future__ import annotations

@@ -128,13 +128,15 @@ class SimplexResult:
     tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
-def _rows(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint rows and right-hand sides as finite float arrays of one length."""
+def _rows(a, b, n: int, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of n entries and right-hand sides as finite float arrays of one length."""
     a, b = np.atleast_2d(np.asarray(a, float)), np.asarray(b, float).ravel()  # None reads NaN
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(f"{a_name} and {b_name} must be given and finite")
     if a.shape[0] != b.size:
         raise ValueError(f"{a_name} has {a.shape[0]} rows but {b_name} has {b.size} entries")
+    if a.shape[1] != n:
+        raise ValueError(f"{a_name} has {a.shape[1]} columns but c has {n} entries")
     return a, b
 
 
@@ -142,8 +144,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     empty = np.zeros((0, n)), np.zeros(0)
-    a_ub, b_ub = empty if a_ub is None else _rows(a_ub, b_ub, "a_ub", "b_ub")
-    a_eq, b_eq = empty if a_eq is None else _rows(a_eq, b_eq, "a_eq", "b_eq")
+    no_ub, no_eq = a_ub is None and b_ub is None, a_eq is None and b_eq is None
+    a_ub, b_ub = empty if no_ub else _rows(a_ub, b_ub, n, "a_ub", "b_ub")
+    a_eq, b_eq = empty if no_eq else _rows(a_eq, b_eq, n, "a_eq", "b_eq")
     A, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
     m, n_slack = b.size, b_ub.size
     if m == 0:
@@ -198,7 +201,7 @@ def add_rows(result: SimplexResult, a_ub, b_ub) -> SimplexResult:
     old = result.tableau
     if old is None:
         raise ValueError("add_rows needs an optimal result of solve_lp or add_rows")
-    a, b = _rows(a_ub, b_ub, "a_ub", "b_ub")
+    a, b = _rows(a_ub, b_ub, old.c.size, "a_ub", "b_ub")
     m, N, k = old.m, old.N, b.size
     T = np.zeros((m + k, N + k + 1))
     T[:m, :N], T[:m, -1] = old.T[:, :-1], old.T[:, -1]

@@ -262,14 +262,16 @@ class TestSurvivalMc:
         b = survival_mc(spec, 4.0, 3, trees=20_000, master_seed=11)
         assert a == b
 
-    @pytest.mark.parametrize("spec, c", [
-        (preset_hpc(1000, 4), 6.0),
-        (preset_staircase(6, 36, 3), 12.0),
+    @pytest.mark.parametrize("spec, c, survived", [
+        (preset_hpc(1000, 4), 6.0, [1775, 1413, 1102]),
+        (preset_staircase(6, 36, 3), 12.0, [559, 198, 18]),
     ], ids=["hpc", "staircase"])
-    def test_leaf_chunks_take_the_same_draws(self, monkeypatch, spec, c):
+    def test_leaf_chunks_take_the_same_draws(self, monkeypatch, spec, c, survived):
         # leaf parents drawn 1001 at a time read the stream as one call does, so
-        # the estimates match bit for bit
+        # the estimates match bit for bit, and so does skipping the copy of a
+        # single position's leaf counts (the survivors are pinned)
         whole = [survival_mc(spec, c, ell, trees=3000, master_seed=5) for ell in (2, 3, 4)]
+        assert [round(est.mean * 3000) for est in whole] == survived
         monkeypatch.setattr(branching, "LEAF_CHUNK", 1001)
         assert [survival_mc(spec, c, ell, trees=3000, master_seed=5) for ell in (2, 3, 4)] == whole
 

@@ -675,14 +675,24 @@ class TestJobsResolution:
 
 
 class TestRuntimeDependencies:
-    def test_numpy_is_the_only_third_party_import(self):
-        # scipy, mpmath and hypothesis are test-only dependencies
+    @staticmethod
+    def loaded(imports, modules):
+        """The modules among ``modules`` that a fresh interpreter has loaded
+        after ``import <imports>``."""
         src = Path(gpclab.__file__).resolve().parents[1]
-        code = ("import sys, gpclab, gpclab.cli; "
-                "print(' '.join(m for m in ('scipy', 'mpmath', 'hypothesis') "
-                "if m in sys.modules))")
+        code = (f"import sys, {imports}; "
+                f"print(' '.join(m for m in {modules!r} if m in sys.modules))")
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == ""
+        return done.stdout.strip()
+
+    def test_numpy_is_the_only_third_party_import(self):
+        # scipy, mpmath and hypothesis are test-only dependencies
+        assert self.loaded("gpclab, gpclab.cli", ("scipy", "mpmath", "hypothesis")) == ""
+
+    def test_plain_import_loads_no_process_pool(self):
+        # monte_carlo imports its pool only when it runs with jobs > 1: at
+        # module level it put multiprocessing on every import of gpclab
+        assert self.loaded("gpclab", ("multiprocessing", "concurrent.futures")) == ""

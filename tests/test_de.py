@@ -181,6 +181,70 @@ class TestHornerTails:
             assert failure_probability(spec, zeros, c) == 0.0
 
 
+class TestPmfSums:
+    """The closed form and the continuation take F = sum_t tau_t P(Pois(lam) >= t),
+    F' and F'' as sums of Poisson pmf terms (``de._tail_sums``); against mpmath
+    at 50 digits F is within 2e-15 absolute and F', F'' within 1e-13 relative."""
+
+    @staticmethod
+    def exact(w, lam):
+        """F, F', F'' and the size of the terms of F'', at 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            lam, w = mpmath.mpf(float(lam)), [mpmath.mpf(float(v)) for v in w]
+            pmf = [mpmath.mpf(0), mpmath.exp(-lam)]  # pmf[k + 1] = P(Pois(lam) = k)
+            for k in range(1, len(w)):
+                pmf.append(pmf[-1] * lam / k)
+            f2 = [v * (pmf[t - 1] - pmf[t]) for t, v in enumerate(w, 1)]
+            return (mpmath.fsum(v * (1 - mpmath.fsum(pmf[: t + 1])) for t, v in enumerate(w, 1)),
+                    mpmath.fsum(v * pmf[t] for t, v in enumerate(w, 1)),
+                    mpmath.fsum(f2), mpmath.fsum(abs(term) for term in f2))
+
+    @staticmethod
+    def rows(rng, t_max):
+        """A point mass at t_max and two random mixtures, zero-padded to t_max."""
+        tau_w = np.zeros((3, t_max))
+        tau_w[0, -1] = 1.0
+        for row in tau_w[1:]:
+            weights = random_mixture(rng, t_max).weights
+            row[: len(weights)] = weights
+        return tau_w
+
+    def check(self, w, lam, got):
+        f, f1, f2, size = self.exact(w, lam)
+        assert abs(got[0] - f) <= 2e-15, lam
+        if lam == 750.0:  # e^-lam is 0: F reads S, F' and F'' read (about) 0
+            assert abs(got[1] - f1) <= 1e-240 and abs(got[2] - f2) <= 1e-240
+            return
+        assert abs(got[1] - f1) <= 1e-13 * abs(f1), lam
+        # F'' changes sign: the size of its terms, not F'' itself, sets its rounding
+        assert abs(got[2] - f2) <= 1e-13 * size, lam
+
+    @pytest.mark.parametrize("t_max", [1, 3, 12, 50])
+    def test_single_mixture(self, rng, t_max):
+        lam = np.append(np.geomspace(1e-2, 2.0 * t_max + 2.0, 25), 750.0)
+        for w in self.rows(rng, t_max):
+            sums = de._tail_sums(lam, de._pmf_coefficients(w[None, :])[0])
+            for k, v in enumerate(lam):
+                self.check(w, v, sums[k])
+
+    @pytest.mark.parametrize("t_max", [1, 3, 12, 50])
+    def test_per_position_rows(self, rng, t_max):
+        tau_w = self.rows(rng, t_max)
+        coef = de._pmf_coefficients(tau_w)
+        grid = np.append(np.geomspace(1e-2, 2.0 * t_max + 2.0, 25), 750.0)
+        for k in range(grid.size):
+            lam = grid[[k, (k + 9) % grid.size, (k + 17) % grid.size]]
+            for w, v, got in zip(tau_w, lam, de._tail_sums(lam, coef)):
+                self.check(w, v, got)
+
+    def test_exact_at_zero_and_finite_far_out(self):
+        coef = de._pmf_coefficients(self.rows(np.random.default_rng(0), 12))
+        assert not de._tail_sums(np.zeros(3), coef)[:, 0].any()  # F(0) = 0 exactly
+        far = de._tail_sums(np.full(3, 1e300), coef)
+        assert np.array_equal(far[:, 0], coef[:, 0, -1]) and not far[:, 1:].any()
+
+
 class TestFailureProbability:
     def test_zero_input(self):
         assert failure_probability(preset_hpc(10, 4), [0.0], 6.8) == 0.0
@@ -866,7 +930,9 @@ class TestClosedForm:
     def test_benchmark_families_pinned(self):
         # the threshold table of the benchmark: HPC t = 3..8, the two
         # reference mixtures, PC and braided L = 4 (t = 3, 5, 7 and 3, 5)
-        # and uniform mixtures of 4, 8 and 12, bit for bit
+        # and uniform mixtures of 4, 8 and 12, bit for bit; four moved (by at
+        # most 5.9e-14 relative) when the closed form's tails became pmf sums,
+        # and stay within 1e-13 of their earlier values
         specs = [preset_hpc(1000, t) for t in range(3, 9)]
         specs += [preset_hpc(1000, mix, tau_assignment="random")
                   for mix in (MIX_TBAR7, MIX_TBAR7_MIN4)]
@@ -874,17 +940,24 @@ class TestClosedForm:
         specs += [preset_braided(4, 1000, t) for t in (3, 5)]
         specs += [preset_hpc(1000, CapabilityDistribution.uniform(n), tau_assignment="random")
                   for n in (4, 8, 12)]
-        pairs = [repr((r.c_star, r.bracket_lo)) for r in (de.threshold(s, 0.005) for s in specs)]
+        results = [de.threshold(s, 0.005) for s in specs]
+        pairs = [repr((r.c_star, r.bracket_lo)) for r in results]
         assert pairs == [
             "(5.149402752135857, 5.149402741837051)", "(6.799275495417361, 6.79927548181881)",
             "(8.365340778413044, 8.365340761682361)", "(9.875290734719192, 9.87529071496861)",
             "(11.34412890883422, 11.344128886145961)", "(12.781099708780648, 12.781099683218448)",
-            "(13.408711410691057, 13.408711383873634)", "(12.887298917264161, 12.887298891489563)",
+            "(13.408711410691053, 13.40871138387363)", "(12.88729891726416, 12.88729889148956)",
             "(10.298805504271714, 10.298805483674101)", "(16.730681556826088, 16.730681523364723)",
             "(22.68825781766844, 22.688257772291923)", "(10.298805504271714, 10.298805483674101)",
             "(16.730681556826088, 16.730681523364723)", "(4.000000004, 3.999999996)",
-            "(8.000000007999017, 7.999999991999016)", "(12.000000011997455, 11.999999987997455)",
+            "(8.000000007999304, 7.999999991999305)", "(12.000000011998166, 11.999999987998166)",
         ]
+        earlier = {6: (13.408711410691057, 13.408711383873634),
+                   7: (12.887298917264161, 12.887298891489563),
+                   14: (8.000000007999017, 7.999999991999016),
+                   15: (12.000000011997455, 11.999999987997455)}
+        for k, pair in earlier.items():
+            assert (results[k].c_star, results[k].bracket_lo) == pytest.approx(pair, rel=1e-13, abs=0.0)
 
     def test_lambda_grid_cached_read_only(self):
         # one grid per capability range, shared by every threshold on it
@@ -896,9 +969,11 @@ class TestClosedForm:
 
     def test_fold_pinned(self):
         # the README staircase goes through the continuation, whose Jacobian
-        # reads the same tail kernel as the closed form
+        # reads the same pmf sums as the closed form; the bracket moved by 1-2
+        # ulp when they replaced tail differences
         lo, hi = de._fold(preset_staircase(6, 36, 3), 0.005)
-        assert (repr(float(lo)), repr(float(hi))) == ("17.87277989938349", "17.875279899383493")
+        assert (repr(float(lo)), repr(float(hi))) == ("17.872779899383495", "17.875279899383496")
+        assert (lo, hi) == pytest.approx((17.87277989938349, 17.875279899383493), rel=1e-13, abs=0.0)
 
 
 class TestBounds:

@@ -569,7 +569,9 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / graph.num_edges <= 60
+        # the graph (about 21 B/edge with its vertex arrays), the neighbour
+        # list (16), start and slack, and the first round's slots: about 47
+        assert peak / graph.num_edges <= 48
 
 
 class TestNarrowEdges:

@@ -275,12 +275,31 @@ class TestAddRows:
         (lambda: solve_lp([1.0], a_eq=[[np.inf]], b_eq=[1.0]), "a_eq and b_eq"),
         (lambda: add_rows(solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
                           [[1.0, np.nan]], [0.25]), "a_ub and b_ub"),
+        (lambda: solve_lp([1.0], b_ub=[-5.0], a_eq=[[1.0]], b_eq=[1.0]), "a_ub and b_ub"),
+        (lambda: solve_lp([1.0], a_ub=[[1.0]], b_ub=[1.0], b_eq=[2.0]), "a_eq and b_eq"),
     ], ids=["missing_b_ub", "missing_b_ub_unbounded", "missing_b_eq", "nan_b_ub", "inf_a_eq",
-            "add_rows_nan"])
+            "add_rows_nan", "missing_a_ub", "missing_a_eq"])
     def test_missing_or_nonfinite_rows_rejected(self, call, names):
         # a missing right-hand side was read as NaN: the first call returned
-        # x = 0 as optimal, the second failed on an argmin of nothing
+        # x = 0 as optimal, the second failed on an argmin of nothing; a
+        # right-hand side without rows was dropped (x = 1 came back optimal
+        # for the row x <= -5)
         with pytest.raises(ValueError, match=f"{names} must be given and finite"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: solve_lp([1.0, 1.0], a_ub=[[1.0]], b_ub=[1.0]),
+         "a_ub has 1 columns but c has 2 entries"),
+        (lambda: solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[1.0]),
+         "a_eq has 3 columns but c has 2 entries"),
+        (lambda: add_rows(solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+                          [[1.0, 0.0, 1.0]], [0.25]),
+         "a_ub has 3 columns but c has 2 entries"),
+    ], ids=["solve_lp_ub", "solve_lp_eq", "add_rows"])
+    def test_column_count_mismatch_rejected(self, call, message):
+        # stacking the rows failed inside numpy, and add_rows wrote a wide
+        # row's extra entries into the slack columns
+        with pytest.raises(ValueError, match=message):
             call()
 
     def test_pivot_budget(self, monkeypatch):
