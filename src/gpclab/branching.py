@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codespec import GpcSpec
-from .de import _check_quality
+from .codespec import GpcSpec, _check_quality
 from .graphsim import _stream_rng
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import branching, de, graphsim, optimizer
+from . import de
 from .codespec import (
     GpcSpec,
     _integral,
@@ -217,6 +217,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import graphsim
+
     config, v = _settings(args)
     spec = _resolve_spec(config)
     stats = graphsim.monte_carlo(spec, v["c"], v["ell"], v["trials"], v["seed"],
@@ -226,6 +228,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from . import optimizer
+
     config, v = _settings(args)
     solution = optimizer.solve(optimizer.build_lp(v["c"], v["grid"], v["t_max"], v["t_min"]))
     if solution.status == optimizer.STATUS_INFEASIBLE:
@@ -241,13 +245,18 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import branching
+
     config, v = _settings(args)
     spec = _resolve_spec(config)
     rows = [["ell", "z_de", "z_mc", "stderr", "diff_over_se", "cp95_bound"]]
     traj = de.de_run(spec, v["c"], ell_max=v["ell"])
     for depth in range(1, v["ell"] + 1):
         z_de = float(traj.z[min(depth, traj.iterations_run)])
-        est = branching.survival_mc(spec, v["c"], depth, v["trees"], v["seed"])
+        try:
+            est = branching.survival_mc(spec, v["c"], depth, v["trees"], v["seed"])
+        except branching.TreeSizeLimit as exc:
+            raise InputError(str(exc)) from exc
         if 0.0 < est.mean < 1.0:
             compare = [repr(abs(est.mean - z_de) / est.stderr), ""]
         else:  # stderr is 0: one-sided 95% Clopper-Pearson bound instead
@@ -338,12 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, branching.TreeSizeLimit) as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except de.BracketError as exc:
         sys.stderr.write(f"no threshold bracket: {exc}\n")
         return EXIT_NONCONVERGED
+    except de.ContinuationStall as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ the staircase and block-wise braided presets are banded block arrays.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -272,6 +273,11 @@ def spec_to_json(spec: GpcSpec) -> str:
         "assignment": spec.tau_assignment,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _check_quality(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"effective channel quality must be finite and >= 0, got {c}")
 
 
 def _numeric(value):

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codespec import GpcSpec, erasure_scaling, mean_capability
+from .codespec import GpcSpec, _check_quality, erasure_scaling, mean_capability
 from .poisson import CapabilityDistribution, initial_loss, initial_loss_mixture
 
 CONVERGED = "converged_to_zero"
@@ -115,11 +115,6 @@ class DeTrajectory:
         header = ["iteration"] + [f"x_{i+1}" for i in range(L)] + ["z"]
         return [header] + [[str(k)] + [repr(float(v)) for v in self.x[k]] + [repr(float(self.z[k]))]
                            for k in range(self.iterations_run + 1)]
-
-
-def _check_quality(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"effective channel quality must be finite and >= 0, got {c}")
 
 
 class _PositionArrays:
@@ -355,6 +350,10 @@ class BracketError(RuntimeError):
     """DE does not stall at the start c of the fold search."""
 
 
+class ContinuationStall(RuntimeError):
+    """The fold's continuation finds no next point on its branch, at any step."""
+
+
 # A closed-form bracket's relative half-width covers the rounding of F, a few
 # ulp per tail times c / lam: below 1e-10 for lam >= _LAM_MIN and c <= 128.
 # Continuation in (x, c / c_start): first arclength step, residual of a point
@@ -406,9 +405,10 @@ def _exact(c: float) -> tuple[float, float]:
 def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     """Bracket of (1/s) min(1/tau_1, min over lam > 0 of lam / F(lam)): a
     position-regular spec has nonzero fixed points x at c = lam / (s F(lam)),
-    lam = c s x.  Newton on F = lam F' refines the minimum on a log grid of lam
-    up to 2 t + 2, t the largest capability with positive weight; beyond it
-    lam / F >= lam exceeds the counting bound."""
+    lam = c s x.  Newton on F = lam F', until a step leaves lam unchanged,
+    refines the minimum on a log grid of lam up to 2 t + 2, t the largest
+    capability with positive weight; beyond it lam / F >= lam exceeds the
+    counting bound."""
     w = np.asarray(tau.weights)
     lam, coef = _lam_grid(w.size), _pmf_coefficients(w[None, :])[0]
     f = _tail_sums(lam, coef[:1])[:, 0]
@@ -418,8 +418,8 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     for _ in range(_NEWTON_STEPS if 0 < k < lam.size - 1 else 0):
         f, f1, f2 = _tail_sums(x, coef)
         best = min(best, x / f)
-        x = x + (f - x * f1) / (x * f2)
-        if not lam[k - 1] < x < lam[k + 1]:
+        x, x_prev = x + (f - x * f1) / (x * f2), x
+        if x == x_prev or not lam[k - 1] < x < lam[k + 1]:
             break
     return _exact(float(best) / s)
 
@@ -473,7 +473,7 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
             while (found := on_branch(u + h * t, t)) is None:
                 h /= 2.0
                 if h < _MIN_STEP:
-                    raise RuntimeError(f"continuation stalled at c = {u[-1] * c0}")
+                    raise ContinuationStall(f"continuation stalled at c = {u[-1] * c0}")
             v, tv = found
             if v[:-1].max() < _X_ZERO:
                 return _exact(1.0 / np.abs(np.linalg.eigvals(pos.tau_w[:, :1] * coupling)).max())

@@ -26,12 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .codespec import GpcSpec, cn_counts, code_length
-from .de import Schedule, _check_quality
+from .codespec import GpcSpec, _check_quality, cn_counts, code_length
+
+if TYPE_CHECKING:  # an annotation only: peeling runs no DE code
+    from .de import Schedule
 
 __all__ = [
     "ResidualGraph",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import de
-from .codespec import preset_hpc
+from .codespec import _check_quality, preset_hpc
 from .poisson import CapabilityDistribution, poisson_tail_table
 from .simplex import _TOL, INFEASIBLE, OPTIMAL, add_rows, solve_lp
 
@@ -79,7 +79,7 @@ def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
     """Tabulate the LP: one variable per capability in [t_min, t_max], one
     inequality row per grid point x = i/M (all rows from one tail table),
     one normalization equality.  c must be finite and > 0."""
-    de._check_quality(c)
+    _check_quality(c)
     if c == 0.0:
         raise ValueError(f"effective channel quality must be > 0, got {c}")
     if grid_m < 10:

@@ -1,9 +1,10 @@
 """Every name the package exports, and every setting it takes, has a caller
 outside the tests.
 
-A name imported in ``gpclab/__init__.py`` must be used, as code and not only
-in a docstring or comment, somewhere in ``src/gpclab/``, ``scripts/`` or
-``perfbench/`` other than its own ``def``/``class`` line and that import.
+A name in the export table of ``gpclab/__init__.py`` (``_EXPORTS``) must be
+used, as code and not only in a docstring or comment, somewhere in
+``src/gpclab/``, ``scripts/`` or ``perfbench/`` other than its own
+``def``/``class`` line and that table.
 The few exports kept without such a caller are listed with their reason.
 
 A parameter with a default, on an exported function or a classmethod of an
@@ -43,15 +44,11 @@ SET_ONLY_BY_TESTS = {
 
 
 def exported_names() -> list[str]:
-    tree = ast.parse(INIT.read_text())
-    return [alias.asname or alias.name for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
-
-
-def init_import_lines() -> set[int]:
-    tree = ast.parse(INIT.read_text())
-    return {line for node in tree.body if isinstance(node, ast.ImportFrom)
-            for line in range(node.lineno, node.end_lineno + 1)}
+    """The names in the ``_EXPORTS`` table of ``gpclab/__init__.py``."""
+    table = next(node.value for node in ast.parse(INIT.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_EXPORTS")
+    return [name for names in ast.literal_eval(table).values() for name in names]
 
 
 def caller_files() -> list[Path]:
@@ -61,17 +58,15 @@ def caller_files() -> list[Path]:
 
 def code_uses() -> dict[str, int]:
     """Count of NAME tokens per name over the caller directories, leaving out
-    the name after ``def``/``class`` and the package's own export lines."""
-    skip_init = init_import_lines()
+    the name after ``def``/``class``; the export table holds its names as
+    strings, so it counts as no use."""
     uses: dict[str, int] = {}
     for path in caller_files():
         previous = None
         for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
             if tok.type != tokenize.NAME:
                 continue
-            defined = previous in ("def", "class")
-            exported = path == INIT and tok.start[0] in skip_init
-            if not defined and not exported:
+            if previous not in ("def", "class"):
                 uses[tok.string] = uses.get(tok.string, 0) + 1
             previous = tok.string
     return uses

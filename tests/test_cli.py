@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -258,6 +259,20 @@ class TestThresholdCmd:
         assert main(["threshold", "--spec", spec_path, "--out", str(a)]) == EXIT_OK
         assert main(["threshold", "--spec", spec_path, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stalled_continuation_is_a_solver_failure(self, tmp_path, capsys):
+        # the end positions decode first and the continuation stalls (a known
+        # defect of the fold); it used to end in a RuntimeError traceback
+        spec = preset_staircase(20, 120, 3)
+        ends = CapabilityDistribution.point_mass(4)
+        tau = tuple(ends if i in (0, 1, 18, 19) else d for i, d in enumerate(spec.tau))
+        spec_path = write_spec(tmp_path, dataclasses.replace(spec, tau=tau))
+        code = main(["threshold", "--spec", spec_path, "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("error: continuation stalled at c = 57.56")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestBoundsCmd:
@@ -675,12 +690,17 @@ class TestJobsResolution:
 
 
 class TestRuntimeDependencies:
+    # every module of the package: those in the export table, and the CLI
+    SUBMODULES = (*(f"gpclab.{m}" for m in gpclab._EXPORTS), "gpclab.cli")
+    # what only simulate, optimize and oracle need
+    HEAVY = ("gpclab.graphsim", "gpclab.branching", "gpclab.optimizer", "gpclab.simplex")
+
     @staticmethod
-    def loaded(imports, modules):
+    def loaded(imports, modules, then="pass"):
         """The modules among ``modules`` that a fresh interpreter has loaded
-        after ``import <imports>``."""
+        after ``import <imports>`` and the statement ``then``."""
         src = Path(gpclab.__file__).resolve().parents[1]
-        code = (f"import sys, {imports}; "
+        code = (f"import sys, {imports}; {then}; "
                 f"print(' '.join(m for m in {modules!r} if m in sys.modules))")
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -690,9 +710,51 @@ class TestRuntimeDependencies:
 
     def test_numpy_is_the_only_third_party_import(self):
         # scipy, mpmath and hypothesis are test-only dependencies
-        assert self.loaded("gpclab, gpclab.cli", ("scipy", "mpmath", "hypothesis")) == ""
+        assert self.loaded(", ".join(self.SUBMODULES), ("scipy", "mpmath", "hypothesis")) == ""
 
     def test_plain_import_loads_no_process_pool(self):
         # monte_carlo imports its pool only when it runs with jobs > 1: at
-        # module level it put multiprocessing on every import of gpclab
-        assert self.loaded("gpclab", ("multiprocessing", "concurrent.futures")) == ""
+        # module level it put multiprocessing on every import of graphsim
+        assert self.loaded(", ".join(self.SUBMODULES),
+                           ("multiprocessing", "concurrent.futures")) == ""
+
+    def test_plain_import_loads_no_submodule(self):
+        assert self.loaded("gpclab", self.SUBMODULES) == ""
+
+    def test_an_export_loads_only_its_submodule_and_what_it_imports(self):
+        assert self.loaded("gpclab", self.SUBMODULES, then="gpclab.threshold") == (
+            "gpclab.poisson gpclab.codespec gpclab.de")
+
+    def test_a_submodule_resolves_without_an_import(self):
+        assert self.loaded("gpclab", ("gpclab.de",),
+                           then="assert gpclab.de.threshold is gpclab.threshold") == "gpclab.de"
+
+    @pytest.mark.parametrize("module", ["gpclab.graphsim", "gpclab.branching"])
+    def test_simulation_loads_no_de_code(self, module):
+        assert self.loaded(module, ("gpclab.de",)) == ""
+
+    def test_cli_loads_no_simulation_or_design_code(self):
+        assert self.loaded("gpclab.cli", self.HEAVY) == ""
+
+    @pytest.mark.parametrize("argv", [["preset", "hpc", "--n", "100", "--t", "3"],
+                                      ["de", "--c", "4.0"], ["threshold"], ["bounds"]],
+                             ids=lambda argv: argv[0])
+    def test_analytic_commands_load_no_simulation_or_design_code(self, tmp_path, argv):
+        if argv[0] != "preset":
+            argv = argv + ["--spec", write_spec(tmp_path, preset_staircase(6, 36, 3))]
+        argv = argv + ["--out", str(tmp_path / "out")]
+        assert self.loaded("gpclab.cli", self.HEAVY,
+                           then=f"assert gpclab.cli.main({argv!r}) == 0") == ""
+
+    def test_every_export_resolves_to_its_submodule(self):
+        for name in gpclab.__all__:
+            module = getattr(gpclab, gpclab._OWNER[name])
+            assert getattr(gpclab, name) is getattr(module, name)
+        assert set(gpclab.__all__) <= set(dir(gpclab))
+
+    @pytest.mark.parametrize("name", ["no_such_name", "full_schedule", "np"])
+    def test_unknown_name_raises_attribute_error(self, name):
+        # full_schedule and np live in submodules but are not exported
+        with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+            getattr(gpclab, name)
+        assert not hasattr(gpclab, name)

@@ -959,6 +959,23 @@ class TestClosedForm:
         for k, pair in earlier.items():
             assert (results[k].c_star, results[k].bracket_lo) == pytest.approx(pair, rel=1e-13, abs=0.0)
 
+    def test_newton_evaluates_no_point_twice(self, monkeypatch):
+        # Newton stops once a step leaves lam unchanged; on HPC t = 5 and 8
+        # the step is exactly 0 before the fifth, and the steps after it
+        # evaluated the same point again
+        tail_sums, points = de._tail_sums, []
+
+        def record(lam, coef):
+            if np.ndim(lam) == 0:  # a Newton evaluation, not the grid
+                points.append(float(lam))
+            return tail_sums(lam, coef)
+
+        monkeypatch.setattr(de, "_tail_sums", record)
+        for t in (5, 8):
+            points.clear()
+            de.threshold(preset_hpc(1000, t))
+            assert points and len(set(points)) == len(points)
+
     def test_lambda_grid_cached_read_only(self):
         # one grid per capability range, shared by every threshold on it
         grid = de._lam_grid(12)
