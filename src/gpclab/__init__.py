@@ -8,8 +8,6 @@ LP-based design of irregular capability mixtures.
 or the submodule itself, is first read from the package (PEP 562).
 """
 
-from importlib import import_module
-
 __version__ = "0.1.0"
 
 # Every export, by the submodule that defines it; simplex exports none.
@@ -33,10 +31,12 @@ __all__ = list(_OWNER)
 
 def __getattr__(name: str):
     if name in _EXPORTS:  # importing a submodule binds it in the package
-        return import_module(f"{__name__}.{name}")
+        __import__(f"{__name__}.{name}")  # -X importtime sees it, unlike import_module
+        return globals()[name]
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    __import__(f"{__name__}.{_OWNER[name]}")
+    value = globals()[name] = getattr(globals()[_OWNER[name]], name)
     return value
 
 

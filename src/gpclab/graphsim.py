@@ -4,25 +4,26 @@ The residual graph of a GPC after a binary erasure channel keeps one vertex
 per component code and one edge per erased bit.  Decoding is the parallel
 peeling process: every round removes all vertices whose current degree is at
 most their capability.  Peeling keeps slacks (degree minus capability)
-incrementally on a CSR incidence, so a round reads only the edges of the
-vertices it removes: O(E) edge work over the run for E edges, plus one O(n)
-scan of the slacks per round.  The core oracle removes vertices over the same
-incidence in batches by colour class (vertex index mod 2), a different order
-from the parallel rounds.  Removal only lowers degrees, so every batch is a
-legal sequential removal and both orders end at the same core, which the tests
-check; the oracle costs the same O(E) edge work plus one O(n) scan per batch.
+incrementally on a CSR incidence that each graph builds once and keeps, so a
+round reads only the edges of the vertices it removes: O(E) edge work over the
+run for E edges, plus one O(n) scan of the slacks per round.  The core oracle
+removes vertices over the same incidence in batches by colour class (vertex
+index mod 2), not in parallel rounds.  Removal only lowers degrees, so every
+batch is a legal sequential removal and both orders end at the same core, which
+the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 
 No full-size temporary lives beside the arrays a result needs.  Sampling peaks
 with the vertex arrays, every block's ranks (views of blocks of geometric gaps
 about 1.2 times longer) and the int64 edge list alive; triangles unrank in
 chunks.  Peeling and the core oracle hold the graph, the incidence's sort keys
-(16 B per edge, sorted in place; they take the slot ramp and then become the
-neighbour list a chunk at a time) and two vertex arrays, and peak with the
-slots of the first round's removed vertices.
+(16 B per edge, sorted in place; they take the slot ramp, then become the
+neighbour list, which the graph holds while it lives) and two vertex arrays,
+and peak with the slots of the first round's removed vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,6 +67,11 @@ class ResidualGraph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    @functools.cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_incidence`, built on first use and kept: 16 B/edge beside the graph."""
+        return _incidence(self)
 
 
 @dataclass(frozen=True)
@@ -126,18 +132,29 @@ def _unrank_triangle(k: np.ndarray, n: int, out: np.ndarray) -> None:
     """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n,
     written as the rows of ``out``, a (k.size, 2) int64 array."""
     b, step = 2 * n - 1, 1 << 16  # ranks per pass: bounds the temporaries
+    x, r = np.empty(min(step, k.size)), np.empty(min(step, k.size), dtype=np.int64)
     for lo in range(0, k.size, step):
         kk = k[lo : lo + step]
-        r = np.floor((b - np.sqrt(b * b - 8.0 * kk)) / 2.0).astype(np.int64)
-        # fix float drift at block boundaries
-        r -= r * (b - r) // 2 > kk
-        r += kk >= r * (b - r) // 2 + (n - 1 - r)
+        x, r = x[: kk.size], r[: kk.size]  # every pass reuses the two buffers
+        np.multiply(kk, -8.0, out=x)  # b^2 - 8k is exact below 2^53; sqrt rounds correctly
+        x += b * b
+        r[:] = np.subtract(b, np.sqrt(x, out=x), out=x)  # truncates, as it is >= 0
+        r >>= 1  # floor((b - root) / 2)
+        t = np.subtract(b, r, out=x.view(np.int64))  # row r starts at rank r (b - r) / 2
+        t *= r
+        t >>= 1
+        np.subtract(kk, t, out=t)  # the rank in row r
+        t += r  # the column less one: r <= t <= n - 2 unless drift moved the row
+        while t.max() > n - 2 or (t < r).any():  # float drift: move those ranks a row
+            bad = np.flatnonzero((t < r) | (t > n - 2))
+            rb = r[bad] + (t[bad] > n - 2) - (t[bad] < r[bad])
+            r[bad], t[bad] = rb, kk[bad] - ((b - rb) * rb >> 1) + rb
         out[lo : lo + step, 0] = r
-        out[lo : lo + step, 1] = kk - r * (b - r) // 2 + r + 1
+        np.add(t, 1, out=out[lo : lo + step, 1])
 
 
 def _assign_capabilities(
-    spec: GpcSpec, counts: np.ndarray, rng: np.random.Generator
+    spec: GpcSpec, counts: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
     caps = np.empty(int(counts.sum()), dtype=np.int64)
     offset = 0
@@ -159,38 +176,40 @@ def _assign_capabilities(
     return caps
 
 
-def _sample(spec: GpcSpec, c: float, rng: np.random.Generator) -> ResidualGraph:
-    n = spec.n
+def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], ResidualGraph]:
+    """Build once what every graph of (spec, c) shares, and return the function
+    that draws one graph from a stream; its graphs share the vertex arrays."""
     _check_quality(c)
-    if c >= n:
-        raise ValueError(f"edge probability c/n must stay below 1 (c={c}, n={n})")
+    if c >= spec.n:
+        raise ValueError(f"edge probability c/n must stay below 1 (c={c}, n={spec.n})")
     counts = cn_counts(spec)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     positions = np.repeat(np.arange(spec.num_positions, dtype=np.int64), counts)
-    caps = _assign_capabilities(spec, counts, rng)
-    p = c / n
+    caps = None if spec.tau_assignment == "random" else _assign_capabilities(spec, counts, None)
+    sizes = counts.tolist()  # block (i, i) holds same-position pairs
+    blocks = [(i, j, sizes[i] * (sizes[i] - 1) // 2 if i == j else sizes[i] * sizes[j])
+              for i, j in zip(*np.nonzero(np.triu(spec.eta)))]
 
-    # every block's ranks are drawn first, in row-major block order, so the
-    # edge list is allocated once; block (i, i) ranks same-position pairs
-    blocks = []
-    for i, j in zip(*np.nonzero(np.triu(spec.eta))):
-        n_i, n_j = int(counts[i]), int(counts[j])
-        pairs = n_i * (n_i - 1) // 2 if i == j else n_i * n_j
-        blocks.append((i, j, n_j, _bernoulli_indices(rng, pairs, p)))
-    edges = np.empty((sum(ks.size for *_, ks in blocks), 2), dtype=np.int64)
-    end = 0
-    for i, j, n_j, ks in blocks:
-        out = edges[end : end + ks.size]
-        end += ks.size
-        if i == j:
-            _unrank_triangle(ks, n_j, out)
-        else:
-            np.divmod(ks, n_j, out=(out[:, 0], out[:, 1]))
-        # every block lists u < v: a triangle unranks to row < column, and a
-        # cross block puts the lower position's offset first
-        out[:, 0] += offsets[i]  # one column at a time: a broadcast add is slower
-        out[:, 1] += offsets[j]
-    return ResidualGraph(vertex_position=positions, vertex_capability=caps, edges=edges)
+    def sample(rng: np.random.Generator) -> ResidualGraph:
+        # capabilities first, then every block's ranks: one edge list allocation
+        vertex_caps = _assign_capabilities(spec, counts, rng) if caps is None else caps
+        ranks = [_bernoulli_indices(rng, pairs, c / spec.n) for *_, pairs in blocks]
+        edges = np.empty((sum(ks.size for ks in ranks), 2), dtype=np.int64)
+        end = 0
+        for (i, j, _), ks in zip(blocks, ranks):
+            out = edges[end : end + ks.size]
+            end += ks.size
+            if i == j:
+                _unrank_triangle(ks, sizes[j], out)
+            else:
+                np.divmod(ks, sizes[j], out=(out[:, 0], out[:, 1]))
+            # every block lists u < v: a triangle unranks to row < column, and a
+            # cross block puts the lower position's offset first
+            out[:, 0] += offsets[i]  # one column at a time: a broadcast add is slower
+            out[:, 1] += offsets[j]
+        return ResidualGraph(positions, vertex_caps, edges)
+
+    return sample
 
 
 def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
@@ -200,7 +219,7 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
     pairs when eta_ij = 1) carries an edge independently with probability
     c/n.  Identical (spec, c, seed) always reproduce the same graph.
     """
-    return _sample(spec, c, _stream_rng(seed, 0))
+    return _sampler(spec, c)(_stream_rng(seed, 0))
 
 
 def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +252,7 @@ def _removal(graph: ResidualGraph) -> tuple[np.ndarray, Callable[[np.ndarray], N
     removes vertices: it sets their slack to _GONE and lowers each neighbour's
     slack once per edge to them.  A live vertex is removable at slack <= 0; a
     removed one loses at most its degree, so it stays above _GONE // 2."""
-    start, nbr = _incidence(graph)
+    start, nbr = graph.incidence
     slack = np.diff(start)
     slack -= graph.vertex_capability
 
@@ -326,14 +345,18 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
     return np.flatnonzero(slack < _GONE // 2)
 
 
-def _mc_trial(args: tuple) -> tuple[float, float, float]:
-    spec, c, ell, master_seed, trial, m = args
-    graph = _sample(spec, c, _stream_rng(int(master_seed), int(trial)))
-    result = peel(graph, ell)
-    w = result.failed_fraction
-    ber = result.surviving_edges * graph.num_vertices / (c * m) if c > 0 else 0.0
-    frac = result.surviving_edges / graph.num_edges if graph.num_edges else 0.0
-    return w, ber, frac
+def _mc_block(args: tuple) -> list[tuple[float, float, float]]:
+    """(W, scaled BER, surviving-edge fraction) of trials first..last - 1."""
+    spec, c, ell, master_seed, first, last = args
+    sample, m = _sampler(spec, c), code_length(spec)
+    rows = []
+    for r in range(first, last):
+        graph = sample(_stream_rng(int(master_seed), r))
+        result = peel(graph, ell)
+        ber = result.surviving_edges * graph.num_vertices / (c * m) if c > 0 else 0.0
+        frac = result.surviving_edges / graph.num_edges if graph.num_edges else 0.0
+        rows.append((result.failed_fraction, ber, frac))
+    return rows
 
 
 def monte_carlo(
@@ -347,9 +370,10 @@ def monte_carlo(
     """Estimate the failed fraction W, the scaled bit erasure rate
     surviving_edges * n / (c * m), and the surviving-edge fraction.
 
-    Trial r always uses the stream derived from (master_seed, r), and the
-    reduction runs in trial order, so the statistics are bit-identical for
-    any jobs count.
+    The unit of work is a block of max(1, trials // (4 jobs)) trials that
+    share one sampler.  Trial r always uses the stream derived from
+    (master_seed, r), and the reduction runs in trial order, so the
+    statistics are bit-identical for any jobs count.
     """
     if ell < 0:
         raise ValueError(f"need ell >= 0, got {ell}")
@@ -357,15 +381,15 @@ def monte_carlo(
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need jobs >= 1")
-    m = code_length(spec)
-    work = [(spec, c, ell, master_seed, r, m) for r in range(trials)]
+    size = max(1, trials // (4 * jobs))
+    work = [(spec, c, ell, master_seed, r, min(r + size, trials)) for r in range(0, trials, size)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_mc_trial, work, chunksize=max(1, trials // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+            blocks = list(pool.map(_mc_block, work))
     else:
-        rows = [_mc_trial(w) for w in work]
-    data = np.array(rows)  # trials x 3, trial order
+        blocks = [_mc_block(w) for w in work]
+    data = np.array([row for block in blocks for row in block])  # trials x 3, trial order
 
     def stats(col: int) -> tuple[float, float]:
         vals = data[:, col]

@@ -5,9 +5,15 @@ vertices in colour-class batches: a Python stack over the CSR incidence of
 `gpclab.graphsim._incidence` that deletes one removable vertex at a time, in
 last-queued-first order.  It is plain and slow on purpose; by k-core
 confluence it ends at the same core as the package oracle and `peel`.
+
+`reference_unrank_triangle` is the exact, integer-only inverse of the
+row-major pair enumeration that `gpclab.graphsim._unrank_triangle` computes
+in float64 and corrects.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,3 +38,18 @@ def reference_core_oracle(graph: ResidualGraph) -> np.ndarray:
                 if slack[u] == 0:
                     stack.append(u)
     return np.flatnonzero(np.array(slack) > 0)
+
+
+def first_rank(r: int, n: int) -> int:
+    """The rank of pair (r, r + 1): rows 0..r-1 hold (n - 1) + ... + (n - r)."""
+    return r * (2 * n - 1 - r) // 2
+
+
+def reference_unrank_triangle(k: int, n: int) -> tuple[int, int]:
+    """The pair (r, c), r < c < n, of rank k in row-major order, in exact
+    integers.  The row is the largest r with first_rank(r) <= k, that is
+    floor((b - sqrt(D)) / 2) for b = 2n - 1 and D = b^2 - 8k >= 9.  D is an
+    integer, so floor(b - sqrt(D)) = b - ceil(sqrt(D)) = b - 1 - isqrt(D - 1)."""
+    b = 2 * n - 1
+    r = (b - 1 - math.isqrt(b * b - 8 * k - 1)) // 2
+    return r, k - first_rank(r, n) + r + 1

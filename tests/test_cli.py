@@ -725,6 +725,17 @@ class TestRuntimeDependencies:
         assert self.loaded("gpclab", self.SUBMODULES, then="gpclab.threshold") == (
             "gpclab.poisson gpclab.codespec gpclab.de")
 
+    def test_a_lazy_submodule_shows_in_importtime(self):
+        # importlib.import_module bypasses the import path that -X importtime
+        # reports, so gpclab.de was missing and its time charged to the importer
+        env = {**os.environ, "PYTHONPATH": str(Path(gpclab.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-X", "importtime", "-c", "from gpclab import de"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        listed = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                  if line.startswith("import time:")]
+        assert "gpclab.de" in listed
+
     def test_a_submodule_resolves_without_an_import(self):
         assert self.loaded("gpclab", ("gpclab.de",),
                            then="assert gpclab.de.threshold is gpclab.threshold") == "gpclab.de"

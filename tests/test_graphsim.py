@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from gpclab import de
+from gpclab import de, graphsim
 from gpclab.codespec import (
     cn_counts, cn_degrees, preset_braided, preset_hpc, preset_pc, preset_staircase,
 )
@@ -25,7 +25,7 @@ from gpclab.graphsim import (
 )
 from gpclab.poisson import CapabilityDistribution
 from conftest import hpc_demo_graph, random_spec
-from graph_reference import reference_core_oracle
+from graph_reference import first_rank, reference_core_oracle, reference_unrank_triangle
 
 
 def make_graph(edges, caps):
@@ -181,6 +181,43 @@ class TestSampling:
             _unrank_triangle(ks, n, out)
             assert list(map(tuple, out.tolist())) == want
 
+    # n = 2^k - 1, 2^k, 2^k + 1 up to 2^24 + 1, and 3 * 10^6
+    UNRANK_SIZES = sorted({2**k + d for k in range(2, 25) for d in (-1, 0, 1)} | {3_000_000})
+
+    @staticmethod
+    def boundary_ranks(n, rows):
+        """first(r) - 1, first(r) and first(r) + 1 for each row r, and the
+        last rank, as a sorted int64 array of valid ranks."""
+        ks = {first_rank(r, n) + d for r in rows for d in (-1, 0, 1)}
+        pairs = n * (n - 1) // 2
+        return np.array(sorted(k for k in ks | {pairs - 1} if 0 <= k < pairs), np.int64)
+
+    def check_unrank(self, n, ks):
+        out = np.empty((ks.size, 2), dtype=np.int64)
+        _unrank_triangle(ks, n, out)
+        assert out.tolist() == [list(reference_unrank_triangle(k, n)) for k in ks.tolist()]
+
+    @pytest.mark.parametrize("n", UNRANK_SIZES)
+    def test_unrank_triangle_row_boundaries(self, n):
+        # the first three rows, the last two and 200 sampled ones; at 3 * 10^6
+        # 30000 rows, so the ranks span two unranking chunks
+        sampled = np.random.default_rng(n).integers(0, n - 1, 30000 if n > 2**24 else 200)
+        self.check_unrank(n, self.boundary_ranks(n, {0, 1, 2, n - 3, n - 2, *sampled.tolist()}))
+
+    @pytest.mark.parametrize("n", [2**27 + 1, 2**28, 2**31 + 1])
+    def test_unrank_triangle_corrects_float_drift(self, n):
+        # from n = 2^27 on, the float row floor((b - sqrt(b^2 - 8k)) / 2) is
+        # off at some row boundaries, so the correction runs; from n = 2^28 on
+        # b^2 - 8k no longer fits in 53 bits, and the last rank but one is two
+        # rows off, which a single correction step left one row off
+        b = 2 * n - 1
+        rows = [n - 2, *np.random.default_rng(27).integers(0, n - 1, 3000).tolist()]
+        ks = self.boundary_ranks(n, rows)
+        float_rows = np.floor((b - np.sqrt(b * b - 8.0 * ks)) / 2.0).astype(np.int64)
+        exact_rows = [reference_unrank_triangle(k, n)[0] for k in ks.tolist()]
+        assert (float_rows != exact_rows).sum() > 100
+        self.check_unrank(n, ks)
+
     def test_bernoulli_indices_density(self):
         gen = np.random.default_rng(5)
         hits = _bernoulli_indices(gen, 200000, 0.01)
@@ -306,6 +343,26 @@ class TestIncrementalPeeling:
                         == recount_peel_scheduled(graph, schedule))
             stuck += peel(graph).survivors.size > 0
         assert stuck >= 3  # the above-threshold graphs keep a core
+
+
+class TestKeptIncidence:
+    def test_one_incidence_per_graph(self, monkeypatch):
+        spec, _, c_high = REFERENCE_FAMILIES[2]  # staircase: peeling gets stuck
+        graph = sample_residual(spec, c_high, seed=11)
+        schedule = de.window_schedule(spec.num_positions, width=2, steps_per_slide=3)
+        calls = []
+        build = graphsim._incidence
+        monkeypatch.setattr(graphsim, "_incidence", lambda g: calls.append(g) or build(g))
+        phases = [lambda g: fields(peel(g)), lambda g: fields(peel(g, 3)),
+                  lambda g: core_oracle(g).tolist(),
+                  lambda g: fields(peel_scheduled(g, schedule))]
+        got = [phase(graph) for phase in phases]
+        assert len(calls) == 1 and calls[0] is graph
+        for phase, want in zip(phases, got):
+            fresh = ResidualGraph(graph.vertex_position, graph.vertex_capability, graph.edges)
+            assert phase(fresh) == want
+        assert len(calls) == 1 + len(phases)
+        assert got[2] and got[0][4] == got[2]  # a nonempty core, the fixpoint's survivors
 
 
 class TestScheduledPeeling:
@@ -452,6 +509,16 @@ class TestMonteCarlo:
         serial = monte_carlo(spec, 4.5, ell=8, trials=8, master_seed=5, jobs=1)
         parallel = monte_carlo(spec, 4.5, ell=8, trials=8, master_seed=5, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("trials", [13, 1])
+    def test_blocks_of_trials_do_not_change_statistics(self, trials):
+        # blocks of max(1, trials // (4 jobs)) trials: 3, 1 and 1 for 13
+        # trials; one trial asks for more workers than trials
+        spec = preset_hpc(300, 3)
+        serial = monte_carlo(spec, 4.5, ell=8, trials=trials, master_seed=5, jobs=1)
+        assert serial.se_w > 0 or trials == 1
+        for jobs in (2, 3):
+            assert monte_carlo(spec, 4.5, ell=8, trials=trials, master_seed=5, jobs=jobs) == serial
 
     def test_supercritical_agreement_with_de(self):
         # above threshold the failed fraction settles at the DE prediction;
