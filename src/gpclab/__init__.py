@@ -17,8 +17,8 @@ _EXPORTS = {
                  "erasure_scaling", "mean_capability", "preset_braided",
                  "preset_from_block_array", "preset_hpc", "preset_pc", "preset_staircase",
                  "spec_from_json", "spec_to_json"),
-    "de": ("DeTrajectory", "Schedule", "ThresholdResult", "de_run", "de_step",
-           "refined_upper_bound", "threshold", "upper_bound", "window_schedule"),
+    "de": ("DeTrajectory", "Schedule", "ThresholdResult", "de_run", "refined_upper_bound",
+           "threshold", "upper_bound", "window_schedule"),
     "graphsim": ("PeelingResult", "ResidualGraph", "core_oracle", "monte_carlo", "peel",
                  "peel_scheduled", "sample_residual"),
     "branching": ("survival_mc",),

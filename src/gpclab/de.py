@@ -6,15 +6,15 @@ of component codes that would declare failure.  Includes scheduled variants
 (frozen positions carry their state forward), the decoding threshold, and
 the analytic bounds used to sanity-check and design capability mixtures.
 
-Every DE iteration, in ``de_run`` and ``de_step`` alike, updates all
-positions with array operations that evaluate each position's tau-mixed
-Poisson tails in Horner form, with no tail table; the contraction slack that
-post-verification reports reads the same Horner tails, and the closed form and
-the continuation read sums of Poisson pmf terms over the same coefficients, with
-F' and F'' accurate where differences of tails lose them.  A step runs Horner on
-mu = -lam and writes in place; ``de_run`` checks its stopping rules once per
-block of ``_BLOCK`` iterations, so it computes and discards up to ``_BLOCK - 1``
-iterations, and nothing reported changes.
+Every DE iteration of ``de_run`` updates all positions with array operations
+that evaluate each position's tau-mixed Poisson tails in Horner form, with no
+tail table; the contraction slack that post-verification reports reads the
+same Horner tails, and the closed form and the continuation read sums of
+Poisson pmf terms over the same coefficients, with F' and F'' accurate where
+differences of tails lose them.  A step runs Horner on mu = -lam and writes
+in place; ``de_run`` checks its stopping rules once per block of ``_BLOCK``
+iterations, so it computes and discards up to ``_BLOCK - 1`` iterations, and
+nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
 counts: in closed form, on a lam grid built once per capability range, for
@@ -27,7 +27,6 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -148,25 +147,6 @@ class _PositionArrays:
     def means(self, x: np.ndarray, c: float) -> np.ndarray:
         """lam_i = c * sum_j eta_ij gamma_j x_j."""
         return c * self.neighbour_sum(x, self.nbr_w)
-
-
-def _one_step(spec: GpcSpec, x: Sequence[float], c: float):
-    _check_quality(c)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.num_positions,):
-        raise ValueError(f"x must have shape {(spec.num_positions,)}, got {x.shape}")
-    if (x < 0.0).any():
-        raise ValueError("x must be nonnegative")
-    new_x, z_pos = np.empty(x.shape), np.empty(x.shape)
-    _stepper(spec, c)(x, None, None, new_x, z_pos)
-    return new_x, float(spec.gamma @ z_pos)
-
-
-def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
-    """One collapsed DE iteration: x_i <- sum_t tau_t(i) P(Pois(lam_i) >= t)
-    with lam_i = c * sum_j eta_ij gamma_j x_j.  c = 0 is admitted and maps
-    everything to zero (an erasure-free channel resolves instantly)."""
-    return _one_step(spec, x, c)[0]
 
 
 @functools.lru_cache

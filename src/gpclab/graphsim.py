@@ -315,10 +315,10 @@ def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
     the failure status from the last round its position was active, so the
     reported failed fraction reflects per-vertex last-active outcomes.
     """
-    L = int(graph.vertex_position.max()) + 1 if graph.num_vertices else 0
-    if not schedule.covers(L):
+    positions = np.arange(int(graph.vertex_position.max()) + 1 if graph.num_vertices else 0)
+    covered = np.isin(positions, list(frozenset().union(*schedule.active_sets)))
+    if not covered[graph.vertex_position].all():  # a position without vertices may be left out
         raise ValueError("schedule must cover every position present in the graph")
-    positions = np.arange(L)
     masks = (np.isin(positions, list(active))[graph.vertex_position]
              for active in schedule.active_sets)
     return _peel(graph, masks, False)

@@ -103,12 +103,12 @@ def build_lp(c: float, grid_m: int, t_max: int, t_min: int = 1) -> LpProblem:
 
 
 def solve(problem: LpProblem) -> LpSolution:
-    """Solve the LP by row generation on the two-phase simplex.
+    """Solve the LP by row generation on the dual-then-primal simplex.
 
     Starts from a few evenly spaced grid rows, then repeatedly adds the most
     violated rows of the full grid to the optimal tableau and re-optimizes
-    with dual simplex pivots until the point satisfies every row (Kelley's
-    cutting-plane method).  The returned mixture has tiny negative weights
+    with the same dual simplex pivots until the point satisfies every row
+    (Kelley's cutting-plane method).  The returned mixture has tiny negative weights
     clipped and is renormalized (``CapabilityDistribution`` drops the zero
     weights past its largest supported capability); ``raw_weights`` keeps the
     untouched solver output for the solver's invariants.

@@ -1,17 +1,19 @@
-"""Dense two-phase simplex for small linear programs, with warm-started rows.
+"""Dense simplex for small linear programs, with warm-started rows.
 
-Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.  Pivoting
-uses the most-negative reduced cost, falling back to Bland's smallest-index
-rule after a run of degenerate pivots so the method cannot cycle.  An optimal
-result keeps its tableau, and ``add_rows`` appends further ``<=`` rows to it:
-the tableau stays dual feasible, so dual simplex pivots (Lemke 1954) repair
-primal feasibility without starting over.  Sized for the restricted programs
+Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0 by one
+method: dual simplex pivots (Lemke 1954) from a dual feasible tableau until
+b >= 0, then primal pivots until no reduced cost is negative, each switching
+to Bland's smallest-index rule after a run of degenerate pivots so it cannot
+cycle.  A cold solve starts from the slack basis priced with max(c, 0), dual
+feasible whatever the signs of b, and prices c in once b >= 0.  An optimal
+result keeps its tableau; ``add_rows`` appends ``<=`` rows to it, which keeps
+it dual feasible, and runs the same pivots.  Sized for the restricted programs
 of the mixture-design row generation (about 50 variables and at most a few
 hundred rows); no sparsity, no revised formulation.
 
-Tableau columns: the n variables, one slack per ``<=`` row in row order (-1,
-a surplus, in a row flipped to b >= 0), then one artificial per flipped or
-equality row in row order; unflipped slacks and the artificials start basic.
+Tableau columns: the n variables, then one slack per row.  Rows: the ``<=``
+rows, the equality rows a.x = b as a.x <= b, then as -a.x <= -b: an equality
+row has two slacks and no artificial column.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ class CyclingError(RuntimeError):
 class _Tableau:
     """Row i of ``T`` carries B^-1 [A | b] with basic column ``basis[i]``;
     ``red`` is [cost - cost_B B^-1 A | -objective] for the cost being
-    minimized, and only ``allowed`` columns may enter the basis."""
+    minimized."""
 
-    def __init__(self, T: np.ndarray, basis: np.ndarray, c: np.ndarray, allowed: np.ndarray):
-        self.T, self.basis, self.c, self.allowed = T, basis, c, allowed
+    def __init__(self, T: np.ndarray, basis: np.ndarray, c: np.ndarray):
+        self.T, self.basis, self.c = T, basis, c
         self.m, self.N = T.shape[0], T.shape[1] - 1
         self.red = np.zeros(self.N + 1)
 
@@ -64,7 +66,7 @@ class _Tableau:
 
     def optimize(self, budget: int, dual: bool = False) -> tuple[str, int]:
         """Pivot until optimal: primal pivots keep b >= 0 and lower the
-        objective, dual pivots keep every allowed reduced cost >= 0 and repair
+        objective, dual pivots keep every reduced cost >= 0 and repair
         a negative b.  After a run of degenerate pivots both switch to Bland's
         smallest-index rule so they cannot cycle."""
         pivots = 0
@@ -82,7 +84,7 @@ class _Tableau:
 
     def _primal_choice(self, bland: bool) -> tuple[str | None, int, int, float]:
         T, red = self.T, self.red
-        candidates = np.nonzero((red[:-1] < -_TOL) & self.allowed)[0]
+        candidates = np.nonzero(red[:-1] < -_TOL)[0]
         if candidates.size == 0:
             return OPTIMAL, -1, -1, 0.0
         # most negative reduced cost; Bland: smallest index
@@ -102,14 +104,22 @@ class _Tableau:
             return OPTIMAL, -1, -1, 0.0
         # most negative b; Bland: smallest basis index
         row = int(rows[np.argmin(self.basis[rows] if bland else T[rows, -1])])
-        cols = np.nonzero((T[row, :-1] < -_TOL) & self.allowed)[0]
+        cols = np.nonzero(T[row, :-1] < -_TOL)[0]
         if cols.size == 0:
             return INFEASIBLE, -1, -1, 0.0  # row says: nonnegative terms sum to b < 0
         ratios = red[cols] / -T[row, cols]
         best = ratios.min()  # smallest index enters on ties
         return None, row, int(cols[np.argmax(ratios <= best + 1e-12)]), best
 
-    def result(self, status: str, pivots: int) -> SimplexResult:
+    def reoptimize(self, reprice: bool = False) -> SimplexResult:
+        """Dual pivots until b >= 0 or a row proves infeasibility, then, with
+        ``c`` priced in if ``reprice``, primal pivots to the optimum."""
+        status, pivots = self.optimize(_MAX_PIVOTS, dual=True)
+        if status == OPTIMAL:
+            if reprice:
+                self.price(self.c)
+            status, p = self.optimize(_MAX_PIVOTS - pivots)
+            pivots += p
         if status != OPTIMAL:
             return SimplexResult(status, None, None, pivots)
         x_full = np.zeros(self.N)
@@ -141,52 +151,20 @@ def _rows(a, b, n: int, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarra
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> SimplexResult:
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(c, dtype=float)  # None reads NaN
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("c must be given and finite, one entry per variable")
     n = c.size
     empty = np.zeros((0, n)), np.zeros(0)
     no_ub, no_eq = a_ub is None and b_ub is None, a_eq is None and b_eq is None
     a_ub, b_ub = empty if no_ub else _rows(a_ub, b_ub, n, "a_ub", "b_ub")
     a_eq, b_eq = empty if no_eq else _rows(a_eq, b_eq, n, "a_eq", "b_eq")
-    A, b = np.vstack([a_ub, a_eq]), np.concatenate([b_ub, b_eq])
-    m, n_slack = b.size, b_ub.size
-    if m == 0:
+    A, b = np.vstack([a_ub, a_eq, -a_eq]), np.concatenate([b_ub, b_eq, -b_eq])
+    if b.size == 0:
         raise ValueError("no constraints")
-    # normalize to b >= 0; a flipped <= row becomes a >= row (surplus + artificial)
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip | (np.arange(m) >= n_slack))
-    art = n + n_slack + np.arange(art_rows.size)
-    N = n + n_slack + art.size
-    T = np.zeros((m, N + 1))
-    T[:, :n], T[:, -1] = A, b
-    basis = np.arange(n, n + m)
-    T[np.arange(n_slack), basis[:n_slack]] = np.where(flip[:n_slack], -1.0, 1.0)
-    T[art_rows, art] = 1.0
-    basis[art_rows] = art
-
-    tab = _Tableau(T, basis, c, np.ones(N, dtype=bool))
-    pivots_total = 0
-    if art.size:
-        phase1_cost = np.zeros(N)
-        phase1_cost[art] = 1.0
-        tab.price(phase1_cost)
-        status, p = tab.optimize(_MAX_PIVOTS)
-        pivots_total += p
-        if status != OPTIMAL:
-            return SimplexResult(status, None, None, pivots_total)
-        if -tab.red[-1] > 1e-7:
-            return SimplexResult(INFEASIBLE, None, None, pivots_total)
-        # pivot any zero-level artificial out of the basis
-        for i in range(m):
-            if basis[i] in art:
-                nz = np.nonzero(np.abs(T[i, : n + n_slack]) > _TOL)[0]
-                if nz.size:
-                    tab.pivot(i, int(nz[0]))
-        tab.allowed[art] = False
-    tab.price(c)
-    status, p = tab.optimize(_MAX_PIVOTS - pivots_total)
-    return tab.result(status, pivots_total + p)
+    tab = _Tableau(np.hstack([A, np.eye(b.size), b[:, None]]), np.arange(n, n + b.size), c)
+    tab.red[:n] = np.maximum(c, 0.0)  # the slack basis is dual feasible for this cost
+    return tab.reoptimize(reprice=True)
 
 
 def add_rows(result: SimplexResult, a_ub, b_ub) -> SimplexResult:
@@ -209,10 +187,6 @@ def add_rows(result: SimplexResult, a_ub, b_ub) -> SimplexResult:
     T[m:, N:-1] = np.eye(k)
     T[m:] -= T[m:, old.basis] @ T[:m]  # old rows hold the identity on their basis
     basis = np.concatenate([old.basis, np.arange(N, N + k)])
-    tab = _Tableau(T, basis, old.c, np.concatenate([old.allowed, np.ones(k, dtype=bool)]))
+    tab = _Tableau(T, basis, old.c)
     tab.red = np.concatenate([old.red[:-1], np.zeros(k), old.red[-1:]])
-    status, pivots = tab.optimize(_MAX_PIVOTS, dual=True)
-    if status == OPTIMAL:
-        status, p = tab.optimize(_MAX_PIVOTS - pivots)
-        pivots += p
-    return tab.result(status, pivots)
+    return tab.reoptimize()

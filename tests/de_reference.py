@@ -1,10 +1,10 @@
 """Test-local references for density evolution and the threshold bisection.
 
-`failure_probability` is the failure fraction z after one iteration of the
-package's array DE step from a given x.  `de_step_per_type` is one DE
+`one_step` runs one iteration of the package's array DE step (the one
+`gpclab.de.de_run` iterates) from a given x: `de_step` is its new x and
+`failure_probability` its failure fraction z.  `de_step_per_type` is one DE
 iteration with the state resolved per (position, capability) type;
-aggregating it with the tau weights gives the collapsed step
-`gpclab.de.de_step`.
+aggregating it with the tau weights gives the collapsed step `de_step`.
 
 `reference_de_run` is `gpclab.de.de_run` with the position-by-position step
 the package once used for chains shorter than 16 positions: a Python loop
@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from gpclab import de
-from gpclab.codespec import GpcSpec, erasure_scaling, mean_capability
+from gpclab.codespec import GpcSpec, _check_quality, erasure_scaling, mean_capability
 from gpclab.poisson import CapabilityDistribution, poisson_tail_table
 from poisson_reference import poisson_tail_block
 
@@ -234,12 +234,32 @@ def reference_threshold(
     return ReferenceBracket(lo, hi, capped)
 
 
+def one_step(spec: GpcSpec, x: Sequence[float], c: float) -> tuple[np.ndarray, float]:
+    """New x and failure fraction z after one iteration of ``de._stepper``."""
+    _check_quality(c)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.num_positions,):
+        raise ValueError(f"x must have shape {(spec.num_positions,)}, got {x.shape}")
+    if (x < 0.0).any():
+        raise ValueError("x must be nonnegative")
+    new_x, z_pos = np.empty(x.shape), np.empty(x.shape)
+    de._stepper(spec, c)(x, None, None, new_x, z_pos)
+    return new_x, float(spec.gamma @ z_pos)
+
+
+def de_step(spec: GpcSpec, x: Sequence[float], c: float) -> np.ndarray:
+    """One collapsed DE iteration: x_i <- sum_t tau_t(i) P(Pois(lam_i) >= t)
+    with lam_i = c * sum_j eta_ij gamma_j x_j.  c = 0 is admitted and maps
+    everything to zero (an erasure-free channel resolves instantly)."""
+    return one_step(spec, x, c)[0]
+
+
 def failure_probability(spec: GpcSpec, x: Sequence[float], c: float) -> float:
     """Fraction of component codes still failing, given the previous x vector.
 
     Uses the one-larger tail P(Pois(lam_i) >= t+1): a component fails when
     more than t of its erasures survive the round."""
-    return de._one_step(spec, x, c)[1]
+    return one_step(spec, x, c)[1]
 
 
 def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Test-local row generation that `gpclab.optimizer.solve` is compared against.
 
 `reference_row_generation` is the loop the package ran before it appended
-each batch of rows to the optimal tableau: a cold two-phase `solve_lp` on the
-whole active row set every round.  It starts from the same rows and adds the
+each batch of rows to the optimal tableau: a cold `solve_lp`, from the slack
+basis, on the whole active row set every round.  It starts from the same rows and adds the
 same batches under the same tolerance, so on a design whose optimum is unique
 it visits the same row sets and ends at the same point, up to rounding.
 """

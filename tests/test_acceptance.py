@@ -14,7 +14,7 @@ from gpclab import branching, de, graphsim, optimizer
 from gpclab.codespec import preset_hpc, preset_staircase
 from gpclab.poisson import CapabilityDistribution, initial_loss
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, hpc_demo_graph, random_spec
-from de_reference import de_step_per_type
+from de_reference import de_step, de_step_per_type
 from graph_reference import reference_core_oracle
 from poisson_reference import poisson_tail, tail_integral
 from tree_reference import total_progeny_samples, total_progeny_second_moment
@@ -171,7 +171,7 @@ def test_08_per_type_vs_collapsed():
             for t, _ in dist.support():
                 xt[i, t - 1] = 1.0
         for _ in range(10):
-            x = de.de_step(spec, x, c)
+            x = de_step(spec, x, c)
             xt = de_step_per_type(spec, xt, c)
             agg = np.zeros(spec.num_positions)
             for i, dist in enumerate(spec.tau):

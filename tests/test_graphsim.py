@@ -9,7 +9,7 @@ from scipy import stats as scistats
 
 from gpclab import de, graphsim
 from gpclab.codespec import (
-    cn_counts, cn_degrees, preset_braided, preset_hpc, preset_pc, preset_staircase,
+    GpcSpec, cn_counts, cn_degrees, preset_braided, preset_hpc, preset_pc, preset_staircase,
 )
 from gpclab.graphsim import (
     McStatistics,
@@ -416,6 +416,29 @@ class TestScheduledPeeling:
         )
         assert three_pass.removed_per_round == (2, 3, 1)
         assert three_pass.failed_fraction == 0.0
+
+    def test_schedule_may_cover_positions_without_vertices(self):
+        # position 2 has gamma = 0, so no component sits there, and a graph
+        # with no vertices has no position at all; de_run takes the schedule
+        eta = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+        spec = GpcSpec(eta=eta, gamma=(0.5, 0.5, 0.0),
+                       tau=(CapabilityDistribution.point_mass(2),) * 3, n=40)
+        graph = sample_residual(spec, 3.0, 0)
+        assert set(graph.vertex_position.tolist()) == {0, 1}
+        plain = peel(graph)
+        schedule = de.full_schedule(3, plain.rounds_run + 2)
+        de.de_run(spec, 3.0, schedule=schedule)
+        sched = peel_scheduled(graph, schedule)
+        assert np.array_equal(sched.survivors, plain.survivors)
+        assert sched.failed_fraction == plain.failed_fraction
+        empty = ResidualGraph(vertex_position=np.zeros(0, dtype=np.int64),
+                              vertex_capability=np.zeros(0, dtype=np.int64),
+                              edges=np.zeros((0, 2), dtype=np.int64))
+        none_left = peel_scheduled(empty, schedule)
+        assert none_left.failed_fraction == 0.0 and none_left.survivors.size == 0
+        # a position that holds vertices must still be covered
+        with pytest.raises(ValueError, match="cover every position present"):
+            peel_scheduled(graph, de.Schedule((frozenset({0, 2}),)))
 
     def test_frozen_failure_status_persists(self):
         # position 0 never reactivated: its survivor keeps the old failure flag

@@ -232,28 +232,48 @@ class TestDesignRegression:
     """The designs of ROADMAP's defect table, pinned from before the designed
     mixture was trimmed to its support and the contraction slack moved to the
     Horner tails: only ``tau.t_max`` moves, and the closed-form threshold by
-    rounding (its tails sum fewer zero-weight columns)."""
+    rounding (its tails sum fewer zero-weight columns).
 
-    @pytest.mark.parametrize("c, grid_m, t_max, top, t_bar, support, pivots, rows, threshold", [
-        (10.0, 1000, 50, 8, 5.302505235031085,
-         {1: 0.1002082466932368, 2: 0.057824516727593034, 3: 0.23734868623316493,
-          7: 0.46234650658487403, 8: 0.1422720437611312}, 23, 60, 9.979218617218772),
-        (6.0, 200, 10, 5, 3.3264473623868027,
-         {1: 0.16757828421081408, 2: 0.1072108501309555, 4: 0.6816069503770741,
-          5: 0.04360391528115623}, 21, 30, 5.967360303928142),
-        (6.0, 1000, 50, 5, 3.3268391857342534,
-         {1: 0.16684250788508068, 2: 0.10832588065531243, 4: 0.6808131407594861,
-          5: 0.04401847070012077}, 24, 40, 5.993676393840767),
-        (13.4, 1000, 50, 11, 6.991798763126033,
-         {1: 0.07036102516659071, 2: 0.1027499287456783, 4: 0.11560579142587102,
-          5: 0.17808375307431146, 10: 0.5020985680699903, 11: 0.03110093351755823},
-         54, 91, 13.399987938850076),
-    ])
+    ``t_bar`` and ``support`` are the designs the two-phase simplex returned
+    before every solve ran dual pivots from the slack basis; the one method
+    moved them by rounding only, so they stay to 1e-13 relative (t_bar) and
+    1e-12 absolute (weights), and ``exact`` pins the values it returns now."""
+
+    @pytest.mark.parametrize(
+        "c, grid_m, t_max, top, t_bar, support, pivots, rows, threshold, exact", [
+            (10.0, 1000, 50, 8, 5.302505235031085,
+             {1: 0.1002082466932368, 2: 0.057824516727593034, 3: 0.23734868623316493,
+              7: 0.46234650658487403, 8: 0.1422720437611312}, 27, 60, 9.979218617218772,
+             (5.302505235031086,
+              {1: 0.10020824669323715, 2: 0.05782451672756706, 3: 0.23734868623321362,
+               7: 0.46234650658478427, 8: 0.14227204376119792})),
+            (6.0, 200, 10, 5, 3.3264473623868027,
+             {1: 0.16757828421081408, 2: 0.1072108501309555, 4: 0.6816069503770741,
+              5: 0.04360391528115623}, 15, 30, 5.967360303928142,
+             (3.3264473623868014,
+              {1: 0.1675782842108139, 2: 0.10721085013095408, 4: 0.6816069503770804,
+               5: 0.043603915281151595})),
+            (6.0, 1000, 50, 5, 3.3268391857342534,
+             {1: 0.16684250788508068, 2: 0.10832588065531243, 4: 0.6808131407594861,
+              5: 0.04401847070012077}, 18, 40, 5.993676393840767,
+             (3.326839185734253,
+              {1: 0.16684250788508062, 2: 0.1083258806553118, 4: 0.6808131407594893,
+               5: 0.044018470700118356})),
+            (13.4, 1000, 50, 11, 6.991798763126033,
+             {1: 0.07036102516659071, 2: 0.1027499287456783, 4: 0.11560579142587102,
+              5: 0.17808375307431146, 10: 0.5020985680699903, 11: 0.03110093351755823},
+             38, 91, 13.399987938850076,
+             (6.9917987631260425,
+              {1: 0.07036102516650591, 2: 0.1027499287459701, 4: 0.11560579142500195,
+               5: 0.17808375307516564, 10: 0.5020985680691585, 11: 0.031100933518197756})),
+        ])
     def test_design_pinned(self, c, grid_m, t_max, top, t_bar, support, pivots, rows,
-                           threshold):
+                           threshold, exact):
         sol = solve(build_lp(c, grid_m=grid_m, t_max=t_max))
         assert sol.t_max == t_max and sol.tau.t_max == top
-        assert sol.t_bar == t_bar and dict(sol.tau.support()) == support
+        assert (sol.t_bar, dict(sol.tau.support())) == exact
+        assert sol.t_bar == pytest.approx(t_bar, rel=1e-13, abs=0.0)
+        assert dict(sol.tau.support()) == pytest.approx(support, rel=0.0, abs=1e-12)
         assert (sol.pivots, sol.rows_used) == (pivots, rows)
         verified = post_verify(sol)
         assert verified.status == STATUS_DEGENERATE
@@ -261,24 +281,36 @@ class TestDesignRegression:
         ref = reference_success_condition(sol.tau, c, grid_points=10 * grid_m)
         assert verified.fine_grid_min_slack == pytest.approx(ref, abs=1e-15)
 
-    @pytest.mark.parametrize("c, t_min, weights, pivots, threshold", [
-        (13.40, 1, (0.07036102516659071, 0.1027499287456783, 0.0, 0.11560579142587102,
-                    0.17808375307431146, 0.0, 0.0, 0.0, 0.0, 0.5020985680699903,
-                    0.03110093351755823), 54, "13.399987938850062"),
-        (12.86, 4, (0.0, 0.0, 0.0, 0.4954716850403187, 0.0, 0.0, 0.0, 0.0,
-                    0.036886502268291814, 0.46764181269138966), 15, "12.859999681590295"),
-        (10.0, 1, (0.1002082466932368, 0.057824516727593034, 0.23734868623316493, 0.0, 0.0,
-                   0.0, 0.46234650658487403, 0.1422720437611312), 23, "9.979218617218772"),
-    ])
-    def test_benchmark_design_pinned(self, c, t_min, weights, pivots, threshold):
+    @pytest.mark.parametrize("c, t_min, weights, pivots, threshold, two_phase, two_phase_threshold", [
+        (13.40, 1, (0.07036102516650591, 0.1027499287459701, 0.0, 0.11560579142500195,
+                    0.17808375307516564, 0.0, 0.0, 0.0, 0.0, 0.5020985680691585,
+                    0.031100933518197756), 38, "13.399987938850039",
+         (0.07036102516659071, 0.1027499287456783, 0.0, 0.11560579142587102,
+          0.17808375307431146, 0.0, 0.0, 0.0, 0.0, 0.5020985680699903,
+          0.03110093351755823), 13.399987938850062),
+        (12.86, 4, (0.0, 0.0, 0.0, 0.4954716850402732, 0.0, 0.0, 0.0, 0.0,
+                    0.03688650226856503, 0.4676418126911617), 13, "12.859999681590295",
+         (0.0, 0.0, 0.0, 0.4954716850403187, 0.0, 0.0, 0.0, 0.0,
+          0.036886502268291814, 0.46764181269138966), 12.859999681590295),
+        (10.0, 1, (0.10020824669323715, 0.05782451672756706, 0.23734868623321362, 0.0, 0.0,
+                   0.0, 0.46234650658478427, 0.14227204376119792), 27, "9.979218617218736",
+         (0.1002082466932368, 0.057824516727593034, 0.23734868623316493, 0.0, 0.0,
+          0.0, 0.46234650658487403, 0.1422720437611312), 9.979218617218772),
+    ], ids=["design_c13.4", "design_c12.86_tmin4", "design_c10"])
+    def test_benchmark_design_pinned(self, c, t_min, weights, pivots, threshold, two_phase,
+                                     two_phase_threshold):
         # the benchmark's designs at M = 1000, t_max = 50, bit for bit: the LP
         # rows read the tail kernel, the verified closed-form threshold the pmf
         # sums; c = 13.4's threshold moved by 2 ulp from 13.399987938850067
-        # when they replaced tail differences
+        # when they replaced tail differences.  ``two_phase`` and
+        # ``two_phase_threshold`` are the design the two-phase simplex returned
+        # (in 54 / 15 / 23 pivots), which the one method moved by rounding
         sol = solve(build_lp(c, 1000, 50, t_min))
         assert sol.tau.weights == weights and sol.pivots == pivots
+        assert sol.tau.weights == pytest.approx(two_phase, rel=0.0, abs=1e-12)
         verified = post_verify(sol).verified_threshold
         assert repr(verified) == threshold
+        assert verified == pytest.approx(two_phase_threshold, rel=1e-13, abs=0.0)
         if c == 13.40:
             assert verified == pytest.approx(13.399987938850067, rel=1e-13, abs=0.0)
 

@@ -83,6 +83,31 @@ class TestHandInstances:
         assert res.objective == pytest.approx(2.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("c, a_ub, b_ub, a_eq, b_eq", [
+        ([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]], [0.4], [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+         [1.0, 1.0]),
+        ([1.0, 1.0, 3.0], None, None, [[1.0, 2.0, 1.0], [-3.0, -6.0, -3.0]], [2.0, -6.0]),
+        ([1.0, 1.0], None, None, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),
+        ([-1.0, -2.0, -0.5], [[0.0, 1.0, 0.0]], [0.3], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
+         [1.0, 0.7]),
+        ([-2.0, 1.0], None, None, [[1.0, -1.0]], [0.0]),
+    ], ids=["duplicated_row", "multiple_of_a_row", "contradictory_rows", "negative_costs",
+            "negative_costs_unbounded"])
+    def test_redundant_or_contradictory_equalities_match_highs(self, c, a_ub, b_ub, a_eq,
+                                                               b_eq):
+        # each equality row is a pair of <= rows, so a redundant row leaves a
+        # slack basic at zero and a contradictory pair proves infeasibility
+        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                      method="highs")
+        assert res.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+        if res.status == OPTIMAL:
+            assert res.x == pytest.approx(ref.x, abs=1e-12)
+            assert res.objective == pytest.approx(ref.fun, abs=1e-12)
+            assert np.abs(np.asarray(a_eq) @ res.x - b_eq).max() <= 1e-12
+            assert res.x.min() >= 0.0
+
+
 class TestAgainstOracles:
     def test_vertex_enumeration(self, rng):
         for trial in range(40):
@@ -277,14 +302,17 @@ class TestAddRows:
                           [[1.0, np.nan]], [0.25]), "a_ub and b_ub"),
         (lambda: solve_lp([1.0], b_ub=[-5.0], a_eq=[[1.0]], b_eq=[1.0]), "a_ub and b_ub"),
         (lambda: solve_lp([1.0], a_ub=[[1.0]], b_ub=[1.0], b_eq=[2.0]), "a_eq and b_eq"),
+        (lambda: solve_lp([np.nan, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]), "c"),
+        (lambda: solve_lp([[1.0, 2.0]], a_eq=[[1.0, 1.0]], b_eq=[1.0]), "c"),
     ], ids=["missing_b_ub", "missing_b_ub_unbounded", "missing_b_eq", "nan_b_ub", "inf_a_eq",
-            "add_rows_nan", "missing_a_ub", "missing_a_eq"])
+            "add_rows_nan", "missing_a_ub", "missing_a_eq", "nan_c", "two_dimensional_c"])
     def test_missing_or_nonfinite_rows_rejected(self, call, names):
         # a missing right-hand side was read as NaN: the first call returned
         # x = 0 as optimal, the second failed on an argmin of nothing; a
         # right-hand side without rows was dropped (x = 1 came back optimal
-        # for the row x <= -5)
-        with pytest.raises(ValueError, match=f"{names} must be given and finite"):
+        # for the row x <= -5); a NaN cost came back optimal with a NaN
+        # objective, and a 2-D cost failed with a TypeError in the result
+        with pytest.raises(ValueError, match=f"^{names} must be given and finite"):
             call()
 
     @pytest.mark.parametrize("call, message", [
@@ -314,8 +342,8 @@ class TestAddRows:
 class TestPinnedPath:
     """Status, solution bytes and pivot count of 1200 seeded random programs,
     pinned by SHA-256: a change to the tableau's column order or to a pivot
-    rule moves the digest.  About half the ``<=`` rows have b < 0 and so
-    become ``>=`` rows with a surplus and an artificial column."""
+    rule moves the digest.  About half the ``<=`` rows have b < 0, so the
+    slack basis starts primal infeasible there and dual pivots repair it."""
 
     def test_pivot_path_pinned(self):
         rng = np.random.default_rng(20151)
@@ -336,4 +364,4 @@ class TestPinnedPath:
             digest.update(res.pivots.to_bytes(4, "little"))
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
         assert digest.hexdigest() == (
-            "420257deba375db0d69a20c1aa945024b9b4aa9626269444ea78ef6ba4a0a757")
+            "8739a351d1e066cea7e5250926518419a91d8493f92a7acf95ba2aa769f151ca")
