@@ -2,9 +2,9 @@
 """Threshold trade-off frontier for optimized irregular mixtures.
 
 For each channel quality c on a grid, solves the mixture-design LP for the
-minimal mean capability and reports the gap to the universal 2*t_bar bound,
-the initial loss, and the diagnostic floor.  Regular (point-mass) thresholds
-are appended for comparison.
+minimal mean capability and reports the gap to the universal 2*t_bar bound
+and the initial loss.  Regular (point-mass) thresholds are appended for
+comparison.
 
 Usage: python scripts/threshold_frontier.py --out frontier.csv
 """
@@ -29,14 +29,14 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    rows = ["c,t_bar,gap,loss_at_c,conjecture_rhs"]
+    rows = ["c,t_bar,gap,loss_at_c"]
     for c in C_GRID:
         sol = optimizer.solve(optimizer.build_lp(c, args.grid_m, args.t_max, args.t_min))
         if sol.status == optimizer.STATUS_OPTIMAL:
             cols = (sol.t_bar, 2.0 * sol.t_bar - c, initial_loss_mixture(sol.tau, c))
         else:  # infeasible at this t_max
             cols = (math.nan,) * 3
-        rows.append(",".join(repr(v) for v in (c, *cols, de.conjectured_capability_floor(c))))
+        rows.append(",".join(repr(v) for v in (c, *cols)))
     rows.append("# regular point-mass thresholds: t,c_star,gap")
     for t in REGULAR_TS:
         c_star = de.threshold(preset_hpc(100, t)).c_star

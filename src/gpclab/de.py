@@ -4,7 +4,7 @@ Tracks x_i, the probability that an erased bit touching position i is still
 unresolved after a given number of decoding iterations, and z, the fraction
 of component codes that would declare failure.  Includes scheduled variants
 (frozen positions carry their state forward), the decoding threshold, and
-the analytic bounds used to sanity-check and design capability mixtures.
+two analytic upper bounds on it, on the threshold's own c axis.
 
 Every DE iteration of ``de_run`` updates all positions with array operations
 that evaluate each position's tau-mixed Poisson tails in Horner form, with no
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codespec import GpcSpec, _check_quality, erasure_scaling, mean_capability
-from .poisson import CapabilityDistribution, initial_loss, initial_loss_mixture
+from .poisson import CapabilityDistribution, initial_loss_mixture
 
 CONVERGED = "converged_to_zero"
 STUCK = "stuck_positive"
@@ -62,17 +62,15 @@ class Schedule:
             raise ValueError("every active set must be nonempty")
 
     def covers(self, L: int) -> bool:
-        union: set[int] = set()
-        for s in self.active_sets:
-            union |= s
-        return union == set(range(L))
+        return set().union(*set(self.active_sets)) == set(range(L))  # each distinct set once
 
     def __len__(self) -> int:
         return len(self.active_sets)
 
 
 def full_schedule(L: int, steps: int) -> Schedule:
-    return Schedule(tuple(frozenset(range(L)) for _ in range(steps)))
+    """Every position active at every step: one set, held ``steps`` times."""
+    return Schedule((frozenset(range(L)),) * steps)
 
 
 def window_schedule(L: int, width: int, steps_per_slide: int) -> Schedule:
@@ -493,14 +491,21 @@ def upper_bound(spec: GpcSpec) -> float:
     return 2.0 * mean_capability(spec) * erasure_scaling(spec)
 
 
-def refined_upper_bound(tau: CapabilityDistribution) -> float:
-    """Largest c satisfying c <= 2*t_bar - 2*initial_loss_mixture(tau, c),
-    bisected to within 1e-10.
+def refined_upper_bound(spec: GpcSpec) -> float:
+    """The counting bound tightened by the initial loss, on the threshold's c
+    axis as ``upper_bound``: for tau the positions' mixtures weighted by gamma,
+    the largest c <= 2*t_bar - 2*initial_loss_mixture(tau, c), bisected to
+    within 1e-10, times ``erasure_scaling(spec)``.
 
     Accounting for the correction potential wasted before the first round
     tightens the 2*t_bar bound; the gap never closes since the initial loss
     is strictly positive at any finite c.
     """
+    collapsed = np.zeros(spec.t_max)
+    for g, dist in zip(spec.gamma, spec.tau):
+        for t, w in dist.support():
+            collapsed[t - 1] += float(g) * w
+    tau = CapabilityDistribution(tuple(collapsed / collapsed.sum()))
     top = 2.0 * tau.mean()
 
     def slack(c: float) -> float:
@@ -515,13 +520,4 @@ def refined_upper_bound(tau: CapabilityDistribution) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def conjectured_capability_floor(c: float) -> float:
-    """Diagnostic only: c/2 + (1/c) * sum_{t=1}^{round(c)} initial_loss(t, c).
-
-    Emitted as a reference column in trade-off reports; nothing asserts it.
-    """
-    k = max(1, int(round(c)))
-    return c / 2.0 + sum(initial_loss(t, c) for t in range(1, k + 1)) / c
+    return 0.5 * (lo + hi) * erasure_scaling(spec)

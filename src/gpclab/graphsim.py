@@ -36,17 +36,6 @@ from .codespec import GpcSpec, _check_quality, cn_counts, code_length
 if TYPE_CHECKING:  # an annotation only: peeling runs no DE code
     from .de import Schedule
 
-__all__ = [
-    "ResidualGraph",
-    "PeelingResult",
-    "McStatistics",
-    "sample_residual",
-    "peel",
-    "peel_scheduled",
-    "core_oracle",
-    "monte_carlo",
-]
-
 
 @dataclass(frozen=True)
 class ResidualGraph:
@@ -316,7 +305,7 @@ def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
     reported failed fraction reflects per-vertex last-active outcomes.
     """
     positions = np.arange(int(graph.vertex_position.max()) + 1 if graph.num_vertices else 0)
-    covered = np.isin(positions, list(frozenset().union(*schedule.active_sets)))
+    covered = np.isin(positions, list(set().union(*set(schedule.active_sets))))
     if not covered[graph.vertex_position].all():  # a position without vertices may be left out
         raise ValueError("schedule must cover every position present in the graph")
     masks = (np.isin(positions, list(active))[graph.vertex_position]

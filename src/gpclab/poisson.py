@@ -1,9 +1,11 @@
 """Numerically stable Poisson tail evaluation and erasure-capability mixtures.
 
-Everything downstream (DE, analytic bounds, LP rows) funnels through the
-functions here, so they are kept branch-light and pure.  The LP rows read
-``poisson_tail_table``, whose running cdf lives in its output buffer; DE and
-the slack evaluate mixed tails in Horner form, the threshold as pmf sums.
+Every module reads its mixtures as ``CapabilityDistribution``.  The LP rows
+read ``poisson_tail_table``, whose running cdf lives in its output buffer, and
+the refined bound reads ``initial_loss_mixture``; the functions are kept
+branch-light and pure.  DE, the slack and the threshold compute their mixed
+tails from ``de._tail_coefficients`` instead: in Horner form, and for the
+threshold as pmf sums (``de._tail_sums``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,13 @@ import signal
 import numpy as np
 import pytest
 
-from gpclab.codespec import GpcSpec
+from gpclab.codespec import (
+    GpcSpec,
+    preset_braided,
+    preset_hpc,
+    preset_pc,
+    preset_staircase,
+)
 from gpclab.graphsim import ResidualGraph
 from gpclab.poisson import CapabilityDistribution
 
@@ -14,6 +20,20 @@ MIX_TBAR7 = CapabilityDistribution.from_dict(
     {1: 0.070, 2: 0.103, 4: 0.115, 5: 0.179, 10: 0.496, 11: 0.037}
 )
 MIX_TBAR7_MIN4 = CapabilityDistribution.from_dict({4: 0.495, 9: 0.029, 10: 0.476})
+
+# families whose threshold the tests sandwich between the two upper bounds
+BOUNDS_SPECS = {
+    "hpc_t4": preset_hpc(1000, 4),
+    "pc_t3": preset_pc(1000, t_row=3),
+    "braided4": preset_braided(4, 1000, 3),
+    "braided8": preset_braided(8, 1000, 3),
+    "braided20": preset_braided(20, 1200, 3),
+    "staircase6": preset_staircase(6, 36, 3),
+    "staircase20": preset_staircase(20, 120, 3),
+    # the refined bound's root lies below t_bar = 10.9
+    "root_below_tbar": preset_hpc(1000, CapabilityDistribution.from_dict({1: 0.9, 100: 0.1}),
+                                  tau_assignment="random"),
+}
 
 
 @contextlib.contextmanager

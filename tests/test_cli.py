@@ -20,7 +20,6 @@ from gpclab.cli import (
 )
 from gpclab import branching, de
 from gpclab.codespec import (
-    preset_braided,
     preset_hpc,
     preset_pc,
     preset_staircase,
@@ -28,7 +27,7 @@ from gpclab.codespec import (
     spec_to_json,
 )
 from gpclab.poisson import CapabilityDistribution
-from conftest import time_limit
+from conftest import BOUNDS_SPECS, time_limit
 
 
 STAIRCASE_6 = [
@@ -297,27 +296,13 @@ class TestBoundsCmd:
         return {k: float(v) for k, v in zip(header[1:], row[1:])}
 
     def test_bounds_on_threshold_axis(self, tmp_path):
-        # PC t = 3 has threshold 10.30: raw 2 * t_bar = 6 sat below it.  The
-        # diagnostic still reads the unscaled refined bound
+        # PC t = 3 has threshold 10.30: raw 2 * t_bar = 6 sat below it
         row = self.bounds_row(tmp_path, preset_pc(1000, t_row=3))
+        assert list(row) == ["t_bar", "upper_2tbar", "refined_upper"]
         assert row["upper_2tbar"] == pytest.approx(12.0)
         assert row["refined_upper"] == pytest.approx(11.62, abs=0.01)
-        assert row["conjecture_rhs"] == pytest.approx(
-            de.conjectured_capability_floor(row["refined_upper"] / 2.0))
 
-    @pytest.mark.parametrize("spec", [
-        pytest.param(preset_hpc(1000, 4), id="hpc_t4"),
-        pytest.param(preset_pc(1000, t_row=3), id="pc_t3"),
-        pytest.param(preset_braided(4, 1000, 3), id="braided4"),
-        pytest.param(preset_braided(8, 1000, 3), id="braided8"),
-        pytest.param(preset_braided(20, 1200, 3), id="braided20"),
-        pytest.param(preset_staircase(6, 36, 3), id="staircase6"),
-        pytest.param(preset_staircase(20, 120, 3), id="staircase20"),
-        # the refined bound's root lies below t_bar = 10.9: it used to read 0,
-        # and the conjecture column then raised ZeroDivisionError
-        pytest.param(preset_hpc(1000, CapabilityDistribution.from_dict({1: 0.9, 100: 0.1}),
-                                tau_assignment="random"), id="root_below_tbar"),
-    ])
+    @pytest.mark.parametrize("spec", BOUNDS_SPECS.values(), ids=BOUNDS_SPECS.keys())
     def test_bounds_dominate_threshold(self, tmp_path, spec):
         row = self.bounds_row(tmp_path, spec)
         c_star = de.threshold(spec).c_star
@@ -512,6 +497,32 @@ class TestConfigNumbers:
         assert capsys.readouterr().err == (
             f"error: config field {field!r} must be an integer, "
             f"got {json.dumps(schedule[field])}\n")
+
+    @pytest.mark.parametrize("first,error", [
+        ([True, 2], "config field 'sets' must be an integer, got true"),
+        (["1", 2], 'config field \'sets\' must be an integer, got "1"'),
+        ([1.0, 2.0], None),
+        ([0, 1, 2], "schedule position 0 is outside 1..6"),
+        ([1, 2, 7], "schedule position 7 is outside 1..6"),
+    ], ids=["boolean", "string", "integral_float", "zero", "past_L"])
+    def test_explicit_schedule_positions(self, tmp_path, capsys, first, error):
+        # positions read as integer config fields, and one outside 1..L is named
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+
+        def run(sets):
+            cfg.write_text(json.dumps({"spec": spec_path, "c": 4.0,
+                                       "schedule": {"type": "explicit", "sets": sets}}))
+            code = main(["de", "--config", str(cfg), "--out", str(out)])
+            return code, out.read_text().splitlines()[1:] if out.exists() else None
+
+        code, rows = run([first, [3, 4, 5, 6]])
+        if error is not None:
+            assert (code, rows) == (EXIT_INPUT, None)
+            assert capsys.readouterr().err == f"error: {error}\n"
+        else:  # the same rows, past the config hash, as integer positions give
+            assert (code, rows) == run([[1, 2], [3, 4, 5, 6]])
+            assert code == EXIT_NONCONVERGED and len(rows) == 4  # header, x_0..x_2
 
 
 class TestInvalidValues:

@@ -18,7 +18,14 @@ from gpclab.codespec import (
     spec_to_json,
 )
 from gpclab.poisson import CapabilityDistribution, initial_loss_mixture, poisson_tail_table
-from conftest import MIX_TBAR7, MIX_TBAR7_MIN4, random_mixture, random_spec, time_limit
+from conftest import (
+    BOUNDS_SPECS,
+    MIX_TBAR7,
+    MIX_TBAR7_MIN4,
+    random_mixture,
+    random_spec,
+    time_limit,
+)
 from de_reference import (
     de_step,
     de_step_per_type,
@@ -636,6 +643,18 @@ class TestSchedule:
         with pytest.raises(ValueError):
             de.window_schedule(5, 6, 1)
 
+    def test_full_schedule_holds_one_set(self):
+        # one set object, held once per step: a set per step is about 960 MB here
+        tracemalloc.start()
+        try:
+            schedule = de.full_schedule(800, 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len({id(s) for s in schedule.active_sets}) == 1
+        assert len(schedule) == 20000 and schedule.covers(800)
+        assert peak < 1e6
+
 
 class TestThreshold:
     def test_hpc_t4(self):
@@ -1011,19 +1030,18 @@ class TestBounds:
 
     def test_refined_strictly_below_2t(self):
         for t in (2, 4, 7):
-            tau = CapabilityDistribution.point_mass(t)
-            bound = de.refined_upper_bound(tau)
+            bound = de.refined_upper_bound(preset_hpc(1000, t, tau_assignment="random"))
             assert bound < 2 * t
 
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=40, deadline=None)
     def test_refined_bracketed(self, t):
-        bound = de.refined_upper_bound(CapabilityDistribution.point_mass(t))
+        bound = de.refined_upper_bound(preset_hpc(1000, t, tau_assignment="random"))
         assert t <= bound < 2 * t
 
     def test_refined_vs_grid_scan(self):
         tau = CapabilityDistribution.point_mass(7)
-        bound = de.refined_upper_bound(tau)
+        bound = de.refined_upper_bound(preset_hpc(1000, tau, tau_assignment="random"))
         step = 1e-4
         best = 0.0
         c = step
@@ -1040,7 +1058,7 @@ class TestBounds:
                     CapabilityDistribution.from_dict({1: 0.9, 100: 0.1})):
             spec = preset_hpc(1000, tau, tau_assignment="random")
             c_star = de.threshold(spec).c_star
-            assert de.refined_upper_bound(tau) >= c_star - 1e-9
+            assert de.refined_upper_bound(spec) >= c_star - 1e-9
 
     def test_loss_explains_half_the_gap(self):
         # for near-optimal mixtures, twice the initial loss at threshold is
@@ -1051,10 +1069,17 @@ class TestBounds:
         ratio = 2.0 * initial_loss_mixture(MIX_TBAR7, c_star) / gap
         assert 0.35 <= ratio <= 0.75
 
-    def test_conjecture_diagnostic_shape(self):
-        val = de.conjectured_capability_floor(13.0)
-        assert 13.0 / 2 < val < 13.0
-        # never asserted against measured mixtures: diagnostic only
+    @pytest.mark.parametrize("spec", BOUNDS_SPECS.values(), ids=BOUNDS_SPECS.keys())
+    def test_bounds_sandwich_threshold(self, spec):
+        assert de.threshold(spec).c_star <= de.refined_upper_bound(spec) <= de.upper_bound(spec)
+
+    @pytest.mark.parametrize("spec,expected", [
+        (preset_staircase(6, 36, 3), 20.920923817151927),
+        (preset_braided(8, 80, 3), 18.596376726357267),
+    ], ids=["staircase6", "braided8"])
+    def test_refined_pinned(self, spec, expected):
+        # the README's two chains, bit for bit as gpclab bounds prints them
+        assert de.refined_upper_bound(spec) == expected
 
 
 @functools.lru_cache(maxsize=None)

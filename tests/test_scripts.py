@@ -27,12 +27,12 @@ def run_script(name, args, tmp_path):
 def test_threshold_frontier(tmp_path):
     lines = run_script("threshold_frontier.py", ["--grid-m", "100", "--t-max", "20"],
                        tmp_path)
-    assert lines[0] == "c,t_bar,gap,loss_at_c,conjecture_rhs"
+    assert lines[0] == "c,t_bar,gap,loss_at_c"
     comment = lines.index("# regular point-mass thresholds: t,c_star,gap")
     assert comment == 10  # one row per c on the default grid of nine
     assert len(lines) == comment + 7  # regular capabilities 3..8
     rows = {float(line.split(",")[0]): line.split(",") for line in lines[1:comment]}
-    assert all(len(row) == 5 for row in rows.values())
+    assert all(len(row) == 4 for row in rows.values())
     # t_bar and gap of the LP optimum at c = 13.4 (M = 100, t <= 20), bit for
     # bit, and within rounding of what the two-phase simplex returned
     t_bar, gap = float(rows[13.4][1]), float(rows[13.4][2])
