@@ -355,17 +355,22 @@ def _pmf_coefficients(tau_w: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _tail_sums(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """F and its derivatives at lam, ``_pmf_coefficients`` rows (last axis of
-    the result) dotted with (pmf_0, ..., pmf_{t_max - 1}, 1), the pmf from one
-    cumulative product over (e^-lam, lam / 1, lam / 2, ...).  lam is capped at
-    ``_LAM_CAP``, as in ``_stepper``: e^-lam is 0 there and all stays finite."""
+def _pmf(lam: np.ndarray, size: int) -> np.ndarray:
+    """(pmf_0, ..., pmf_{size - 2}, 1) at lam, from one cumulative product over
+    (e^-lam, lam / 1, lam / 2, ...).  lam is capped at ``_LAM_CAP``, as in
+    ``_stepper``: e^-lam is 0 there and all stays finite."""
     lam = np.minimum(lam, _LAM_CAP)
-    pmf = lam[..., None] * _reciprocals(coef.shape[-1])
+    pmf = lam[..., None] * _reciprocals(size)
     pmf[..., 0] = np.exp(-lam)
     pmf[..., -1] = 1.0
     np.cumprod(pmf[..., :-1], axis=-1, out=pmf[..., :-1])
-    return (coef * pmf[..., None, :]).sum(axis=-1)
+    return pmf
+
+
+def _tail_sums(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """F and its derivatives at lam: ``_pmf_coefficients`` rows (last axis of
+    the result) dotted with (pmf_0, ..., pmf_{t_max - 1}, 1)."""
+    return (coef * _pmf(lam, coef.shape[-1])[..., None, :]).sum(axis=-1)
 
 
 @functools.lru_cache
@@ -374,6 +379,14 @@ def _lam_grid(t_max: int) -> np.ndarray:
     lam = np.geomspace(_LAM_MIN, 2.0 * t_max + 2.0, _LAM_POINTS)
     lam.flags.writeable = False
     return lam
+
+
+@functools.lru_cache
+def _grid_pmf(t_max: int) -> np.ndarray:
+    """``_pmf`` on ``_lam_grid(t_max)``, t_max + 1 columns; shared, so read-only."""
+    pmf = _pmf(_lam_grid(t_max), t_max + 1)
+    pmf.flags.writeable = False
+    return pmf
 
 
 def _exact(c: float) -> tuple[float, float]:
@@ -389,7 +402,7 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     counting bound."""
     w = np.asarray(tau.weights)
     lam, coef = _lam_grid(w.size), _pmf_coefficients(w[None, :])[0]
-    f = _tail_sums(lam, coef[:1])[:, 0]
+    f = (coef[0] * _grid_pmf(w.size)).sum(axis=-1)
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
     best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
     x = lam[k]

@@ -12,13 +12,16 @@ index mod 2), not in parallel rounds.  Removal only lowers degrees, so every
 batch is a legal sequential removal and both orders end at the same core, which
 the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 
-No full-size temporary lives beside the arrays a result needs.  Sampling peaks
-with the vertex arrays, every block's ranks (views of blocks of geometric gaps
-about 1.2 times longer) and the int64 edge list alive; triangles unrank in
-chunks.  Peeling and the core oracle hold the graph, the incidence's sort keys
-(16 B per edge, sorted in place; they take the slot ramp, then become the
-neighbour list, which the graph holds while it lives) and two vertex arrays,
-and peak with the slots of the first round's removed vertices.
+Sampling peaks with the vertex arrays, every block's ranks (views of blocks
+of geometric gaps about 1.2 times longer) and the int64 edge list alive;
+triangles unrank in chunks.  Peeling and the core oracle hold the graph, the
+incidence's sort keys and two vertex arrays, and peak with the slots of the
+first round's removed vertices.  Sort keys that fit in 31 bits are int32 (8 B
+per edge), which sort in about half the time, and live beside the int64
+neighbour list (16 B per edge) while it is gathered; wider keys are int64,
+16 B per edge sorted in place, and become the neighbour list, so a graph too
+large for 32-bit keys holds no full-size temporary.  The graph keeps its
+neighbour list while it lives.
 """
 
 from __future__ import annotations
@@ -96,18 +99,29 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
     """Positions of successes in n_items iid Bernoulli(p) draws.
 
     Walks the index space with geometric gaps, so the cost is proportional to
-    the number of successes rather than n_items.
+    the number of successes rather than n_items.  Below p = 1/3 numpy's
+    ``geometric`` draws each gap as ceil(E / -log1p(-p)), E standard
+    exponential; one vectorized exponential draw gives the same gaps from the
+    same stream at about half the cost.  Those gaps are clipped at
+    n_items + 1, which leaves every rank below n_items as it is and keeps the
+    running sum from overflowing when p is tiny.
     """
     if p <= 0.0 or n_items == 0:
         return np.empty(0, dtype=np.int64)
     if p >= 1.0:
         return np.arange(n_items, dtype=np.int64)
     chunks = []
-    pos = -1
+    pos, scale = -1, -math.log1p(-p)
     # the block sizes and the draw order fix the random stream: keep them
     block = max(64, int(n_items * p * 1.2) + 16)
     while True:
-        idx = rng.geometric(p, size=block)
+        if p < 1 / 3:
+            gap = rng.standard_exponential(block)
+            gap /= scale
+            np.minimum(gap, n_items + 1, out=gap)
+            idx = np.ceil(gap, out=np.empty(block, dtype=np.int64), casting="unsafe")
+        else:  # a search over the cdf: short gaps, drawn one at a time
+            idx = rng.geometric(p, size=block)
         np.cumsum(idx, out=idx)
         idx += pos
         chunks.append(idx[: np.searchsorted(idx, n_items)])  # a view of the block
@@ -214,23 +228,25 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
 def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
     joins v to nbr[s]; a vertex lists its neighbours in edge order."""
-    ends = graph.edges.astype(np.int64, copy=False).ravel()  # 64-bit keys
+    ends = graph.edges.astype(np.int64, copy=False).ravel()
     m, step = ends.size, 1 << 16  # slots per pass: bounds the temporaries
     # the stable argsort of ends: sort the unique keys (end << shift) | slot
-    # in place (faster than an argsort), then keep the slot bits
+    # in place (faster than an argsort), then keep the slot bits; the keys
+    # are int32 where they fit, as they sort in about half the time
     shift = max(m - 1, 1).bit_length()
-    keys = ends << shift
+    wide = graph.num_vertices << shift > 1 << 31  # the largest key is that less 1
+    keys = np.left_shift(ends, shift, dtype=np.int64 if wide else np.int32)
     for lo in range(0, m, step):
-        keys[lo : lo + step] |= np.arange(lo, min(lo + step, m))
+        keys[lo : lo + step] |= np.arange(lo, min(lo + step, m), dtype=keys.dtype)
     keys.sort()
-    for lo in range(0, m, step):  # the neighbour list takes the keys' place
-        slots = keys[lo : lo + step]
-        slots &= (1 << shift) - 1
+    nbr = keys if wide else np.empty(m, dtype=np.int64)
+    for lo in range(0, m, step):  # int64 slots: a gather converts int32 ones first
+        slots = np.bitwise_and(keys[lo : lo + step], (1 << shift) - 1, out=nbr[lo : lo + step])
         slots ^= 1  # the slot of the edge's other end
-        keys[lo : lo + step] = ends[slots]
+        nbr[lo : lo + step] = ends.take(slots)
     start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
-    return start, keys
+    return start, nbr
 
 
 _GONE = 1 << 62  # a removed vertex's slack
@@ -251,8 +267,7 @@ def _removal(graph: ResidualGraph) -> tuple[np.ndarray, Callable[[np.ndarray], N
         sz = start[gone + 1] - first
         slots = np.repeat(first - np.cumsum(sz) + sz, sz)
         slots += np.arange(slots.size)
-        slots = nbr[slots]  # the neighbours, each once per edge to gone
-        np.subtract(slack, np.bincount(slots, minlength=slack.size), out=slack)
+        np.subtract.at(slack, nbr[slots], 1)  # once per edge to gone
 
     return slack, remove
 
@@ -271,7 +286,7 @@ def _peel(
     left = n
     removed: list[int] = []
     for mask in masks:
-        gone = np.flatnonzero(slack <= 0 if mask is None else (slack <= 0) & mask)
+        gone = (slack <= 0 if mask is None else (slack <= 0) & mask).nonzero()[0]
         if stop_when_idle and gone.size == 0:
             break
         remove(gone)
@@ -308,9 +323,9 @@ def peel_scheduled(graph: ResidualGraph, schedule: Schedule) -> PeelingResult:
     covered = np.isin(positions, list(set().union(*set(schedule.active_sets))))
     if not covered[graph.vertex_position].all():  # a position without vertices may be left out
         raise ValueError("schedule must cover every position present in the graph")
-    masks = (np.isin(positions, list(active))[graph.vertex_position]
-             for active in schedule.active_sets)
-    return _peel(graph, masks, False)
+    # one mask per distinct active set: a window schedule repeats each set
+    mask = functools.cache(lambda active: np.isin(positions, list(active))[graph.vertex_position])
+    return _peel(graph, map(mask, schedule.active_sets), False)
 
 
 def core_oracle(graph: ResidualGraph) -> np.ndarray:
@@ -327,7 +342,7 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
     slack, remove = _removal(graph)
     colour, idle = 0, 0
     while idle < 2:  # stop once both classes come up empty in a row
-        gone = colour + 2 * np.flatnonzero(slack[colour::2] <= 0)
+        gone = colour + 2 * (slack[colour::2] <= 0).nonzero()[0]
         remove(gone)
         idle = 0 if gone.size else idle + 1
         colour ^= 1

@@ -6,6 +6,10 @@ vertices in colour-class batches: a Python stack over the CSR incidence of
 last-queued-first order.  It is plain and slow on purpose; by k-core
 confluence it ends at the same core as the package oracle and `peel`.
 
+`reference_bernoulli_indices` is the geometric-gap walk of
+`gpclab.graphsim._bernoulli_indices` as numpy's ``rng.geometric`` draws it,
+one call per block of gaps.
+
 `reference_unrank_triangle` is the exact, integer-only inverse of the
 row-major pair enumeration that `gpclab.graphsim._unrank_triangle` computes
 in float64 and corrects.
@@ -38,6 +42,22 @@ def reference_core_oracle(graph: ResidualGraph) -> np.ndarray:
                 if slack[u] == 0:
                     stack.append(u)
     return np.flatnonzero(np.array(slack) > 0)
+
+
+def reference_bernoulli_indices(
+    rng: np.random.Generator, n_items: int, p: float
+) -> tuple[np.ndarray, int]:
+    """Positions of successes in n_items iid Bernoulli(p) draws, 0 < p < 1,
+    and the number of blocks of gaps the walk drew."""
+    chunks, pos, blocks = [], -1, 0
+    block = max(64, int(n_items * p * 1.2) + 16)
+    while True:
+        blocks += 1
+        idx = np.cumsum(rng.geometric(p, size=block)) + pos
+        chunks.append(idx[idx < n_items])
+        if idx[-1] >= n_items:
+            return np.concatenate(chunks), blocks
+        pos = int(idx[-1])
 
 
 def first_rank(r: int, n: int) -> int:

@@ -1005,6 +1005,15 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
 
+    def test_grid_pmf_is_tail_sums_own_pmf(self):
+        # the closed form reads F on its grid from a cached pmf table; an
+        # identity coefficient row picks out each pmf term of ``_tail_sums``
+        for t_max in (1, 4, 12, 50):
+            pmf = de._grid_pmf(t_max)
+            assert pmf is de._grid_pmf(t_max) and not pmf.flags.writeable
+            want = de._tail_sums(de._lam_grid(t_max), np.eye(t_max + 1))
+            assert pmf.shape == want.shape and np.array_equal(pmf, want)
+
     def test_fold_pinned(self):
         # the README staircase goes through the continuation, whose Jacobian
         # reads the same pmf sums as the closed form; the bracket moved by 1-2

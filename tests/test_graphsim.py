@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,9 @@ from gpclab.graphsim import (
 )
 from gpclab.poisson import CapabilityDistribution
 from conftest import hpc_demo_graph, random_spec
-from graph_reference import first_rank, reference_core_oracle, reference_unrank_triangle
+from graph_reference import (
+    first_rank, reference_bernoulli_indices, reference_core_oracle, reference_unrank_triangle,
+)
 
 
 def make_graph(edges, caps):
@@ -224,6 +227,42 @@ class TestSampling:
         assert (np.diff(hits) > 0).all()
         assert abs(hits.size - 2000) < 3 * math.sqrt(2000)
 
+    # p -> (n_items, seed of default_rng) whose walk draws a second block of
+    # gaps; from p = 1/2 on a second block is too rare to find a seed for
+    TWO_BLOCKS = {1e-6: (40_000_000, 6460), 1e-3: (40_000, 6460), 0.1: (400, 8689),
+                  0.3: (200, 11322), 1 / 3: (240, 21062)}
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.3, 1 / 3, 0.5, 0.9])
+    def test_bernoulli_indices_match_the_geometric_walk(self, p):
+        # below p = 1/3 the gaps come from one exponential draw per block,
+        # from p = 1/3 on from rng.geometric's search: both are that walk's
+        # ranks bit for bit, and leave the stream where it leaves it
+        cases = [(n_items, seed) for n_items in (999, int(80 / p)) for seed in range(4)]
+        if p in self.TWO_BLOCKS:
+            cases.append(self.TWO_BLOCKS[p])
+        for n_items, seed in cases:
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _bernoulli_indices(got_rng, n_items, p)
+            want, blocks = reference_bernoulli_indices(want_rng, n_items, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert blocks == 2 or (n_items, seed) != self.TWO_BLOCKS.get(p)
+
+    def test_tiny_quality_samples_no_edge(self):
+        # below p = c / n of about 1e-18 the gaps used to saturate at
+        # INT64_MAX and the running sum wrapped negative: garbage ranks, and
+        # a triangle unranking that never ended
+        assert _bernoulli_indices(np.random.default_rng(0), 499500, 1e-19).size == 0
+        spec, out = preset_hpc(1000, 3), []
+        worker = threading.Thread(target=lambda: out.append(
+            (sample_residual(spec, 1e-17, 0), monte_carlo(spec, 1e-17, 5, 4, 0))), daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert out, "sampling at c = 1e-17 did not end within a second"
+        graph, stats = out[0]
+        assert graph.num_edges == 0 and graph.num_vertices == 1000
+        assert stats.mean_w == 0.0 and stats.mean_edge_fraction == 0.0
+
     def test_degree_law_chi_square(self):
         # degrees at a position follow Binomial(d_k, c/n)
         spec = preset_pc(300, (0.5, 0.5), 3)
@@ -345,6 +384,24 @@ class TestIncrementalPeeling:
         assert stuck >= 3  # the above-threshold graphs keep a core
 
 
+class TestIncidenceKeyWidth:
+    @pytest.mark.parametrize("num_vertices", [2047, 2048, 2049])
+    def test_matches_a_stable_argsort(self, num_vertices):
+        # 2**19 edges have 2**20 slots, so a key carries 20 slot bits: the
+        # keys of up to 2048 vertices fit in 31 bits, those of 2049 do not
+        rng = np.random.default_rng(num_vertices)
+        u = rng.integers(0, num_vertices - 1, size=1 << 19)
+        edges = np.stack([u, rng.integers(u + 1, num_vertices)], axis=1)
+        zeros = np.zeros(num_vertices, dtype=np.int64)
+        start, nbr = _incidence(ResidualGraph(zeros, zeros, edges))
+        ends = edges.ravel()
+        assert ends.max() == num_vertices - 1
+        counts = np.bincount(ends, minlength=num_vertices)
+        assert start.dtype == np.int64 and np.array_equal(start[1:], np.cumsum(counts))
+        assert nbr.dtype == np.int64
+        assert np.array_equal(nbr, ends[np.argsort(ends, kind="stable") ^ 1])
+
+
 class TestKeptIncidence:
     def test_one_incidence_per_graph(self, monkeypatch):
         spec, _, c_high = REFERENCE_FAMILIES[2]  # staircase: peeling gets stuck
@@ -377,6 +434,19 @@ class TestScheduledPeeling:
             assert np.array_equal(plain.survivors, sched.survivors)
             assert plain.failed_fraction == sched.failed_fraction
             assert plain.surviving_edges == sched.surviving_edges
+
+    def test_one_mask_per_distinct_active_set(self, monkeypatch):
+        # a window schedule repeats each active set steps_per_slide times
+        spec, _, c_high = REFERENCE_FAMILIES[2]  # staircase: peeling gets stuck
+        graph = sample_residual(spec, c_high, seed=4)
+        schedule = de.window_schedule(spec.num_positions, width=2, steps_per_slide=3)
+        want = recount_peel_scheduled(graph, schedule)
+        isin, calls = np.isin, []
+        monkeypatch.setattr(np, "isin", lambda *a, **k: calls.append(a) or isin(*a, **k))
+        assert fields(peel_scheduled(graph, schedule)) == want
+        assert want[3] == len(schedule.active_sets)  # every step ran
+        # one call checks coverage, one builds each distinct set's mask
+        assert len(calls) == 1 + len(set(schedule.active_sets)) < len(schedule.active_sets)
 
     def test_window_never_touches_outside(self):
         spec = preset_staircase(6, 60, 2)
@@ -660,8 +730,9 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         # the graph (about 21 B/edge with its vertex arrays), the neighbour
-        # list (16), start and slack, and the first round's slots: about 47
-        assert peak / graph.num_edges <= 48
+        # list (16), start and slack, and the first round's slots: 46.1 for
+        # peel and 44.6 for core_oracle
+        assert peak / graph.num_edges <= 47
 
 
 class TestNarrowEdges:
