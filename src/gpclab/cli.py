@@ -24,8 +24,7 @@ from typing import NamedTuple
 from . import de
 from .codespec import (
     GpcSpec,
-    _integral,
-    _numeric,
+    _json_number,
     mean_capability,
     preset_braided,
     preset_hpc,
@@ -120,33 +119,18 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
 
 def _number(config: dict, key: str, default: float, kind: type):
     """config[key] (default when absent) read as ``kind``, int or float, never
-    from true or a string; an integer field takes 100.0 but not 2.7 (as
-    ``codespec._integral``) and nothing below 0: every one is a count or a seed."""
+    from true or a string; an integer field takes 100.0 but not 2.7 (as a spec's
+    integer fields) and nothing below 0: every one is a count or a seed."""
     value = config.get(key, default)
     what = "an integer" if kind is int else "a number"
     try:
-        (_integral if kind is int else _numeric)(value)
-        number = kind(value)
+        number = kind(_json_number(value, kind))
         if kind is float or number >= 0:
             return number
         what = "a non-negative integer"
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(f"config field {key!r} must be {what}, got {json.dumps(value)}")
-
-
-def _jobs(config: dict, args) -> int:
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    if config.get("jobs") is not None:
-        return _number(config, "jobs", 1, int)
-    env = os.environ.get("GPCLAB_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"GPCLAB_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _schedule(config: dict, L: int) -> de.Schedule | None:
@@ -211,8 +195,7 @@ def cmd_simulate(args) -> int:
 
     config, v = _settings(args)
     spec = _resolve_spec(config)
-    stats = graphsim.monte_carlo(spec, v["c"], v["ell"], v["trials"], v["seed"],
-                                 jobs=_jobs(config, args))
+    stats = graphsim.monte_carlo(spec, v["c"], v["ell"], v["trials"], v["seed"], jobs=v["jobs"])
     _emit(_record(spec, dataclasses.asdict(stats)), config, args)
     return EXIT_OK
 
@@ -290,7 +273,8 @@ COMMANDS = {
     "bounds": (cmd_bounds, "2*t_bar and refined bounds on the threshold's c axis", ()),
     "simulate": (cmd_simulate, "Monte Carlo peeling statistics", (
         Field("c", float, 1.0), Field("ell", int, 100), Field("trials", int, 100),
-        Field("seed", int, 0, "master seed"))),
+        Field("seed", int, 0, "master seed"),
+        Field("jobs", int, os.cpu_count() or 1, "worker processes (default: the CPU count)"))),
     "optimize": (cmd_optimize, "LP mixture design + post-verification", (
         Field("c", float, 10.0), Field("grid", int, 1000, "constraint grid size M"),
         Field("t_min", int, 1), Field("t_max", int, 50))),
@@ -315,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", action="store_true", help="echo CSV to stdout")
         for f in fields:
             p.add_argument("--" + f.name.replace("_", "-"), type=f.kind, help=f.help)
-        if name == "simulate":  # kept out of the config hash: it changes no statistic
-            p.add_argument("--jobs", type=int, help="worker processes (env GPCLAB_JOBS)")
         p.set_defaults(func=func)
 
     p = subs.add_parser("preset", help="write a family preset as spec JSON")

@@ -14,14 +14,13 @@ the staircase and block-wise braided presets are banded block arrays.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .poisson import CapabilityDistribution
+from .poisson import CapabilityDistribution, _check_quality  # _check_quality is re-exported
 
 DETERMINISTIC = "deterministic"
 RANDOM = "random"
@@ -275,27 +274,16 @@ def spec_to_json(spec: GpcSpec) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _check_quality(c: float) -> None:
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"effective channel quality must be finite and >= 0, got {c}")
-
-
-def _numeric(value):
-    """``value``, a number or nested lists of them, unchanged; an entry that is
-    true or a string, which a float cast reads as 1.0 or parses, raises ValueError."""
+def _json_number(value, kind: type):
+    """``value``, a number or nested lists of them, unchanged.  An entry that
+    is true or a string, which a cast reads as 1 or parses, raises ValueError;
+    so does, for kind int, one like 36.9, which an integer cast truncates
+    (36.0 passes)."""
+    what = "an integer" if kind is int else "a number"
     for x in np.asarray(value, dtype=object).flat:
-        if isinstance(x, (bool, str)):
-            raise ValueError(f"{json.dumps(x)} is not a number")
-    return value
-
-
-def _integral(value):
-    """``value``, a number or nested lists of them, unchanged.  Like an
-    integer config field, an entry may be 36.0 but not 36.9, true or "36",
-    which an integer cast reads as 36, 1 and 36: those raise ValueError."""
-    for x in np.asarray(value, dtype=object).flat:
-        if isinstance(x, (bool, str)) or isinstance(x, float) and not x.is_integer():
-            raise ValueError(f"{json.dumps(x)} is not an integer")
+        fraction = kind is int and isinstance(x, float) and not x.is_integer()
+        if fraction or isinstance(x, (bool, str)):
+            raise ValueError(f"{json.dumps(x)} is not {what}")
     return value
 
 
@@ -314,10 +302,10 @@ def spec_from_json(text: str) -> GpcSpec:
             raise ValueError(f"spec field {name!r}: {exc}") from exc
 
     tau = field("tau", lambda v: tuple(CapabilityDistribution.from_dict(
-        {int(t): float(_numeric(w)) for t, w in entry.items()}) for entry in v))
-    return GpcSpec(eta=field("eta", lambda v: np.asarray(_integral(v), dtype=np.int64)),
-                   gamma=field("gamma", lambda v: np.asarray(_numeric(v), dtype=np.float64)),
-                   tau=tau, n=field("n", lambda v: int(_integral(v))),
+        {int(t): float(_json_number(w, float)) for t, w in entry.items()}) for entry in v))
+    return GpcSpec(eta=field("eta", lambda v: np.asarray(_json_number(v, int), dtype=np.int64)),
+                   gamma=field("gamma", lambda v: np.asarray(_json_number(v, float), dtype=float)),
+                   tau=tau, n=field("n", lambda v: int(_json_number(v, int))),
                    tau_assignment=doc.get("assignment", DETERMINISTIC))
 
 

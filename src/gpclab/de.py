@@ -100,10 +100,6 @@ class DeTrajectory:
     verdict: str
 
     @property
-    def final_x(self) -> np.ndarray:
-        return self.x[-1]
-
-    @property
     def final_z(self) -> float:
         return float(self.z[-1])
 
@@ -374,19 +370,13 @@ def _tail_sums(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache
-def _lam_grid(t_max: int) -> np.ndarray:
-    """The closed form's lam grid for capabilities up to t_max; shared, so read-only."""
+def _grid(t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The closed form's lam grid for capabilities up to t_max and ``_pmf`` on
+    it, t_max + 1 columns; shared, so read-only."""
     lam = np.geomspace(_LAM_MIN, 2.0 * t_max + 2.0, _LAM_POINTS)
-    lam.flags.writeable = False
-    return lam
-
-
-@functools.lru_cache
-def _grid_pmf(t_max: int) -> np.ndarray:
-    """``_pmf`` on ``_lam_grid(t_max)``, t_max + 1 columns; shared, so read-only."""
-    pmf = _pmf(_lam_grid(t_max), t_max + 1)
-    pmf.flags.writeable = False
-    return pmf
+    pmf = _pmf(lam, t_max + 1)
+    lam.flags.writeable = pmf.flags.writeable = False
+    return lam, pmf
 
 
 def _exact(c: float) -> tuple[float, float]:
@@ -401,8 +391,8 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     capability with positive weight; beyond it lam / F >= lam exceeds the
     counting bound."""
     w = np.asarray(tau.weights)
-    lam, coef = _lam_grid(w.size), _pmf_coefficients(w[None, :])[0]
-    f = (coef[0] * _grid_pmf(w.size)).sum(axis=-1)
+    (lam, pmf), coef = _grid(w.size), _pmf_coefficients(w[None, :])[0]
+    f = (coef[0] * pmf).sum(axis=-1)
     k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
     best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
     x = lam[k]
@@ -430,23 +420,31 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
     A branch reaching x = 0 ends where c tau_1(i) eta_ij gamma_j has spectral radius 1."""
     pos, L = _PositionArrays(spec), spec.num_positions
     coupling, down = spec.eta * spec.gamma, -np.eye(L + 1)[L]
-    coef = _pmf_coefficients(pos.tau_w)[:, :2]
+    coef, tau_1 = _pmf_coefficients(pos.tau_w)[:, :2], pos.tau_w[:, 0] > 0.0
     c = c0 = upper_bound(spec)
 
     def on_branch(p: np.ndarray, normal: np.ndarray):
-        """Newton from p to the branch on normal . (u - p) = 0: (u, tangent), or None."""
-        u = p
+        """Newton from p to the branch on normal . (u - p) = 0: (u, tangent), or
+        None.  A position with x_i < _X_ZERO at p and tau_1(i) = 0 has decoded:
+        it is no unknown, x_i = F_i(lam_i) follows its neighbours, and its
+        tangent entry is 0.  Its coupling entries are O(lam_i^(t - 1)), t >= 2."""
+        free = np.append((p[:-1] >= _X_ZERO) | tau_1, True)
+        if not free[:-1].any():
+            raise BracketError(f"every position decodes at c = {p[-1] * c0}, none has t = 1")
+        u, t = p.copy(), np.zeros(L + 1)
         for _ in range(8):
-            if (u < 0.0).any():
+            if (u[free] < 0.0).any():
                 return None
             x, lam = u[:-1], pos.means(u[:-1], u[-1] * c0)
             f, fp = _tail_sums(lam, coef).T
+            x[~free[:-1]] = f[~free[:-1]]
             rows = np.vstack([np.column_stack([(u[-1] * c0 * fp)[:, None] * coupling
                                                - np.eye(L), fp * lam / u[-1]]), normal])
+            rows = rows[np.ix_(free, free)]
             if np.abs(f - x).max() <= _RESIDUAL_TOL:
-                t = np.linalg.solve(rows, np.eye(L + 1)[L])
+                t[free] = np.linalg.solve(rows, np.eye(L + 1)[L][free])
                 return u, t / np.linalg.norm(t)
-            u = u + np.linalg.solve(rows, np.append(x - f, normal @ (p - u)))
+            u[free] += np.linalg.solve(rows, np.append(x - f, normal @ (p - u))[free])
         return None
 
     def run(c: float) -> tuple[str, np.ndarray]:

@@ -12,9 +12,10 @@ index mod 2), not in parallel rounds.  Removal only lowers degrees, so every
 batch is a legal sequential removal and both orders end at the same core, which
 the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 
-Sampling peaks with the vertex arrays, every block's ranks (views of blocks
-of geometric gaps about 1.2 times longer) and the int64 edge list alive;
-triangles unrank in chunks.  Peeling and the core oracle hold the graph, the
+Sampling skips through each block of vertex pairs by geometric gaps, drawn
+by exponential inversion at every edge probability.  It peaks with the vertex
+arrays, every block's ranks (views of blocks of gaps about 1.2 times longer)
+and the int64 edge list alive; triangles unrank in chunks.  Peeling and the core oracle hold the graph, the
 incidence's sort keys and two vertex arrays, and peak with the slots of the
 first round's removed vertices.  Sort keys that fit in 31 bits are int32 (8 B
 per edge), which sort in about half the time, and live beside the int64
@@ -99,10 +100,10 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
     """Positions of successes in n_items iid Bernoulli(p) draws.
 
     Walks the index space with geometric gaps, so the cost is proportional to
-    the number of successes rather than n_items.  Below p = 1/3 numpy's
-    ``geometric`` draws each gap as ceil(E / -log1p(-p)), E standard
-    exponential; one vectorized exponential draw gives the same gaps from the
-    same stream at about half the cost.  Those gaps are clipped at
+    the number of successes rather than n_items.  Each block of gaps comes from
+    one vectorized exponential draw: ceil(E / -log1p(-p)), E standard
+    exponential, is Geometric(p) at every p, and below p = 1/3 it is the gap
+    numpy's ``geometric`` draws from the same stream.  The gaps are clipped at
     n_items + 1, which leaves every rank below n_items as it is and keeps the
     running sum from overflowing when p is tiny.
     """
@@ -115,13 +116,10 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
     # the block sizes and the draw order fix the random stream: keep them
     block = max(64, int(n_items * p * 1.2) + 16)
     while True:
-        if p < 1 / 3:
-            gap = rng.standard_exponential(block)
-            gap /= scale
-            np.minimum(gap, n_items + 1, out=gap)
-            idx = np.ceil(gap, out=np.empty(block, dtype=np.int64), casting="unsafe")
-        else:  # a search over the cdf: short gaps, drawn one at a time
-            idx = rng.geometric(p, size=block)
+        gap = rng.standard_exponential(block)
+        gap /= scale
+        np.minimum(gap, n_items + 1, out=gap)
+        idx = np.ceil(gap, out=np.empty(block, dtype=np.int64), casting="unsafe")
         np.cumsum(idx, out=idx)
         idx += pos
         chunks.append(idx[: np.searchsorted(idx, n_items)])  # a view of the block

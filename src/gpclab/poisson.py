@@ -45,6 +45,11 @@ def poisson_tail_table(lam: np.ndarray, t_max: int) -> np.ndarray:
     return out.transpose((*range(1, out.ndim), 0))
 
 
+def _check_quality(c: float) -> None:
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(f"effective channel quality must be finite and >= 0, got {c}")
+
+
 def initial_loss(t: int, c: float) -> float:
     """Expected correction potential a t-capable component wastes at start.
 
@@ -54,8 +59,7 @@ def initial_loss(t: int, c: float) -> float:
     """
     if t < 1:
         raise ValueError(f"capability must be >= 1, got {t}")
-    if c < 0.0:
-        raise ValueError(f"effective channel quality must be >= 0, got {c}")
+    _check_quality(c)
     if c == 0.0:
         return float(t)
     pmf = math.exp(-c)

@@ -25,17 +25,26 @@ high enough that no run does.  It is slow on purpose: near the threshold a
 run may take many thousand iterations.  It runs DE through
 `reference_de_run`, which at the small L these tests use is several times
 faster than the array step.
+
+`END_CAPABILITY_BRACKETS` pins DE-bisection brackets for staircases whose
+end positions decode first (`end_capability_staircase`), on which the fold's
+continuation once stalled.  Each came from plain `gpclab.de.de_run`
+bisection with ell_max = 400000, where every midpoint converged or stalled
+and none hit the cap; near these thresholds a run takes up to 10^5
+iterations, so the brackets are pinned rather than recomputed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from gpclab import de
-from gpclab.codespec import GpcSpec, _check_quality, erasure_scaling, mean_capability
+from gpclab.codespec import (
+    GpcSpec, _check_quality, erasure_scaling, mean_capability, preset_staircase)
 from gpclab.poisson import CapabilityDistribution, poisson_tail_table
 from poisson_reference import poisson_tail_block
 
@@ -165,7 +174,7 @@ def reference_run_converges(
         return True, capped
     if traj.verdict == de.STUCK or spec.num_positions != 1:
         return False, capped
-    return not _slack_dips_below_floor(spec, c, float(traj.final_x[0])), capped
+    return not _slack_dips_below_floor(spec, c, float(traj.x[-1, 0])), capped
 
 
 class ReferenceBracket(NamedTuple):
@@ -232,6 +241,25 @@ def reference_threshold(
         else:
             hi = mid
     return ReferenceBracket(lo, hi, capped)
+
+
+def end_capability_staircase(L: int, k: int, t_end: int) -> GpcSpec:
+    """staircase(L, 6 L, 3) with its first and last k positions at capability t_end."""
+    spec = preset_staircase(L, 6 * L, 3)
+    end = CapabilityDistribution.point_mass(t_end)
+    return dataclasses.replace(
+        spec, tau=tuple(end if i < k or i >= L - k else d for i, d in enumerate(spec.tau)))
+
+
+# (L, k, t_end) -> DE-bisection bracket of `end_capability_staircase(L, k, t_end)`:
+# [57.5, 57.6] halved 9 times for L = 20, [21.8, 21.9] halved 10 times for L = 6
+END_CAPABILITY_BRACKETS = {
+    (20, 1, 5): (57.544140625, 57.544335937499994),
+    (20, 2, 4): (57.544335937499994, 57.54453124999999),
+    (20, 2, 5): (57.544335937499994, 57.54453124999999),
+    (20, 3, 4): (57.545703124999996, 57.5458984375),
+    (6, 2, 4): (21.86171875, 21.86181640625),
+}
 
 
 def one_step(spec: GpcSpec, x: Sequence[float], c: float) -> tuple[np.ndarray, float]:

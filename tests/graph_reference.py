@@ -8,7 +8,9 @@ confluence it ends at the same core as the package oracle and `peel`.
 
 `reference_bernoulli_indices` is the geometric-gap walk of
 `gpclab.graphsim._bernoulli_indices` as numpy's ``rng.geometric`` draws it,
-one call per block of gaps.
+one call per block of gaps; below p = 1/3 numpy draws those gaps by
+exponential inversion.  `reference_exponential_indices` is the same walk at
+every p as a scalar loop: one ``rng.standard_exponential()`` per gap.
 
 `reference_unrank_triangle` is the exact, integer-only inverse of the
 row-major pair enumeration that `gpclab.graphsim._unrank_triangle` computes
@@ -58,6 +60,23 @@ def reference_bernoulli_indices(
         if idx[-1] >= n_items:
             return np.concatenate(chunks), blocks
         pos = int(idx[-1])
+
+
+def reference_exponential_indices(
+    rng: np.random.Generator, n_items: int, p: float
+) -> tuple[np.ndarray, int]:
+    """`reference_bernoulli_indices` with each gap ceil(E / -log1p(-p)), E one
+    standard exponential, clipped at n_items + 1: Geometric(p) at any p."""
+    hits, pos, blocks = [], -1, 0
+    block, scale = max(64, int(n_items * p * 1.2) + 16), -math.log1p(-p)
+    while True:
+        blocks += 1
+        for _ in range(block):  # the whole block is drawn, as the package draws it
+            pos += math.ceil(min(rng.standard_exponential() / scale, n_items + 1))
+            if pos < n_items:
+                hits.append(pos)
+        if pos >= n_items:
+            return np.array(hits, dtype=np.int64), blocks
 
 
 def first_rank(r: int, n: int) -> int:

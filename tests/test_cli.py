@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -14,8 +13,6 @@ from gpclab.cli import (
     EXIT_NONCONVERGED,
     EXIT_OK,
     EXIT_SOLVER,
-    InputError,
-    _jobs,
     main,
 )
 from gpclab import branching, de
@@ -259,18 +256,17 @@ class TestThresholdCmd:
         assert main(["threshold", "--spec", spec_path, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_stalled_continuation_is_a_solver_failure(self, tmp_path, capsys):
-        # the end positions decode first and the continuation stalls (a known
-        # defect of the fold); it used to end in a RuntimeError traceback
-        spec = preset_staircase(20, 120, 3)
-        ends = CapabilityDistribution.point_mass(4)
-        tau = tuple(ends if i in (0, 1, 18, 19) else d for i, d in enumerate(spec.tau))
-        spec_path = write_spec(tmp_path, dataclasses.replace(spec, tau=tau))
+    def test_stalled_continuation_is_a_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # a stall used to end in a RuntimeError traceback; no spec known to
+        # stall is left, so the fold is made to stall here
+        def stall(spec, bracket_tol):
+            raise de.ContinuationStall("continuation stalled at c = 57.5619")
+
+        monkeypatch.setattr(de, "threshold", stall)
+        spec_path = write_spec(tmp_path, preset_staircase(20, 120, 3))
         code = main(["threshold", "--spec", spec_path, "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_SOLVER
-        err = capsys.readouterr().err
-        assert err.startswith("error: continuation stalled at c = 57.56")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == "error: continuation stalled at c = 57.5619\n"
         assert not (tmp_path / "t.csv").exists()
 
 
@@ -321,20 +317,18 @@ class TestSimulateCmd:
         header = a.read_text().strip().splitlines()[1].split(",")
         assert "mean_w" in header and "se_scaled_ber" in header
 
-    @pytest.mark.parametrize("flag,env", [(["--jobs", "0"], None),
-                                          (["--jobs", "-2"], None),
-                                          ([], "0")],
-                             ids=["flag_0", "flag_minus_2", "env_0"])
-    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, capsys, flag, env):
+    @pytest.mark.parametrize("flag,message", [
+        ("0", "need jobs >= 1"),
+        ("-2", "config field 'jobs' must be a non-negative integer, got -2"),
+    ], ids=["flag_0", "flag_minus_2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, flag, message):
         # --jobs 0 used to become the CPU count, and other counts below 1
         # ran serially
-        if env is not None:
-            monkeypatch.setenv("GPCLAB_JOBS", env)
         spec_path = write_spec(tmp_path, preset_hpc(50, 2))
         argv = ["simulate", "--spec", spec_path, "--c", "1.0", "--ell", "2",
                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")]
-        assert main(argv + flag) == EXIT_INPUT
-        assert "need jobs >= 1" in capsys.readouterr().err
+        assert main(argv + ["--jobs", flag]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_jobs_stays_out_of_the_config_hash(self, tmp_path):
         # --jobs stayed out of the hash, but a config "jobs" went into it
@@ -343,12 +337,13 @@ class TestSimulateCmd:
                 "--trials", "10", "--seed", "3"]
         outs = []
         for i, (config, flag) in enumerate([({"jobs": 1}, []), ({"jobs": 2}, []),
-                                            ({}, ["--jobs", "2"]), ({}, [])]):
+                                            ({}, ["--jobs", "2"]), ({}, []), ({"jobs": 3}, []),
+                                            ({"jobs": 1}, ["--jobs", "3"])]):
             cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"o{i}.csv"
             cfg.write_text(json.dumps(config))
             assert main(argv + ["--config", str(cfg), "--out", str(out)] + flag) == EXIT_OK
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert len(set(outs)) == 1
 
 
 class TestOptimizeCmd:
@@ -667,37 +662,46 @@ class TestFlags:
 
 
 class TestJobsResolution:
-    def test_env_fallback(self, monkeypatch):
-        class Args:
-            jobs = None
+    """The worker count is a field of simulate: --jobs, then a config "jobs",
+    then the CPU count.  The GPCLAB_JOBS environment variable is not read."""
 
+    @staticmethod
+    def jobs_used(tmp_path, monkeypatch, config=None, flag=()):
+        from gpclab import graphsim
+
+        seen, monte_carlo = [], graphsim.monte_carlo
+
+        def spy(*args, jobs):
+            seen.append(jobs)
+            return monte_carlo(*args, jobs=1)
+
+        monkeypatch.setattr(graphsim, "monte_carlo", spy)
+        argv = ["simulate", "--spec", write_spec(tmp_path, preset_hpc(50, 2)), "--c", "1.0",
+                "--ell", "2", "--trials", "2", "--out", str(tmp_path / "s.csv"), *flag]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == EXIT_OK
+        return seen.pop()
+
+    def test_flag_wins(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPCLAB_JOBS", "7")
-        assert _jobs({}, Args()) == 7
+        assert self.jobs_used(tmp_path, monkeypatch, {"jobs": 5}, ["--jobs", "3"]) == 3
 
-    def test_flag_wins(self, monkeypatch):
-        class Args:
-            jobs = 3
-
+    def test_config_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GPCLAB_JOBS", "7")
-        assert _jobs({"jobs": 5}, Args()) == 3
+        assert self.jobs_used(tmp_path, monkeypatch, {"jobs": 5}) == 5
 
-    def test_config_beats_env(self, monkeypatch):
-        class Args:
-            jobs = None
+    def test_default_is_the_cpu_count(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GPCLAB_JOBS", raising=False)
+        assert self.jobs_used(tmp_path, monkeypatch) == (os.cpu_count() or 1)
 
-        monkeypatch.setenv("GPCLAB_JOBS", "7")
-        assert _jobs({"jobs": 5}, Args()) == 5
-
-    @pytest.mark.parametrize("env", ["abc", "2.5"])
-    def test_env_must_be_an_integer(self, monkeypatch, env):
-        # the error used to be "invalid literal for int() with base 10: 'abc'"
-        class Args:
-            jobs = None
-
+    @pytest.mark.parametrize("env", ["7", "abc", "2.5", "0"])
+    def test_env_is_not_read(self, tmp_path, monkeypatch, env):
+        # GPCLAB_JOBS was the fallback after the config; "abc" and "2.5"
+        # were errors and "0" was rejected
         monkeypatch.setenv("GPCLAB_JOBS", env)
-        with pytest.raises(InputError) as err:
-            _jobs({}, Args())
-        assert str(err.value) == f"GPCLAB_JOBS must be an integer, got {env!r}"
+        assert self.jobs_used(tmp_path, monkeypatch) == (os.cpu_count() or 1)
 
 
 class TestRuntimeDependencies:

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,8 +28,10 @@ from conftest import (
     time_limit,
 )
 from de_reference import (
+    END_CAPABILITY_BRACKETS,
     de_step,
     de_step_per_type,
+    end_capability_staircase,
     failure_probability,
     one_step,
     reference_de_run,
@@ -319,12 +322,12 @@ class TestDeRun:
     def test_subcritical_converges(self):
         traj = de.de_run(preset_hpc(10, 4), 5.0, ell_max=100)
         assert traj.verdict == de.CONVERGED
-        assert traj.final_x[0] <= 1e-8
+        assert traj.x[-1, 0] <= 1e-8
 
     def test_supercritical_sticks(self):
         traj = de.de_run(preset_hpc(10, 4), 7.5, ell_max=5000)
         assert traj.verdict == de.STUCK
-        assert traj.final_x[0] > 0.1
+        assert traj.x[-1, 0] > 0.1
 
     def test_bit_error_prediction_below_waterfall(self):
         # at c = 6.5 with 25 iterations the squared unresolved fraction has
@@ -337,7 +340,7 @@ class TestDeRun:
         traj = de.de_run(preset_hpc(10, 4), 0.0, ell_max=10)
         assert traj.verdict == de.CONVERGED
         assert traj.iterations_run == 1
-        assert traj.final_x[0] == 0.0
+        assert traj.x[-1, 0] == 0.0
 
     def test_full_schedule_matches_unscheduled(self):
         spec = preset_staircase(5, 25, 2)
@@ -553,13 +556,13 @@ class TestBlockBoundaries:
         # only an exact 0 converges: HPC t = 4 at c = 6 reaches it
         spec = preset_hpc(1000, 4)
         traj = self.both_paths(spec, 6.0, success_epsilon=0.0)
-        assert traj.verdict == de.CONVERGED and traj.final_x[0] == 0.0
+        assert traj.verdict == de.CONVERGED and traj.x[-1, 0] == 0.0
 
     def test_zero_channel(self):
         spec = preset_braided(8, 800, 3)
         traj = self.both_paths(spec, 0.0)
         assert (traj.verdict, traj.iterations_run) == (de.CONVERGED, 1)
-        assert not traj.final_x.any() and traj.final_z == 0.0
+        assert not traj.x[-1].any() and traj.final_z == 0.0
 
 
 class TestPaddedCapabilities:
@@ -863,7 +866,7 @@ class TestFold:
         upper = de.de_run(spec, 26.5)
         lower = de.de_run(spec, 26.0)
         assert upper.verdict == lower.verdict == de.STUCK
-        assert upper.final_x.max() > 0.8 and 0.3 < lower.final_x.max() < 0.5
+        assert upper.x[-1].max() > 0.8 and 0.3 < lower.x[-1].max() < 0.5
         # the threshold lies below the first fold, on the lower plateau
         assert 19.5 < de.threshold(spec, bracket_tol=0.005).c_star < 19.7
 
@@ -896,6 +899,19 @@ class TestFold:
         assert 287.6279 <= res.c_star <= 287.8147
         assert res.bracket_width <= 0.01
         assert peak < 4e6
+
+    @pytest.mark.parametrize("tol", [0.01, 0.001])
+    @pytest.mark.parametrize("key", END_CAPABILITY_BRACKETS, ids=lambda k: "L{}-k{}-t{}".format(*k))
+    def test_end_positions_decoding_first(self, key, tol):
+        # the end positions reach x of 1e-16 and below while the interior
+        # sits near 0.88; the predictor pushed one below 0 and the
+        # continuation stalled on three of the L = 20 specs, at c = 57.5619,
+        # 58.1780 and 61.2314.  Decoded positions now leave the unknowns.
+        res = de.threshold(end_capability_staircase(*key), bracket_tol=tol)
+        lo, hi = END_CAPABILITY_BRACKETS[key]
+        assert math.isfinite(res.bracket_lo) and res.bracket_lo <= res.bracket_hi
+        assert res.bracket_width <= tol
+        assert res.bracket_lo <= hi and lo <= res.bracket_hi
 
     def test_branch_ending_at_zero(self):
         # with tau_1 > 0 on an uneven product code the branch reaches x = 0
@@ -998,20 +1014,23 @@ class TestClosedForm:
             assert points and len(set(points)) == len(points)
 
     def test_lambda_grid_cached_read_only(self):
-        # one grid per capability range, shared by every threshold on it
-        grid = de._lam_grid(12)
-        assert grid is de._lam_grid(12) and not grid.flags.writeable
-        assert np.array_equal(grid, np.geomspace(de._LAM_MIN, 26.0, de._LAM_POINTS))
-        with pytest.raises(ValueError, match="read-only"):
-            grid[0] = 1.0
+        # one grid and its pmf table per capability range, shared by every
+        # threshold on it
+        grid = de._grid(12)
+        assert grid is de._grid(12)
+        lam, pmf = grid
+        assert not lam.flags.writeable and not pmf.flags.writeable
+        assert np.array_equal(lam, np.geomspace(de._LAM_MIN, 26.0, de._LAM_POINTS))
+        for array in grid:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
     def test_grid_pmf_is_tail_sums_own_pmf(self):
-        # the closed form reads F on its grid from a cached pmf table; an
+        # the closed form reads F on its grid from the cached pmf table; an
         # identity coefficient row picks out each pmf term of ``_tail_sums``
         for t_max in (1, 4, 12, 50):
-            pmf = de._grid_pmf(t_max)
-            assert pmf is de._grid_pmf(t_max) and not pmf.flags.writeable
-            want = de._tail_sums(de._lam_grid(t_max), np.eye(t_max + 1))
+            lam, pmf = de._grid(t_max)
+            want = de._tail_sums(lam, np.eye(t_max + 1))
             assert pmf.shape == want.shape and np.array_equal(pmf, want)
 
     def test_fold_pinned(self):

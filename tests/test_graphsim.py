@@ -27,7 +27,8 @@ from gpclab.graphsim import (
 from gpclab.poisson import CapabilityDistribution
 from conftest import hpc_demo_graph, random_spec
 from graph_reference import (
-    first_rank, reference_bernoulli_indices, reference_core_oracle, reference_unrank_triangle,
+    first_rank, reference_bernoulli_indices, reference_core_oracle, reference_exponential_indices,
+    reference_unrank_triangle,
 )
 
 
@@ -222,31 +223,43 @@ class TestSampling:
         self.check_unrank(n, ks)
 
     def test_bernoulli_indices_density(self):
+        # one exponential draw per block at every p: the count of successes
+        # is Binomial(n, p), and a gap of 1 has probability p
         gen = np.random.default_rng(5)
-        hits = _bernoulli_indices(gen, 200000, 0.01)
-        assert (np.diff(hits) > 0).all()
-        assert abs(hits.size - 2000) < 3 * math.sqrt(2000)
+        for p in (0.01, 0.5, 0.9):
+            hits = _bernoulli_indices(gen, 200000, p)
+            assert (np.diff(hits) > 0).all() and 0 <= hits[0] and hits[-1] < 200000
+            assert abs(hits.size - 200000 * p) < 3 * math.sqrt(200000 * p * (1 - p))
+            ones = (np.diff(hits) == 1).mean()
+            assert abs(ones - p) < 4 * math.sqrt(p * (1 - p) / hits.size)
 
     # p -> (n_items, seed of default_rng) whose walk draws a second block of
-    # gaps; from p = 1/2 on a second block is too rare to find a seed for
+    # gaps (at p = 1/2 about one seed in 5 million does); from p = 5/6 on a
+    # block holds more gaps than there are items, so no walk draws a second
     TWO_BLOCKS = {1e-6: (40_000_000, 6460), 1e-3: (40_000, 6460), 0.1: (400, 8689),
-                  0.3: (200, 11322), 1 / 3: (240, 21062)}
+                  0.3: (200, 11322), 1 / 3: (200, 6460), 0.5: (140, 5_059_570)}
 
-    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.3, 1 / 3, 0.5, 0.9])
-    def test_bernoulli_indices_match_the_geometric_walk(self, p):
-        # below p = 1/3 the gaps come from one exponential draw per block,
-        # from p = 1/3 on from rng.geometric's search: both are that walk's
-        # ranks bit for bit, and leave the stream where it leaves it
+    def check_walk(self, p, reference):
+        # ranks and dtype bit for bit, and the stream left where it leaves it
         cases = [(n_items, seed) for n_items in (999, int(80 / p)) for seed in range(4)]
-        if p in self.TWO_BLOCKS:
-            cases.append(self.TWO_BLOCKS[p])
-        for n_items, seed in cases:
+        for n_items, seed in cases + ([self.TWO_BLOCKS[p]] if p in self.TWO_BLOCKS else []):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = _bernoulli_indices(got_rng, n_items, p)
-            want, blocks = reference_bernoulli_indices(want_rng, n_items, p)
+            want, blocks = reference(want_rng, n_items, p)
             assert got.dtype == np.int64 and np.array_equal(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             assert blocks == 2 or (n_items, seed) != self.TWO_BLOCKS.get(p)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.3])
+    def test_bernoulli_indices_match_the_geometric_walk(self, p):
+        # below p = 1/3 numpy's rng.geometric draws its gaps by the same
+        # exponential inversion
+        self.check_walk(p, reference_bernoulli_indices)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-3, 0.1, 0.3, 1 / 3, 0.5, 0.9])
+    def test_bernoulli_indices_match_the_exponential_walk(self, p):
+        # the vectorized draw is the scalar walk, one exponential per gap
+        self.check_walk(p, reference_exponential_indices)
 
     def test_tiny_quality_samples_no_edge(self):
         # below p = c / n of about 1e-18 the gaps used to saturate at

@@ -155,6 +155,15 @@ class TestInitialLoss:
     def test_zero_channel(self):
         assert initial_loss(3, 0.0) == 3.0
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_quality_rejected(self, c):
+        # NaN and +-inf used to return nan: the check of c is the one every
+        # other entry point makes
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            initial_loss(3, c)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            initial_loss_mixture(CapabilityDistribution.uniform(3), c)
+
     def test_bounds(self):
         for t in (1, 4, 9):
             for c in (0.2, 2.0, 15.0):
