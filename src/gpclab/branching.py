@@ -99,10 +99,12 @@ def survival_mc(
     _check_quality(c)
     if ell < 0 or trees < 1:
         raise ValueError("need ell >= 0 and trees >= 1")
+    ps, ts, w = _node_types(spec)
+    if root_type is not None and not ((ps == root_type[0]) & (ts == root_type[1])).any():
+        raise ValueError(f"root_type {root_type} is not a (position, capability) of the spec")
     if ell == 0:
         return SurvivalEstimate(1.0, 0.0, trees)
     L = spec.num_positions
-    ps, ts, w = _node_types(spec)
     # links (child type k, parent position i), grouped by k, wherever eta couples them
     link_k, link_i = np.nonzero(spec.eta[:, ps].T)
     link_mean = c * w[link_k]

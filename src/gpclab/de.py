@@ -488,8 +488,8 @@ def threshold(spec: GpcSpec, bracket_tol: float = 0.01) -> ThresholdResult:
     """The fold of the DE fixed points (``ThresholdResult``): in closed form,
     with no DE run, when every position has the same tau and the same
     s = sum_j eta_ij gamma_j, else by ``_fold`` (BracketError if DE never stalls)."""
-    if not bracket_tol > 0.0:
-        raise ValueError(f"bracket_tol must be > 0, got {bracket_tol}")
+    if not 0.0 < bracket_tol < np.inf:
+        raise ValueError(f"bracket_tol must be > 0 and finite, got {bracket_tol}")
     s = spec.eta @ spec.gamma
     regular = all(d == spec.tau[0] for d in spec.tau) and (s == s[0]).all()
     lo, hi = _closed_form(spec.tau[0], float(s[0])) if regular else _fold(spec, bracket_tol)

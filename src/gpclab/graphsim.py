@@ -306,6 +306,8 @@ def peel(graph: ResidualGraph, ell: int | None = None) -> PeelingResult:
     """Parallel peeling: each round removes, simultaneously, every vertex
     whose degree is at most its capability; stops at the round cap or at a
     fixpoint (a round that would remove nothing)."""
+    if ell is not None and ell < 0:
+        raise ValueError(f"need ell >= 0, got {ell}")
     rounds = itertools.repeat(None) if ell is None else itertools.repeat(None, ell)
     return _peel(graph, rounds, True)
 

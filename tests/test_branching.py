@@ -250,6 +250,16 @@ class TestSurvivalMc:
             with pytest.raises(ValueError):
                 survival_mc(spec, 1.0, ell, trees=trees, master_seed=0)
 
+    @pytest.mark.parametrize("root_type", [(5, 3), (0, 9), (0, 2), (-1, 3)],
+                             ids=["position_5", "capability_9", "capability_2", "position_-1"])
+    @pytest.mark.parametrize("ell", [0, 3])
+    def test_root_type_outside_the_spec_rejected(self, root_type, ell):
+        # (5, 3) failed on a numpy broadcast, and (0, 9) returned mean 0.0 for
+        # a type that preset_hpc(100, 3), all at position 0 with t = 3, lacks
+        with pytest.raises(ValueError, match=r"root_type \(.*\) is not"):
+            survival_mc(preset_hpc(100, 3), 4.0, ell, trees=10, master_seed=0,
+                        root_type=root_type)
+
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -1.0])
     def test_bad_quality_rejected(self, c):
         # the same message as density evolution, not a numpy sampling error

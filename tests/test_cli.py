@@ -237,6 +237,18 @@ class TestThresholdCmd:
             assert code == EXIT_INPUT
             assert "bracket_tol must be > 0" in capsys.readouterr().err
 
+    def test_infinite_bracket_tol_rejected(self, tmp_path, capsys):
+        # inf printed the staircase's unrefined fold, bracket_lo = 0.0, and exited 0
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"bracket_tol": Infinity}')
+        for flags in (["--bracket-tol", "inf"], ["--config", str(cfg)]):
+            code = main(["threshold", "--spec", spec_path, *flags,
+                         "--out", str(tmp_path / "t.csv")])
+            assert code == EXIT_INPUT == 1
+            assert "bracket_tol must be > 0 and finite, got inf" in capsys.readouterr().err
+            assert not (tmp_path / "t.csv").exists()
+
     def test_columns(self, tmp_path):
         # no DE settings: the fold needs no iteration cap or tolerances
         spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))

@@ -680,8 +680,10 @@ class TestThreshold:
         res = de.threshold(spec)
         assert res.c_star / erasure_scaling(spec) == pytest.approx(expected, abs=0.01)
 
-    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan"), float("inf")])
     def test_nonpositive_tolerance_rejected(self, tol):
+        # inf was taken: the staircase(6, 36, 3) fold came back unrefined,
+        # with bracket_lo = 0.0
         with pytest.raises(ValueError, match="bracket_tol"):
             de.threshold(preset_hpc(100, 3), bracket_tol=tol)
 

@@ -659,6 +659,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="need ell >= 0, got -2"):
             monte_carlo(preset_hpc(10, 2), 1.0, -2, 2, 0)
 
+    def test_peel_negative_rounds_rejected(self):
+        # peel ran no round at ell = -1 and reported failed_fraction 1.0
+        graph = hpc_demo_graph(2)
+        with pytest.raises(ValueError, match="need ell >= 0, got -1"):
+            peel(graph, -1)
+        assert peel(graph, 0).failed_fraction == 1.0
+        assert peel(graph, 2).failed_fraction == 0.0
+
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs >= 1"):

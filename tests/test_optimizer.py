@@ -103,6 +103,21 @@ class TestSolve:
         assert sol.status == STATUS_INFEASIBLE
         assert sol.tau is None
 
+    @pytest.mark.parametrize("t_min", [1, 2, 4])
+    def test_dual_pivots_end_every_design(self, t_min):
+        # costs t >= 1 leave dual pivots one outcome or the other, and an
+        # optimal point meets every grid row, not only the generated ones
+        statuses = set()
+        for c in np.arange(20, 400, 7) / 10:
+            problem = build_lp(c, grid_m=200, t_max=20, t_min=t_min)
+            sol = solve(problem)
+            statuses.add(sol.status)
+            if sol.status == STATUS_OPTIMAL:
+                assert (problem.a_ub @ sol.raw_weights - problem.b_ub).max() <= simplex._TOL
+                assert abs(sol.raw_weights.sum() - 1.0) <= simplex._TOL
+                assert sol.raw_weights.min() >= -simplex._TOL
+        assert statuses == {STATUS_OPTIMAL, STATUS_INFEASIBLE}
+
 
 def _full_solve(problem):
     return solve_lp(problem.objective, a_ub=problem.a_ub, b_ub=problem.b_ub,

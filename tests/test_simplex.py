@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from gpclab import simplex
-from gpclab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, CyclingError, add_rows, solve_lp
+from gpclab.simplex import _TOL, INFEASIBLE, OPTIMAL, CyclingError, _Tableau, add_rows, solve_lp
 
 
 def enumerate_vertices(c, a_ub, b_ub, a_eq, b_eq):
@@ -60,21 +60,28 @@ class TestHandInstances:
         assert res.status == INFEASIBLE
 
     def test_unbounded(self):
-        res = solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[1.0])
-        assert res.status == UNBOUNDED
+        # min -x over x >= -1 is unbounded; only a negative cost makes a
+        # program unbounded, and solve_lp refuses one
+        with pytest.raises(ValueError, match=r"^c must be >= 0, got -1\.0"):
+            solve_lp([-1.0], a_ub=[[-1.0]], b_ub=[1.0])
 
-    def test_degenerate_instance_terminates(self):
-        # classic stalling structure: many ties at the origin
-        c = [-0.75, 150.0, -0.02, 6.0]
-        a_ub = [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-        b_ub = [0.0, 0.0, 1.0]
-        res = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-        assert res.status == OPTIMAL
-        assert res.objective == pytest.approx(-0.05, abs=1e-9)
+    @pytest.mark.parametrize("c, a_ub, b_ub, a_eq, b_eq", [
+        ([-1.0, -2.0, -0.5], [[0.0, 1.0, 0.0]], [0.3], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
+         [1.0, 0.7]),
+        ([-2.0, 1.0], None, None, [[1.0, -1.0]], [0.0]),
+        ([1.0, -0.0, -1e-300], None, None, [[1.0, 1.0, 1.0]], [1.0]),
+    ], ids=["negative_costs", "negative_costs_unbounded", "tiny_negative_cost"])
+    def test_negative_cost_rejected(self, c, a_ub, b_ub, a_eq, b_eq):
+        # dual pivots from the slack basis need c >= 0; these programs were
+        # solved by a primal phase that no design LP reached
+        with pytest.raises(ValueError, match="^c must be >= 0"):
+            solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+
+    def test_zero_costs(self):
+        # -0.0 and 0.0 are nonnegative: every feasible point is optimal
+        res = solve_lp([0.0, -0.0], a_ub=[[1.0, 1.0], [-1.0, 0.0]], b_ub=[1.0, -0.5])
+        assert res.status == OPTIMAL and res.objective == 0.0
+        assert res.x[0] >= 0.5 - 1e-12 and res.x.sum() <= 1.0 + 1e-12
 
     def test_equality_only(self):
         res = solve_lp([2.0, 3.0, 1.0], a_eq=[[1, 1, 1], [1, -1, 0]],
@@ -88,11 +95,7 @@ class TestHandInstances:
          [1.0, 1.0]),
         ([1.0, 1.0, 3.0], None, None, [[1.0, 2.0, 1.0], [-3.0, -6.0, -3.0]], [2.0, -6.0]),
         ([1.0, 1.0], None, None, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),
-        ([-1.0, -2.0, -0.5], [[0.0, 1.0, 0.0]], [0.3], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]],
-         [1.0, 0.7]),
-        ([-2.0, 1.0], None, None, [[1.0, -1.0]], [0.0]),
-    ], ids=["duplicated_row", "multiple_of_a_row", "contradictory_rows", "negative_costs",
-            "negative_costs_unbounded"])
+    ], ids=["duplicated_row", "multiple_of_a_row", "contradictory_rows"])
     def test_redundant_or_contradictory_equalities_match_highs(self, c, a_ub, b_ub, a_eq,
                                                                b_eq):
         # each equality row is a pair of <= rows, so a redundant row leaves a
@@ -100,7 +103,7 @@ class TestHandInstances:
         res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
         ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                       method="highs")
-        assert res.status == {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[ref.status]
+        assert res.status == {0: OPTIMAL, 2: INFEASIBLE}[ref.status]
         if res.status == OPTIMAL:
             assert res.x == pytest.approx(ref.x, abs=1e-12)
             assert res.objective == pytest.approx(ref.fun, abs=1e-12)
@@ -113,7 +116,7 @@ class TestAgainstOracles:
         for trial in range(40):
             n = int(rng.integers(2, 5))
             m = int(rng.integers(1, 7))
-            c = rng.normal(size=n)
+            c = np.abs(rng.normal(size=n))
             a_ub = rng.normal(size=(m, n))
             b_ub = rng.uniform(0.1, 2.0, size=m)
             a_eq = np.ones((1, n))
@@ -130,7 +133,7 @@ class TestAgainstOracles:
     def test_vertex_enumeration_six_variables(self, rng):
         # one beefier instance at the oracle's practical size limit
         n, m = 6, 12
-        c = rng.normal(size=n)
+        c = np.abs(rng.normal(size=n))
         a_ub = rng.normal(size=(m, n))
         b_ub = rng.uniform(0.2, 2.0, size=m)
         a_eq = np.ones((1, n))
@@ -148,7 +151,7 @@ class TestAgainstOracles:
             n = int(rng.integers(2, 7))
             mu = int(rng.integers(1, 10))
             me = int(rng.integers(0, 3))
-            c = rng.normal(size=n)
+            c = np.abs(rng.normal(size=n))
             a_ub = rng.normal(size=(mu, n))
             b_ub = rng.uniform(-1.0, 2.0, size=mu)
             a_eq = rng.normal(size=(me, n)) if me else None
@@ -156,21 +159,17 @@ class TestAgainstOracles:
             res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
             ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                           bounds=(0, None), method="highs")
-            # HiGHS presolve occasionally labels unbounded-but-feasible
-            # instances "infeasible", so compare optimal vs non-optimal and
-            # the objective value when both agree on optimality
+            # c >= 0 bounds every program below, so it is optimal or infeasible
+            assert res.status == {0: OPTIMAL, 2: INFEASIBLE}[ref.status]
             if ref.status == 0:
-                assert res.status == OPTIMAL
                 assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
                 agree += 1
-            else:
-                assert res.status in (INFEASIBLE, UNBOUNDED)
         assert agree > 30  # plenty of optimal instances exercised
 
     def test_perturbed_restart_same_objective(self, rng):
         # column permutations change the pivot path but not the optimum
         n, m = 6, 8
-        c = rng.normal(size=n)
+        c = np.abs(rng.normal(size=n))
         a_ub = rng.normal(size=(m, n))
         b_ub = rng.uniform(0.5, 2.0, size=m)
         a_eq = np.ones((1, n))
@@ -210,7 +209,7 @@ class TestAddRows:
         optimal = infeasible = 0
         for trial in range(120):
             n = int(rng.integers(2, 7))
-            c = rng.normal(size=n)
+            c = np.abs(rng.normal(size=n))
             # sum_t x_t = 1 keeps every program bounded, and the starting rows
             # admit the uniform point
             a_eq, b_eq = np.ones((1, n)), np.array([1.0])
@@ -240,26 +239,11 @@ class TestAddRows:
                 optimal += 1
         assert optimal > 100 and infeasible > 10
 
-    def test_degenerate_instance(self):
-        # the stalling instance of TestHandInstances with its first row added
-        # later, together with a cut x_1 <= 0.02 that moves the optimum
-        c = [-0.75, 150.0, -0.02, 6.0]
-        rows = [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]
-        b = [0.0, 0.0, 1.0]
-        base = solve_lp(c, a_ub=rows[1:], b_ub=b[1:])
-        assert base.objective == pytest.approx(-0.05, abs=1e-9)
-        cuts = [rows[0], [1.0, 0.0, 0.0, 0.0]]
-        res = add_rows(base, cuts, [0.0, 0.02])
-        cold = solve_lp(c, a_ub=rows + cuts, b_ub=b + [0.0, 0.02])
-        assert res.status == cold.status == OPTIMAL
-        assert res.objective == pytest.approx(cold.objective, abs=1e-12)
-        assert res.objective == pytest.approx(-0.035, abs=1e-12)
-
     def test_cuts_through_the_optimal_vertex(self, rng):
         # rows tight at the current optimum leave zero right-hand sides: every
         # ratio ties, and the optimum must stay where it is
         n = 6
-        c = rng.normal(size=n)
+        c = np.abs(rng.normal(size=n))
         a_ub, b_ub = rng.normal(size=(4, n)), rng.uniform(0.5, 2.0, size=4)
         a_eq, b_eq = np.ones((1, n)), np.array([1.0])
         base = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
@@ -339,29 +323,94 @@ class TestAddRows:
             solve_lp([1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
 
 
+def pinned_programs():
+    """1200 seeded random programs (c, a_ub, b_ub, a_eq, b_eq, a_new, b_new)
+    with costs |N(0, 1)|, right-hand sides N(0, 1) and a batch of 1-3 rows
+    a_new x <= b_new for ``add_rows``; about half the ``<=`` rows have b < 0,
+    so the slack basis starts primal infeasible there and dual pivots repair
+    it."""
+    rng = np.random.default_rng(20151)
+    for _ in range(1200):
+        n, mu, me = (int(k) for k in rng.integers((1, 0, 0), (8, 8, 3)))
+        if mu + me == 0:
+            mu = 1
+        c = np.abs(rng.normal(size=n))
+        a_ub, b_ub = rng.normal(size=(mu, n)), rng.normal(size=mu)
+        a_eq, b_eq = rng.normal(size=(me, n)), rng.normal(size=me)
+        k = int(rng.integers(1, 4))
+        a_new, b_new = rng.normal(size=(k, n)), rng.normal(size=k)
+        yield (c, a_ub if mu else None, b_ub if mu else None, a_eq if me else None,
+               b_eq if me else None, a_new, b_new)
+
+
+def solves(program):
+    """The cold solve of a pinned program and, when it is optimal, its
+    ``add_rows`` re-optimization, each with the rows it solved."""
+    c, a_ub, b_ub, a_eq, b_eq, a_new, b_new = program
+    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    yield res, a_ub, b_ub
+    if res.status == OPTIMAL:
+        a_ub = a_new if a_ub is None else np.vstack([a_ub, a_new])
+        b_ub = b_new if b_ub is None else np.concatenate([b_ub, b_new])
+        yield add_rows(res, a_new, b_new), a_ub, b_ub
+
+
 class TestPinnedPath:
-    """Status, solution bytes and pivot count of 1200 seeded random programs,
-    pinned by SHA-256: a change to the tableau's column order or to a pivot
-    rule moves the digest.  About half the ``<=`` rows have b < 0, so the
-    slack basis starts primal infeasible there and dual pivots repair it."""
+    """Status, solution bytes and pivot count of the pinned programs' solves,
+    pinned by SHA-256: a change to the tableau's column order or to the pivot
+    rule moves the digest."""
 
     def test_pivot_path_pinned(self):
-        rng = np.random.default_rng(20151)
         digest = hashlib.sha256()
         statuses = set()
-        for _ in range(1200):
-            n, mu, me = (int(k) for k in rng.integers((1, 0, 0), (8, 8, 3)))
-            if mu + me == 0:
-                mu = 1
-            c = rng.normal(size=n)
-            a_ub, b_ub = rng.normal(size=(mu, n)), rng.normal(size=mu)
-            a_eq, b_eq = rng.normal(size=(me, n)), rng.normal(size=me)
-            res = solve_lp(c, a_ub if mu else None, b_ub if mu else None,
-                           a_eq if me else None, b_eq if me else None)
-            statuses.add(res.status)
-            digest.update(res.status.encode())
-            digest.update(b"" if res.x is None else res.x.tobytes())
-            digest.update(res.pivots.to_bytes(4, "little"))
-        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        for program in pinned_programs():
+            for res, _, _ in solves(program):
+                statuses.add(res.status)
+                digest.update(res.status.encode())
+                digest.update(b"" if res.x is None else res.x.tobytes())
+                digest.update(res.pivots.to_bytes(4, "little"))
+        assert statuses == {OPTIMAL, INFEASIBLE}
         assert digest.hexdigest() == (
-            "8739a351d1e066cea7e5250926518419a91d8493f92a7acf95ba2aa769f151ca")
+            "fc629e54d171e69f87695521c20e213cf4d920e8cb3ff4ca7bc418cbb74c249d")
+
+    def test_bland_rule_matches_highs(self, monkeypatch):
+        # below 0 the streak factor makes every pivot follow Bland's rule,
+        # which the default rule reaches only after a long degenerate run
+        default_pivots = [res.pivots for p in pinned_programs() for res, _, _ in solves(p)]
+        monkeypatch.setattr(simplex, "_BLAND_STREAK", -1)
+        bland_pivots = []
+        for program in pinned_programs():
+            c, _, _, a_eq, b_eq, _, _ = program
+            for res, a_ub, b_ub in solves(program):
+                bland_pivots.append(res.pivots)
+                ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                              method="highs")
+                assert res.status == {0: OPTIMAL, 2: INFEASIBLE}[ref.status]
+                if res.status == OPTIMAL:
+                    assert res.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+                    assert res.x.min() >= -1e-9
+                    if a_ub is not None:
+                        assert (a_ub @ res.x - b_ub).max() <= 1e-9
+                    if a_eq is not None:
+                        assert np.abs(a_eq @ res.x - b_eq).max() <= 1e-9
+        assert len(bland_pivots) == len(default_pivots)
+        assert bland_pivots != default_pivots  # the patch reached the pivot rule
+
+
+class TestDualFeasibilityCheck:
+    """At b >= 0 the point is optimal only if no reduced cost is negative;
+    rounding that pushes one below -_TOL is an error, not an optimum."""
+
+    @staticmethod
+    def tableau(red_x):
+        # x + s = 1 with the slack basic: b >= 0 from the start
+        return _Tableau(np.array([[1.0, 1.0, 1.0]]), np.array([1]), np.array([1.0]),
+                        np.array([red_x, 0.0, 0.0]))
+
+    def test_negative_reduced_cost_raises(self):
+        with pytest.raises(RuntimeError, match="reduced cost .* below"):
+            self.tableau(-10 * _TOL).reoptimize()
+
+    def test_reduced_cost_within_tolerance_is_optimal(self):
+        res = self.tableau(-_TOL / 10).reoptimize()
+        assert res.status == OPTIMAL and res.pivots == 0 and res.x.tolist() == [0.0]
