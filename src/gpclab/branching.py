@@ -29,7 +29,7 @@ from .graphsim import _stream_rng
 
 BATCH_SIZE = 20000  # trees per batch, each batch on a random stream of its own
 NODE_BUDGET = 50_000_000  # nodes one batch may draw
-LEAF_CHUNK = 1 << 22  # leaf parents drawn at once, 32 MB of draws
+LEAF_CHUNK = 1 << 20  # leaf parents drawn at once: 8 MB of draws, counted in place
 
 
 class TreeSizeLimit(RuntimeError):
@@ -63,11 +63,11 @@ def _tail(mean: float, t: int) -> float:
 
 
 def _parent_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
-    """Children per parent as n children pick among ``size`` parents, drawn and
-    counted ``LEAF_CHUNK`` at a time: the draws are those of one call."""
-    counts = np.bincount(rng.integers(0, size, min(n, LEAF_CHUNK)), minlength=size)
-    for done in range(LEAF_CHUNK, n, LEAF_CHUNK):
-        counts += np.bincount(rng.integers(0, size, min(LEAF_CHUNK, n - done)), minlength=size)
+    """Children per parent as n children pick among ``size`` parents; drawn
+    ``LEAF_CHUNK`` at a time into one count array, the draws are one call's."""
+    counts = np.zeros(size, dtype=np.int64)
+    for done in range(0, n, LEAF_CHUNK):
+        np.add.at(counts, rng.integers(0, size, min(LEAF_CHUNK, n - done)), 1)
     return counts
 
 

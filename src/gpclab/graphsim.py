@@ -14,15 +14,15 @@ the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 
 Sampling skips through each block of vertex pairs by geometric gaps, drawn
 by exponential inversion at every edge probability.  It peaks with the vertex
-arrays, every block's ranks (views of blocks of gaps about 1.2 times longer)
-and the int64 edge list alive; triangles unrank in chunks.  Peeling and the core oracle hold the graph, the
-incidence's sort keys and two vertex arrays, and peak with the slots of the
-first round's removed vertices.  Sort keys that fit in 31 bits are int32 (8 B
-per edge), which sort in about half the time, and live beside the int64
-neighbour list (16 B per edge) while it is gathered; wider keys are int64,
-16 B per edge sorted in place, and become the neighbour list, so a graph too
-large for 32-bit keys holds no full-size temporary.  The graph keeps its
-neighbour list while it lives.
+arrays and every block's ranks (views of blocks of gaps about 1.2 times longer)
+alive; vertex ids are int32 below 2**31 vertices, 8 B per edge in the edge
+list.  The incidence sorts the keys (end << b) | neighbour, b the bit length
+of the largest id, in place and keeps their low bits, so a vertex lists its
+neighbours in increasing order.  Keys below 2**31 are int32 and become the
+neighbour list; wider int64 keys (16 B per edge) narrow into the front half of
+their buffer, which then shrinks to 8 B per edge.  Peeling and the core oracle
+hold the graph, its neighbour list and two vertex arrays, and peak with the
+slots of the first round's removed vertices; the graph keeps its neighbour list.
 """
 
 from __future__ import annotations
@@ -45,8 +45,9 @@ if TYPE_CHECKING:  # an annotation only: peeling runs no DE code
 class ResidualGraph:
     """Typed simple graph left over after channel erasures.
 
-    ``edges`` holds each undirected edge once as (u, v) with u < v; an edge
-    may only join vertices at coupled positions.
+    ``edges`` holds each undirected edge once as (u, v) with u < v, in any
+    integer dtype; an edge may only join vertices at coupled positions.
+    Sampled ids are int32, like the incidence's, on fewer than 2**31 vertices.
     """
 
     vertex_position: np.ndarray
@@ -63,7 +64,7 @@ class ResidualGraph:
 
     @functools.cached_property
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_incidence`, built on first use and kept: 16 B/edge beside the graph."""
+        """`_incidence`, built on first use and kept: 8 B/edge beside the graph."""
         return _incidence(self)
 
 
@@ -131,7 +132,7 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
 
 def _unrank_triangle(k: np.ndarray, n: int, out: np.ndarray) -> None:
     """Invert row-major upper-triangle enumeration: k -> (r, c), r < c < n,
-    written as the rows of ``out``, a (k.size, 2) int64 array."""
+    written as the rows of ``out``, a (k.size, 2) int32 or int64 array."""
     b, step = 2 * n - 1, 1 << 16  # ranks per pass: bounds the temporaries
     x, r = np.empty(min(step, k.size)), np.empty(min(step, k.size), dtype=np.int64)
     for lo in range(0, k.size, step):
@@ -184,7 +185,7 @@ def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], Residua
     if c >= spec.n:
         raise ValueError(f"edge probability c/n must stay below 1 (c={c}, n={spec.n})")
     counts = cn_counts(spec)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()  # ints: no int64 upcast
     positions = np.repeat(np.arange(spec.num_positions, dtype=np.int64), counts)
     caps = None if spec.tau_assignment == "random" else _assign_capabilities(spec, counts, None)
     sizes = counts.tolist()  # block (i, i) holds same-position pairs
@@ -195,7 +196,8 @@ def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], Residua
         # capabilities first, then every block's ranks: one edge list allocation
         vertex_caps = _assign_capabilities(spec, counts, rng) if caps is None else caps
         ranks = [_bernoulli_indices(rng, pairs, c / spec.n) for *_, pairs in blocks]
-        edges = np.empty((sum(ks.size for ks in ranks), 2), dtype=np.int64)
+        edges = np.empty((sum(ks.size for ks in ranks), 2),
+                         dtype=np.int32 if offsets[-1] < 1 << 31 else np.int64)
         end = 0
         for (i, j, _), ks in zip(blocks, ranks):
             out = edges[end : end + ks.size]
@@ -225,26 +227,29 @@ def sample_residual(spec: GpcSpec, c: float, seed: int) -> ResidualGraph:
 
 def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
-    joins v to nbr[s]; a vertex lists its neighbours in edge order."""
-    ends = graph.edges.astype(np.int64, copy=False).ravel()
-    m, step = ends.size, 1 << 16  # slots per pass: bounds the temporaries
-    # the stable argsort of ends: sort the unique keys (end << shift) | slot
-    # in place (faster than an argsort), then keep the slot bits; the keys
-    # are int32 where they fit, as they sort in about half the time
-    shift = max(m - 1, 1).bit_length()
-    wide = graph.num_vertices << shift > 1 << 31  # the largest key is that less 1
-    keys = np.left_shift(ends, shift, dtype=np.int64 if wide else np.int32)
+    joins v to nbr[s], an int32 id; v lists its neighbours in increasing order."""
+    n, m, step = graph.num_vertices, graph.num_edges, 1 << 16  # edges per pass
+    # sort the unique keys (end << b) | neighbour in place, then keep the
+    # neighbour bits; the keys stay below 2**(2b), so they are int32 up to
+    # b = 15, and those sort in about half the time
+    b = max(n - 1, 0).bit_length()
+    keys = np.empty(2 * m, dtype=np.int64 if b > 15 else np.int32)
     for lo in range(0, m, step):
-        keys[lo : lo + step] |= np.arange(lo, min(lo + step, m), dtype=keys.dtype)
+        u, v = graph.edges[lo : lo + step].T  # column views, not copies
+        for at, end, other in ((lo, u, v), (m + lo, v, u)):
+            np.left_shift(end, b, out=keys[at : at + end.size], dtype=keys.dtype)
+            keys[at : at + end.size] |= other
     keys.sort()
-    nbr = keys if wide else np.empty(m, dtype=np.int64)
-    for lo in range(0, m, step):  # int64 slots: a gather converts int32 ones first
-        slots = np.bitwise_and(keys[lo : lo + step], (1 << shift) - 1, out=nbr[lo : lo + step])
-        slots ^= 1  # the slot of the edge's other end
-        nbr[lo : lo + step] = ends.take(slots)
-    start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=graph.num_vertices), out=start[1:])
-    return start, nbr
+    nbr = keys.view(np.int32)[: 2 * m]  # the front of the keys' buffer
+    for lo in range(0, 2 * m, step):
+        np.bitwise_and(keys[lo : lo + step], (1 << b) - 1, out=nbr[lo : lo + step])
+    del nbr  # resize refuses to shrink a buffer that a view still reads
+    keys.resize(8 * m // keys.itemsize)  # to 4 B per slot
+    start = np.zeros(n + 1, dtype=np.int64)  # counted once the keys have shrunk
+    for lo in range(0, m, step):
+        start[1:] += np.bincount(graph.edges[lo : lo + step].ravel(), minlength=n)
+    np.cumsum(start, out=start)
+    return start, keys.view(np.int32)
 
 
 _GONE = 1 << 62  # a removed vertex's slack

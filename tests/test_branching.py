@@ -285,6 +285,19 @@ class TestSurvivalMc:
         monkeypatch.setattr(branching, "LEAF_CHUNK", 1001)
         assert [survival_mc(spec, c, ell, trees=3000, master_seed=5) for ell in (2, 3, 4)] == whole
 
+    def test_one_batch_peak(self):
+        # one batch at ell = 4 gives 1.8e6 surviving leaves to 5e5 parents;
+        # the parents are drawn LEAF_CHUNK (8 MB) at a time into one count
+        # array, and the batch peaks at 17.1 MB traced (23.3 MB when 32 MB
+        # of draws at a time got a bincount each)
+        tracemalloc.start()
+        try:
+            survival_mc(preset_hpc(1000, 4), 5.0, 4, trees=branching.BATCH_SIZE, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18e6
+
 
 class TestProgenySecondMoment:
     def test_critical_case_exact(self):

@@ -373,12 +373,12 @@ class TestIncrementalPeeling:
             n = graph.num_vertices
             assert np.array_equal(np.diff(start),
                                   np.bincount(graph.edges.ravel(), minlength=n))
+            assert start.dtype == np.int64 and nbr.dtype == np.int32
             for v in range(n):
                 slots = range(start[v], start[v + 1])
                 want = [int(u if w == v else w) for u, w in graph.edges if v in (u, w)]
-                assert sorted(nbr[slots].tolist()) == sorted(want)
-                # one slot per edge, listed in edge order
-                assert nbr[slots].tolist() == want
+                # one slot per edge, listed in increasing neighbour order
+                assert nbr[slots].tolist() == sorted(want)
 
     @pytest.mark.parametrize("family", range(len(REFERENCE_FAMILIES)))
     def test_matches_full_recount(self, family):
@@ -398,10 +398,11 @@ class TestIncrementalPeeling:
 
 
 class TestIncidenceKeyWidth:
-    @pytest.mark.parametrize("num_vertices", [2047, 2048, 2049])
+    @pytest.mark.parametrize("num_vertices", [32767, 32768, 32769])
     def test_matches_a_stable_argsort(self, num_vertices):
-        # 2**19 edges have 2**20 slots, so a key carries 20 slot bits: the
-        # keys of up to 2048 vertices fit in 31 bits, those of 2049 do not
+        # a key (end << b) | neighbour carries b = (num_vertices - 1).bit_length()
+        # neighbour bits: the keys of up to 32768 vertices fit in 31 bits,
+        # those of 32769 do not
         rng = np.random.default_rng(num_vertices)
         u = rng.integers(0, num_vertices - 1, size=1 << 19)
         edges = np.stack([u, rng.integers(u + 1, num_vertices)], axis=1)
@@ -411,8 +412,13 @@ class TestIncidenceKeyWidth:
         assert ends.max() == num_vertices - 1
         counts = np.bincount(ends, minlength=num_vertices)
         assert start.dtype == np.int64 and np.array_equal(start[1:], np.cumsum(counts))
-        assert nbr.dtype == np.int64
-        assert np.array_equal(nbr, ends[np.argsort(ends, kind="stable") ^ 1])
+        # each vertex's neighbours in edge order, then sorted vertex by vertex
+        order = np.argsort(ends, kind="stable")
+        want = ends[order ^ 1]
+        want = want[np.lexsort((want, ends[order]))]
+        assert nbr.dtype == np.int32 and np.array_equal(nbr, want)
+        # 4 B per slot: the int64 keys' buffer shrank to the neighbour list
+        assert (nbr if nbr.base is None else nbr.base).nbytes == 4 * nbr.size
 
 
 class TestKeptIncidence:
@@ -680,9 +686,9 @@ class TestPinnedOutputs:
     Any change to the draw order, the block sizes of the geometric-gap walk
     or the unranking shows here as a different digest."""
 
-    # name -> (spec, c, seed, edge count, SHA-256 of edges.tobytes()); every
-    # edge array is int64.  The HPC graph has more ranks than one unranking
-    # chunk; the mixture is assigned at random.
+    # name -> (spec, c, seed, edge count, SHA-256 of the edges as int64
+    # bytes); every edge array is int32.  The HPC graph has more ranks than
+    # one unranking chunk; the mixture is assigned at random.
     SAMPLES = {
         "hpc": (preset_hpc(30000, 4), 7.0, 1, 105557,
                 "afe846dfec743c9643df6d44c05b04c8a1d9e040c911159159526cf16ae190eb"),
@@ -702,8 +708,8 @@ class TestPinnedOutputs:
     def test_sampled_edges(self, name):
         spec, c, seed, count, digest = self.SAMPLES[name]
         edges = sample_residual(spec, c, seed).edges
-        assert edges.dtype == np.int64 and edges.shape == (count, 2)
-        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
+        assert edges.dtype == np.int32 and edges.shape == (count, 2)
+        assert hashlib.sha256(edges.astype(np.int64).tobytes()).hexdigest() == digest
 
     def test_bernoulli_indices_over_two_blocks(self):
         # seed 3573 runs past the first block of gaps (1.2 * 80 + 16 of them)
@@ -722,8 +728,9 @@ class TestPinnedOutputs:
 
 class TestMemory:
     """Traced peak bytes per edge of each phase on HPC t = 4, n = 200k at
-    c = 6.75 (about 675k edges; the edge list alone is 16 B/edge).  The peak
-    counts everything alive during the call: the graph too for peeling."""
+    c = 6.75 (about 675k edges; the int32 edge list alone is 8 B/edge).  The
+    peak counts everything alive during the call: the graph too for the
+    incidence and peeling."""
 
     @pytest.fixture(scope="class")
     def sampled(self):
@@ -734,12 +741,8 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    def test_sampling_peak(self, sampled):
-        assert sampled[1] <= 40
-
-    @pytest.mark.parametrize("phase", [peel, core_oracle], ids=["peel", "core_oracle"])
-    def test_peeling_peak(self, sampled, phase):
-        graph = sampled[0]
+    @staticmethod
+    def traced_peak(graph, phase):
         tracemalloc.start()
         try:
             # a copy made under tracing puts the graph itself in the peak
@@ -747,29 +750,44 @@ class TestMemory:
                                    graph.vertex_capability.copy(), graph.edges.copy())
             tracemalloc.reset_peak()
             phase(traced)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1] / graph.num_edges
         finally:
             tracemalloc.stop()
-        # the graph (about 21 B/edge with its vertex arrays), the neighbour
-        # list (16), start and slack, and the first round's slots: 46.1 for
-        # peel and 44.6 for core_oracle
-        assert peak / graph.num_edges <= 47
+
+    def test_sampling_peak(self, sampled):
+        # the vertex arrays (about 5 B/edge), the edge list and every block's
+        # ranks (view of a block of 1.2 gaps per edge): 25.2
+        assert sampled[1] <= 26
+
+    def test_incidence_peak(self, sampled):
+        # the graph (about 13 B/edge with its vertex arrays) and the int64
+        # sort keys (16), which shrink to the neighbour list before start is
+        # counted: 29.5
+        assert self.traced_peak(sampled[0], _incidence) <= 34
+
+    @pytest.mark.parametrize("phase", [peel, core_oracle], ids=["peel", "core_oracle"])
+    def test_peeling_peak(self, sampled, phase):
+        # the building of the incidence, or the graph, the neighbour list (8),
+        # start and slack and the first round's slots: 30.1 for peel and 29.5
+        # for core_oracle
+        assert self.traced_peak(sampled[0], phase) <= 32
 
 
 class TestNarrowEdges:
-    # (spec, c) above threshold; the HPC graph's incidence keys
-    # (end << shift) | slot pass 2**32 (20000 << 18), so they need 64 bits
+    # (spec, c) above threshold; the HPC graph's 40000 vertices give keys
+    # (end << 16) | neighbour past 2**31, so they need 64 bits
     CASES = [(spec, c_high) for spec, _, c_high in REFERENCE_FAMILIES]
-    CASES.append((preset_hpc(20000, 4), 7.5))
+    CASES.append((preset_hpc(40000, 4), 7.5))
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_int32_edges_peel_like_int64(self, case):
         spec, c = self.CASES[case]
-        wide = sample_residual(spec, c, seed=7)
-        narrow = ResidualGraph(wide.vertex_position, wide.vertex_capability,
-                               wide.edges.astype(np.int32))
-        for got, want in zip(_incidence(narrow), _incidence(wide)):
-            assert got.dtype == np.int64 and np.array_equal(got, want)
+        narrow = sample_residual(spec, c, seed=7)
+        wide = ResidualGraph(narrow.vertex_position, narrow.vertex_capability,
+                             narrow.edges.astype(np.int64))
+        assert narrow.edges.dtype == np.int32
+        for got, want, dtype in zip(_incidence(narrow), _incidence(wide), (np.int64, np.int32)):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
         for ell in (None, 2):
             assert fields(peel(narrow, ell)) == fields(peel(wide, ell))
         core = core_oracle(narrow)
