@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codespec import GpcSpec, _check_quality
+from .codespec import GpcSpec
 from .graphsim import _stream_rng
+from .poisson import _check_quality
 
 
 BATCH_SIZE = 20000  # trees per batch, each batch on a random stream of its own
@@ -44,13 +45,8 @@ class SurvivalEstimate(NamedTuple):
 
 def _node_types(spec: GpcSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node types (position, capability) in position order, weighted gamma_i tau_t(i)."""
-    ps, ts, ws = [], [], []
-    for i in range(spec.num_positions):
-        for t, w in spec.tau[i].support():
-            ps.append(i)
-            ts.append(t)
-            ws.append(float(spec.gamma[i]) * w)
-    return np.array(ps, dtype=np.int64), np.array(ts, dtype=np.int64), np.array(ws)
+    ps, k = np.nonzero(spec.tau_table)
+    return ps, k + 1, spec.gamma[ps] * spec.tau_table[ps, k]
 
 
 def _tail(mean: float, t: int) -> float:

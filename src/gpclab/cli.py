@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import de
 from .codespec import (
@@ -97,7 +97,7 @@ class Field(NamedTuple):
 
     name: str
     kind: type  # int or float
-    default: float
+    default: float | Callable[[], int]  # a callable is called when the field is read
     help: str | None = None
 
 
@@ -117,11 +117,11 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
     return [["spec_hash", *values], [spec_hash(spec), *map(repr, values.values())]]
 
 
-def _number(config: dict, key: str, default: float, kind: type):
-    """config[key] (default when absent) read as ``kind``, int or float, never
-    from true or a string; an integer field takes 100.0 but not 2.7 (as a spec's
-    integer fields) and nothing below 0: every one is a count or a seed."""
-    value = config.get(key, default)
+def _number(config: dict, key: str, default: float | Callable[[], int], kind: type):
+    """config[key], or the default (called if callable) when absent, read as
+    ``kind``, int or float, never from true or a string; an integer field takes
+    100.0 but not 2.7 (as a spec's) and nothing below 0: each is a count or seed."""
+    value = config[key] if key in config else default() if callable(default) else default
     what = "an integer" if kind is int else "a number"
     try:
         number = kind(_json_number(value, kind))
@@ -274,7 +274,8 @@ COMMANDS = {
     "simulate": (cmd_simulate, "Monte Carlo peeling statistics", (
         Field("c", float, 1.0), Field("ell", int, 100), Field("trials", int, 100),
         Field("seed", int, 0, "master seed"),
-        Field("jobs", int, os.cpu_count() or 1, "worker processes (default: the CPU count)"))),
+        Field("jobs", int, lambda: len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1, "worker processes (default: the CPUs this process may use)"))),
     "optimize": (cmd_optimize, "LP mixture design + post-verification", (
         Field("c", float, 10.0), Field("grid", int, 1000, "constraint grid size M"),
         Field("t_min", int, 1), Field("t_max", int, 50))),

@@ -13,6 +13,7 @@ the staircase and block-wise braided presets are banded block arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poisson import CapabilityDistribution, _check_quality  # _check_quality is re-exported
+from .poisson import CapabilityDistribution
 
 DETERMINISTIC = "deterministic"
 RANDOM = "random"
@@ -59,6 +60,16 @@ class GpcSpec:
     @property
     def t_max(self) -> int:
         return max(d.t_max for d in self.tau)
+
+    @functools.cached_property
+    def tau_table(self) -> np.ndarray:
+        """Read-only (L, t_max) weights, tau_table[i, t - 1] = tau_t(i) with zero
+        padding; built once, on first use, and kept out of the fields and JSON."""
+        table = np.zeros((self.num_positions, self.t_max))
+        for row, dist in zip(table, self.tau):
+            row[: dist.t_max] = dist.weights
+        table.setflags(write=False)
+        return table
 
 
 def _position_graph_connected(eta: np.ndarray) -> bool:
@@ -146,21 +157,16 @@ def cn_counts(spec: GpcSpec) -> np.ndarray:
     return rounded
 
 
-def _degrees(eta: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    # the pairing rule: a CN at position i shares one VN with every CN of
-    # each coupled position j, itself excluded: d_i = sum_j eta_ij n_j - eta_ii
-    return eta @ counts - np.diag(eta)
-
-
 def cn_degrees(spec: GpcSpec) -> np.ndarray:
-    """Component-code length at each position."""
-    return _degrees(spec.eta, cn_counts(spec))
+    """Component-code length at each position, by the pairing rule: a CN at
+    position i shares one VN with every CN of each coupled position j, itself
+    excluded, d_i = sum_j eta_ij n_j - eta_ii."""
+    return spec.eta @ cn_counts(spec) - np.diag(spec.eta)
 
 
 def code_length(spec: GpcSpec) -> int:
     """Total number of VNs; each joins exactly two CNs (handshake identity)."""
-    counts = cn_counts(spec)
-    return int(counts @ _degrees(spec.eta, counts)) // 2
+    return int(cn_counts(spec) @ cn_degrees(spec)) // 2
 
 
 def erasure_scaling(spec: GpcSpec) -> float:

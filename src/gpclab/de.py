@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codespec import GpcSpec, _check_quality, erasure_scaling, mean_capability
-from .poisson import CapabilityDistribution, initial_loss_mixture
+from .codespec import GpcSpec, erasure_scaling, mean_capability
+from .poisson import CapabilityDistribution, _check_quality, initial_loss_mixture
 
 CONVERGED = "converged_to_zero"
 STUCK = "stuck_positive"
@@ -112,10 +112,9 @@ class DeTrajectory:
 
 class _PositionArrays:
     """Neighbour lists padded to the largest degree d (padding weight 0) and
-    stored transposed, as (d, L) arrays, and capability weights zero-padded to
-    ``spec.t_max``, the largest t with positive weight at any position."""
+    stored transposed, as (d, L) arrays."""
 
-    __slots__ = ("nbr", "nbr_w", "tau_w")
+    __slots__ = ("nbr", "nbr_w")
 
     def __init__(self, spec: GpcSpec):
         L = spec.num_positions
@@ -126,9 +125,6 @@ class _PositionArrays:
         self.nbr_w = np.zeros(self.nbr.shape)
         self.nbr[slot, rows] = cols
         self.nbr_w[slot, rows] = spec.gamma[cols]
-        self.tau_w = np.zeros((L, spec.t_max))
-        for i, d in enumerate(spec.tau):
-            self.tau_w[i, : d.t_max] = d.weights
 
     def neighbour_sum(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] * x[nbr[k]]: one gather, one multiply, d - 1 row adds."""
@@ -183,10 +179,10 @@ def _stepper(spec: GpcSpec, c: float):
     L, weights = spec.num_positions, -c * pos.nbr_w
     # coef[j, (x, z), i] = (rest[i, k + 1], rest[i, k]) / k! for k = t_max - j,
     # negated for odd k
-    rest, inv_fact = _tail_coefficients(pos.tau_w)
+    rest, inv_fact = _tail_coefficients(spec.tau_table)
     coef = np.stack([rest[:, 1:], rest[:, :-1]]) * inv_fact
     coef = np.ascontiguousarray(coef.transpose(2, 0, 1)[::-1])
-    coef[(pos.tau_w.shape[1] + 1) % 2 :: 2] *= -1.0
+    coef[(spec.t_max + 1) % 2 :: 2] *= -1.0
     coef = tuple(coef)  # rows, so a step iterates no array
     total = rest[:, 0].copy()
     masks: dict[frozenset[int], np.ndarray] = {}
@@ -420,7 +416,7 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
     A branch reaching x = 0 ends where c tau_1(i) eta_ij gamma_j has spectral radius 1."""
     pos, L = _PositionArrays(spec), spec.num_positions
     coupling, down = spec.eta * spec.gamma, -np.eye(L + 1)[L]
-    coef, tau_1 = _pmf_coefficients(pos.tau_w)[:, :2], pos.tau_w[:, 0] > 0.0
+    coef, tau_1 = _pmf_coefficients(spec.tau_table)[:, :2], spec.tau_table[:, 0] > 0.0
     c = c0 = upper_bound(spec)
 
     def on_branch(p: np.ndarray, normal: np.ndarray):
@@ -465,7 +461,7 @@ def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
                     raise ContinuationStall(f"continuation stalled at c = {u[-1] * c0}")
             v, tv = found
             if v[:-1].max() < _X_ZERO:
-                return _exact(1.0 / np.abs(np.linalg.eigvals(pos.tau_w[:, :1] * coupling)).max())
+                return _exact(1.0 / np.abs(np.linalg.eigvals(spec.tau_table[:, :1] * coupling)).max())
             if tv[-1] < 0.0:  # c still falls: step on, growing steps until the turn
                 u, t, h = v, tv, h if turned else 1.5 * h
                 continue
@@ -512,10 +508,8 @@ def refined_upper_bound(spec: GpcSpec) -> float:
     tightens the 2*t_bar bound; the gap never closes since the initial loss
     is strictly positive at any finite c.
     """
-    collapsed = np.zeros(spec.t_max)
-    for g, dist in zip(spec.gamma, spec.tau):
-        for t, w in dist.support():
-            collapsed[t - 1] += float(g) * w
+    # row by row, in position order: a matrix product rounds differently
+    collapsed = sum(g * row for g, row in zip(spec.gamma, spec.tau_table))
     tau = CapabilityDistribution(tuple(collapsed / collapsed.sum()))
     top = 2.0 * tau.mean()
 

@@ -15,14 +15,15 @@ the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 Sampling skips through each block of vertex pairs by geometric gaps, drawn
 by exponential inversion at every edge probability.  It peaks with the vertex
 arrays and every block's ranks (views of blocks of gaps about 1.2 times longer)
-alive; vertex ids are int32 below 2**31 vertices, 8 B per edge in the edge
-list.  The incidence sorts the keys (end << b) | neighbour, b the bit length
-of the largest id, in place and keeps their low bits, so a vertex lists its
-neighbours in increasing order.  Keys below 2**31 are int32 and become the
-neighbour list; wider int64 keys (16 B per edge) narrow into the front half of
-their buffer, which then shrinks to 8 B per edge.  Peeling and the core oracle
-hold the graph, its neighbour list and two vertex arrays, and peak with the
-slots of the first round's removed vertices; the graph keeps its neighbour list.
+alive; vertex ids are int32, 8 B per edge in the edge list, and sampling and
+indexing refuse 2**31 or more vertices before they allocate.  The incidence
+sorts the keys (end << b) | neighbour, b the bit length of the largest id, in
+place and keeps their low bits, so a vertex lists its neighbours in increasing
+order.  Keys below 2**31 are int32 and become the neighbour list; wider int64
+keys (16 B per edge) narrow into the front half of their buffer, which then
+shrinks to 8 B per edge.  Peeling and the core oracle hold the graph, its
+neighbour list and two vertex arrays, and peak with the slots of the first
+round's removed vertices; the graph keeps its neighbour list.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .codespec import GpcSpec, _check_quality, cn_counts, code_length
+from .codespec import GpcSpec, cn_counts, code_length
+from .poisson import _check_quality
 
 if TYPE_CHECKING:  # an annotation only: peeling runs no DE code
     from .de import Schedule
@@ -47,7 +49,7 @@ class ResidualGraph:
 
     ``edges`` holds each undirected edge once as (u, v) with u < v, in any
     integer dtype; an edge may only join vertices at coupled positions.
-    Sampled ids are int32, like the incidence's, on fewer than 2**31 vertices.
+    Sampled ids are int32, like the incidence's: both refuse 2**31 vertices.
     """
 
     vertex_position: np.ndarray
@@ -160,20 +162,19 @@ def _assign_capabilities(
 ) -> np.ndarray:
     caps = np.empty(int(counts.sum()), dtype=np.int64)
     offset = 0
-    for i, dist in enumerate(spec.tau):
-        n_i = int(counts[i])
+    for n_i, row in zip(counts.tolist(), spec.tau_table):
+        ts = np.flatnonzero(row) + 1
         if spec.tau_assignment == "random":
-            ts = np.array([t for t, _ in dist.support()], dtype=np.int64)
-            ws = np.array([w for _, w in dist.support()])
+            ws = row[ts - 1]
             caps[offset : offset + n_i] = rng.choice(ts, size=n_i, p=ws / ws.sum())
         else:
             pos = offset
-            for t, w in dist.support():
-                cnt = int(round(w * n_i))
+            for t in ts:
+                cnt = int(round(row[t - 1] * n_i))
                 caps[pos : pos + cnt] = t
                 pos += cnt
             # rounding slack (a valid GpcSpec keeps it at most 1 ulp worth)
-            caps[pos : offset + n_i] = dist.support()[-1][0]
+            caps[pos : offset + n_i] = ts[-1]
         offset += n_i
     return caps
 
@@ -186,6 +187,8 @@ def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], Residua
         raise ValueError(f"edge probability c/n must stay below 1 (c={c}, n={spec.n})")
     counts = cn_counts(spec)
     offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()  # ints: no int64 upcast
+    if offsets[-1] >= 1 << 31:  # before any vertex array exists
+        raise ValueError(f"residual graphs need fewer than 2**31 vertices, got {offsets[-1]}")
     positions = np.repeat(np.arange(spec.num_positions, dtype=np.int64), counts)
     caps = None if spec.tau_assignment == "random" else _assign_capabilities(spec, counts, None)
     sizes = counts.tolist()  # block (i, i) holds same-position pairs
@@ -196,8 +199,7 @@ def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], Residua
         # capabilities first, then every block's ranks: one edge list allocation
         vertex_caps = _assign_capabilities(spec, counts, rng) if caps is None else caps
         ranks = [_bernoulli_indices(rng, pairs, c / spec.n) for *_, pairs in blocks]
-        edges = np.empty((sum(ks.size for ks in ranks), 2),
-                         dtype=np.int32 if offsets[-1] < 1 << 31 else np.int64)
+        edges = np.empty((sum(ks.size for ks in ranks), 2), dtype=np.int32)
         end = 0
         for (i, j, _), ks in zip(blocks, ranks):
             out = edges[end : end + ks.size]
@@ -229,6 +231,8 @@ def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     """CSR incidence: vertex v owns slots start[v]:start[v + 1], and slot s
     joins v to nbr[s], an int32 id; v lists its neighbours in increasing order."""
     n, m, step = graph.num_vertices, graph.num_edges, 1 << 16  # edges per pass
+    if n >= 1 << 31:  # int32 ids: refused before anything is allocated
+        raise ValueError(f"residual graphs need fewer than 2**31 vertices, got {n}")
     # sort the unique keys (end << b) | neighbour in place, then keep the
     # neighbour bits; the keys stay below 2**(2b), so they are int32 up to
     # b = 15, and those sort in about half the time

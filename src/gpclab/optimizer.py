@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import de
-from .codespec import _check_quality, preset_hpc
-from .poisson import CapabilityDistribution, poisson_tail_table
+from .codespec import preset_hpc
+from .poisson import CapabilityDistribution, _check_quality, poisson_tail_table
 from .simplex import _TOL, OPTIMAL, add_rows, solve_lp
 
 STATUS_OPTIMAL = "optimal"

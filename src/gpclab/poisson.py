@@ -60,8 +60,6 @@ def initial_loss(t: int, c: float) -> float:
     if t < 1:
         raise ValueError(f"capability must be >= 1, got {t}")
     _check_quality(c)
-    if c == 0.0:
-        return float(t)
     pmf = math.exp(-c)
     total = pmf * t
     for i in range(1, t):

@@ -43,9 +43,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from gpclab import de
-from gpclab.codespec import (
-    GpcSpec, _check_quality, erasure_scaling, mean_capability, preset_staircase)
-from gpclab.poisson import CapabilityDistribution, poisson_tail_table
+from gpclab.codespec import GpcSpec, erasure_scaling, mean_capability, preset_staircase
+from gpclab.poisson import CapabilityDistribution, _check_quality, poisson_tail_table
 from poisson_reference import poisson_tail_block
 
 NOISE_FLOOR = 1e-12
@@ -297,14 +296,13 @@ def de_step_per_type(spec: GpcSpec, x_typed: np.ndarray, c: float) -> np.ndarray
     The aggregation sum_t tau_t(i) * x_typed[i, t-1] reproduces the collapsed
     recursion exactly.
     """
-    de._check_quality(c)
+    _check_quality(c)
     L = spec.num_positions
     t_max = spec.t_max
     x_typed = np.asarray(x_typed, dtype=float)
     if x_typed.shape != (L, t_max):
         raise ValueError(f"x_typed must have shape {(L, t_max)}, got {x_typed.shape}")
-    pos = de._PositionArrays(spec)
-    tau_w = np.pad(pos.tau_w, ((0, 0), (0, t_max - pos.tau_w.shape[1])))
+    pos, tau_w = de._PositionArrays(spec), spec.tau_table
     # collapse the incoming typed state per position, then fan back out
     tails = poisson_tail_table(pos.means(np.einsum("it,it->i", tau_w, x_typed), c), t_max)
     return np.where(tau_w > 0.0, tails, 0.0)

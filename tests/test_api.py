@@ -30,7 +30,6 @@ ROOT = PACKAGE.parents[1]
 INIT = PACKAGE / "__init__.py"
 
 KEPT_WITHOUT_CALLER = {
-    "cn_degrees": "the component-code lengths of a family",
     "peel_scheduled": "windowed peeling, which waits for window-decoding thresholds",
 }
 

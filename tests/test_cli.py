@@ -675,7 +675,8 @@ class TestFlags:
 
 class TestJobsResolution:
     """The worker count is a field of simulate: --jobs, then a config "jobs",
-    then the CPU count.  The GPCLAB_JOBS environment variable is not read."""
+    then the CPUs this process may use.  The GPCLAB_JOBS environment variable
+    is not read."""
 
     @staticmethod
     def jobs_used(tmp_path, monkeypatch, config=None, flag=()):
@@ -705,15 +706,19 @@ class TestJobsResolution:
         assert self.jobs_used(tmp_path, monkeypatch, {"jobs": 5}) == 5
 
     def test_default_is_the_cpu_count(self, tmp_path, monkeypatch):
+        # the default was os.cpu_count(), which counts CPUs outside the
+        # affinity mask: under taskset it started more workers than CPUs
         monkeypatch.delenv("GPCLAB_JOBS", raising=False)
-        assert self.jobs_used(tmp_path, monkeypatch) == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.jobs_used(tmp_path, monkeypatch) == 1
 
     @pytest.mark.parametrize("env", ["7", "abc", "2.5", "0"])
     def test_env_is_not_read(self, tmp_path, monkeypatch, env):
         # GPCLAB_JOBS was the fallback after the config; "abc" and "2.5"
         # were errors and "0" was rejected
         monkeypatch.setenv("GPCLAB_JOBS", env)
-        assert self.jobs_used(tmp_path, monkeypatch) == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert self.jobs_used(tmp_path, monkeypatch) == 3
 
 
 class TestRuntimeDependencies:

@@ -256,6 +256,43 @@ class TestStructure:
         assert abs(mean_capability(preset_hpc(1000, MIX_TBAR7)) - 7.0) < 0.05
 
 
+class TestCapabilityTable:
+    """``GpcSpec.tau_table``, the one capability table that DE, the refined
+    bound, the branching oracle and the sampler read."""
+
+    @staticmethod
+    def assert_matches_support(spec):
+        table = spec.tau_table
+        assert table.shape == (spec.num_positions, spec.t_max)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+        for row, dist in zip(table, spec.tau):
+            got = [(int(k) + 1, float(row[k])) for k in np.flatnonzero(row)]
+            assert got == dist.support()
+
+    def test_matches_support_on_random_specs(self, rng):
+        for _ in range(30):
+            self.assert_matches_support(random_spec(rng))
+
+    def test_zero_padded_mixtures(self):
+        # a mixture's trailing zeros are dropped, and a shorter row is padded
+        # with zeros up to the spec's t_max
+        padded = CapabilityDistribution((0.0, 0.5, 0.0, 0.5, 0.0, 0.0))
+        spec = GpcSpec(eta=STAIRCASE_6[:3, :3], gamma=np.full(3, 1 / 3), n=3000,
+                       tau=(padded, CapabilityDistribution.point_mass(7), MIX_TBAR7_MIN4))
+        self.assert_matches_support(spec)
+        assert spec.tau_table.shape == (3, 10)
+        assert spec.tau_table[0].tolist() == [0.0, 0.5, 0.0, 0.5] + [0.0] * 6
+
+    def test_built_once_and_outside_the_json(self):
+        spec = preset_staircase(6, 36, 3)
+        text = spec_to_json(spec)
+        assert spec.tau_table is spec.tau_table
+        assert spec_to_json(spec) == text
+        assert "tau_table" not in {f.name for f in dataclasses.fields(spec)}
+
+
 class TestBlockArray:
     def test_three_by_two_prunes_to_five(self):
         eta, gamma = block_array_eta(np.ones((3, 2), dtype=int))

@@ -25,7 +25,7 @@ from gpclab.graphsim import (
     sample_residual,
 )
 from gpclab.poisson import CapabilityDistribution
-from conftest import hpc_demo_graph, random_spec
+from conftest import hpc_demo_graph, random_spec, time_limit
 from graph_reference import (
     first_rank, reference_bernoulli_indices, reference_core_oracle, reference_exponential_indices,
     reference_unrank_triangle,
@@ -771,6 +771,36 @@ class TestMemory:
         # start and slack and the first round's slots: 30.1 for peel and 29.5
         # for core_oracle
         assert self.traced_peak(sampled[0], phase) <= 32
+
+
+class TestVertexLimit:
+    """Vertex ids are int32: 2**31 or more vertices are refused before any
+    vertex or edge array is allocated, not wrapped."""
+
+    SPEC = preset_hpc(2**31, 3)
+
+    @staticmethod
+    def refused(call):
+        tracemalloc.start()
+        try:
+            with time_limit(1), pytest.raises(ValueError, match=r"fewer than 2\*\*31 vertices"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_sample_residual(self):
+        assert self.refused(lambda: sample_residual(self.SPEC, 3.0, 0)) < 1 << 20
+
+    def test_monte_carlo(self):
+        assert self.refused(lambda: monte_carlo(self.SPEC, 3.0, 5, 2, 0)) < 1 << 20
+
+    def test_peel(self):
+        # zero-stride views: 2**31 vertices that occupy one element each
+        vertices = np.broadcast_to(np.zeros(1, dtype=np.int64), (2**31,))
+        graph = ResidualGraph(vertices, vertices, np.empty((0, 2), dtype=np.int32))
+        assert graph.num_vertices == 2**31
+        assert self.refused(lambda: peel(graph)) < 1 << 20
 
 
 class TestNarrowEdges:
