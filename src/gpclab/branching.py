@@ -30,7 +30,7 @@ from .poisson import _check_quality
 
 BATCH_SIZE = 20000  # trees per batch, each batch on a random stream of its own
 NODE_BUDGET = 50_000_000  # nodes one batch may draw
-LEAF_CHUNK = 1 << 20  # leaf parents drawn at once: 8 MB of draws, counted in place
+LEAF_CHUNK = 1 << 18  # parents drawn at once: 1 MB of int32 draws, counted in place
 
 
 class TreeSizeLimit(RuntimeError):
@@ -61,9 +61,9 @@ def _tail(mean: float, t: int) -> float:
 def _parent_counts(rng: np.random.Generator, size: int, n: int) -> np.ndarray:
     """Children per parent as n children pick among ``size`` parents; drawn
     ``LEAF_CHUNK`` at a time into one count array, the draws are one call's."""
-    counts = np.zeros(size, dtype=np.int64)
-    for done in range(0, n, LEAF_CHUNK):
-        np.add.at(counts, rng.integers(0, size, min(LEAF_CHUNK, n - done)), 1)
+    counts = np.zeros(size, dtype=np.int32)
+    for done in range(0, n, LEAF_CHUNK):  # an int32 one keeps add.at on its fast loop
+        np.add.at(counts, rng.integers(0, size, min(LEAF_CHUNK, n - done), np.int32), np.int32(1))
     return counts
 
 
@@ -139,8 +139,12 @@ def survival_mc(
                 raise TreeSizeLimit(f"a batch of trees exceeded {NODE_BUDGET} nodes; "
                                     "lower ell, c or trees")
             if d < ell - 1:
-                parent = np.concatenate([start[i] + rng.integers(0, size[i], n)
-                                         for i, n in zip(link_i, kids)])
+                parent, at = np.empty(int(kids.sum()), dtype=np.int32), 0
+                for i, n in zip(link_i.tolist(), kids.tolist()):  # start[i] + one call's draws
+                    for lo in range(at, at + n, LEAF_CHUNK):
+                        hi = min(lo + LEAF_CHUNK, at + n)
+                        parent[lo:hi] = rng.integers(start[i], start[i] + size[i], hi - lo, np.int32)
+                    at += n
                 count = np.bincount(link_k, weights=kids, minlength=ps.size).astype(np.int64)
                 levels.append((ts, count, parent))
                 seg_pos = ps
@@ -149,9 +153,14 @@ def survival_mc(
         alive = alive[0] if L == 1 else np.concatenate(alive)  # no copy of one part
         for d in range(len(levels) - 1, -1, -1):
             need, count, parent = levels[d]
-            survive = alive >= np.repeat(need, count)
+            survive, ends = np.empty(alive.size, dtype=bool), np.cumsum(count).tolist()
+            for t, lo, hi in zip(need.tolist(), [0] + ends, ends):  # type by type
+                np.greater_equal(alive[lo:hi], t, out=survive[lo:hi])
             if d:
-                alive = np.bincount(parent[survive], minlength=levels[d - 1][1].sum())
+                alive = np.zeros(levels[d - 1][1].sum(), dtype=np.int32)
+                for lo in range(0, parent.size, LEAF_CHUNK):
+                    hit = parent[lo : lo + LEAF_CHUNK][survive[lo : lo + LEAF_CHUNK]]
+                    np.add.at(alive, hit, np.int32(1))
         survived += int(survive.sum())
     p_hat = survived / trees
     se = math.sqrt(p_hat * (1.0 - p_hat) / trees)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,6 +53,9 @@ class GpcSpec:
         violations = _violations(self)
         if violations:
             raise ValueError("invalid spec: " + "; ".join(violations))
+
+    def __reduce__(self):  # through the constructor: read-only arrays, no cached table
+        return GpcSpec, (self.eta, self.gamma, self.tau, self.n, self.tau_assignment)
 
     @property
     def num_positions(self) -> int:
@@ -149,11 +153,12 @@ def cn_counts(spec: GpcSpec) -> np.ndarray:
     rounded = np.rint(raw).astype(np.int64)
     if spec.tau_assignment == RANDOM:
         off = np.abs(raw - rounded) > 1e-9
-        if off.any():
-            warnings.warn(
-                f"rounded non-integral CN counts at positions {np.nonzero(off)[0].tolist()}",
-                stacklevel=2,
-            )
+        if off.any():  # name the first caller outside the package
+            frame, level = sys._getframe(1), 2
+            while frame.f_globals.get("__name__", "").startswith(__package__ + "."):
+                frame, level = frame.f_back, level + 1
+            msg = f"rounded non-integral CN counts at positions {np.nonzero(off)[0].tolist()}"
+            warnings.warn(msg, stacklevel=level)
     return rounded
 
 

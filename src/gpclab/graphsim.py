@@ -13,17 +13,17 @@ batch is a legal sequential removal and both orders end at the same core, which
 the tests check; the oracle costs O(E) edge work plus one O(n) scan per batch.
 
 Sampling skips through each block of vertex pairs by geometric gaps, drawn
-by exponential inversion at every edge probability.  It peaks with the vertex
-arrays and every block's ranks (views of blocks of gaps about 1.2 times longer)
-alive; vertex ids are int32, 8 B per edge in the edge list, and sampling and
+by exponential inversion and cast in place to int64 ranks; it peaks with the
+vertex arrays and every block's ranks (views of blocks about 1.2 times longer)
+alive.  Vertex ids, positions and capabilities are int32, and sampling and
 indexing refuse 2**31 or more vertices before they allocate.  The incidence
 sorts the keys (end << b) | neighbour, b the bit length of the largest id, in
 place and keeps their low bits, so a vertex lists its neighbours in increasing
 order.  Keys below 2**31 are int32 and become the neighbour list; wider int64
-keys (16 B per edge) narrow into the front half of their buffer, which then
-shrinks to 8 B per edge.  Peeling and the core oracle hold the graph, its
-neighbour list and two vertex arrays, and peak with the slots of the first
-round's removed vertices; the graph keeps its neighbour list.
+keys (16 B per edge, the peak of peeling an unindexed graph) narrow into the
+front half of their buffer, which then shrinks to 8 B per edge.  Peeling and
+the core oracle hold the graph, its neighbour list and two vertex arrays, and
+remove a round's vertices 8192 at a time; the graph keeps its neighbour list.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class ResidualGraph:
 
     ``edges`` holds each undirected edge once as (u, v) with u < v, in any
     integer dtype; an edge may only join vertices at coupled positions.
-    Sampled ids are int32, like the incidence's: both refuse 2**31 vertices.
+    Sampled arrays are all int32, like the incidence's: both refuse 2**31 vertices.
     """
 
     vertex_position: np.ndarray
@@ -122,7 +122,7 @@ def _bernoulli_indices(rng: np.random.Generator, n_items: int, p: float) -> np.n
         gap = rng.standard_exponential(block)
         gap /= scale
         np.minimum(gap, n_items + 1, out=gap)
-        idx = np.ceil(gap, out=np.empty(block, dtype=np.int64), casting="unsafe")
+        idx = np.ceil(gap, out=gap.view(np.int64), casting="unsafe")  # cast in place
         np.cumsum(idx, out=idx)
         idx += pos
         chunks.append(idx[: np.searchsorted(idx, n_items)])  # a view of the block
@@ -160,7 +160,7 @@ def _unrank_triangle(k: np.ndarray, n: int, out: np.ndarray) -> None:
 def _assign_capabilities(
     spec: GpcSpec, counts: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
-    caps = np.empty(int(counts.sum()), dtype=np.int64)
+    caps = np.empty(int(counts.sum()), dtype=np.int32)
     offset = 0
     for n_i, row in zip(counts.tolist(), spec.tau_table):
         ts = np.flatnonzero(row) + 1
@@ -189,7 +189,7 @@ def _sampler(spec: GpcSpec, c: float) -> Callable[[np.random.Generator], Residua
     offsets = np.concatenate([[0], np.cumsum(counts)]).tolist()  # ints: no int64 upcast
     if offsets[-1] >= 1 << 31:  # before any vertex array exists
         raise ValueError(f"residual graphs need fewer than 2**31 vertices, got {offsets[-1]}")
-    positions = np.repeat(np.arange(spec.num_positions, dtype=np.int64), counts)
+    positions = np.repeat(np.arange(spec.num_positions, dtype=np.int32), counts)
     caps = None if spec.tau_assignment == "random" else _assign_capabilities(spec, counts, None)
     sizes = counts.tolist()  # block (i, i) holds same-position pairs
     blocks = [(i, j, sizes[i] * (sizes[i] - 1) // 2 if i == j else sizes[i] * sizes[j])
@@ -248,7 +248,10 @@ def _incidence(graph: ResidualGraph) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(0, 2 * m, step):
         np.bitwise_and(keys[lo : lo + step], (1 << b) - 1, out=nbr[lo : lo + step])
     del nbr  # resize refuses to shrink a buffer that a view still reads
-    keys.resize(8 * m // keys.itemsize)  # to 4 B per slot
+    try:
+        keys.resize(8 * m // keys.itemsize)  # to 4 B per slot
+    except ValueError:  # a tracer or profiler holds the keys too: copy the front
+        keys = keys.view(np.int32)[: 2 * m].copy()
     start = np.zeros(n + 1, dtype=np.int64)  # counted once the keys have shrunk
     for lo in range(0, m, step):
         start[1:] += np.bincount(graph.edges[lo : lo + step].ravel(), minlength=n)
@@ -265,16 +268,19 @@ def _removal(graph: ResidualGraph) -> tuple[np.ndarray, Callable[[np.ndarray], N
     slack once per edge to them.  A live vertex is removable at slack <= 0; a
     removed one loses at most its degree, so it stays above _GONE // 2."""
     start, nbr = graph.incidence
+    step = 1 << 13  # vertices per pass: bounds the slots, and n = 5000 takes one
     slack = np.diff(start)
     slack -= graph.vertex_capability
 
     def remove(gone: np.ndarray) -> None:
         slack[gone] = _GONE
-        first = start[gone]
-        sz = start[gone + 1] - first
-        slots = np.repeat(first - np.cumsum(sz) + sz, sz)
-        slots += np.arange(slots.size)
-        np.subtract.at(slack, nbr[slots], 1)  # once per edge to gone
+        for lo in range(0, gone.size, step):
+            part = gone[lo : lo + step]
+            first = start[part]
+            sz = start[part + 1] - first
+            slots = np.repeat(first - np.cumsum(sz) + sz, sz)
+            slots += np.arange(slots.size)
+            np.subtract.at(slack, nbr[slots], 1)  # once per edge to gone
 
     return slack, remove
 

@@ -285,18 +285,27 @@ class TestSurvivalMc:
         monkeypatch.setattr(branching, "LEAF_CHUNK", 1001)
         assert [survival_mc(spec, c, ell, trees=3000, master_seed=5) for ell in (2, 3, 4)] == whole
 
-    def test_one_batch_peak(self):
-        # one batch at ell = 4 gives 1.8e6 surviving leaves to 5e5 parents;
-        # the parents are drawn LEAF_CHUNK (8 MB) at a time into one count
-        # array, and the batch peaks at 17.1 MB traced (23.3 MB when 32 MB
-        # of draws at a time got a bincount each)
+    @staticmethod
+    def batch_peak(c, ell):
         tracemalloc.start()
         try:
-            survival_mc(preset_hpc(1000, 4), 5.0, 4, trees=branching.BATCH_SIZE, master_seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
+            survival_mc(preset_hpc(1000, 4), c, ell, trees=branching.BATCH_SIZE, master_seed=3)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18e6
+
+    def test_one_batch_peak(self):
+        # one batch at ell = 4 gives 1.8e6 surviving leaves to 5e5 parents,
+        # drawn and counted LEAF_CHUNK (1 MB of int32) at a time: 5.5 MB
+        # traced (17.1 MB with int64 counts and parents 8 MB at a time)
+        assert self.batch_peak(5.0, 4) <= 8e6
+
+    def test_one_batch_peak_at_depth_5(self):
+        # the depth-3 level's 4.3e6 int32 parents and the leaves' counts; the
+        # fold compares each type's nodes with its need in place, and counts
+        # surviving children LEAF_CHUNK parents at a time: 44.8 MB traced
+        # (113.8 MB with int64 parents and a repeat of the needs)
+        assert self.batch_peak(6.0, 5) <= 50e6
 
 
 class TestProgenySecondMoment:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gpclab.codespec import (
     spec_hash,
     spec_to_json,
 )
+from gpclab.graphsim import monte_carlo, sample_residual
 from gpclab.poisson import CapabilityDistribution
 from codespec_reference import (
     BchComponentParams,
@@ -231,6 +233,23 @@ class TestStructure:
         assert counts.tolist() == [3, 7]
         assert any("rounded" in str(c.message) for c in caught)
 
+    @pytest.mark.parametrize("call", [
+        lambda spec: sample_residual(spec, 2.0, 0),
+        lambda spec: monte_carlo(spec, 2.0, 3, 4, 0, jobs=1),
+    ], ids=["sample_residual", "monte_carlo"])
+    def test_rounding_warning_names_the_caller(self, call):
+        # the sampler and code_length round the counts inside the package;
+        # each warning names this file, not a line of gpclab
+        import warnings as w
+
+        tau = CapabilityDistribution.point_mass(2)
+        spec = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([1 / 3, 2 / 3]),
+                       (tau, tau), 10, tau_assignment="random")
+        with w.catch_warnings(record=True) as caught:
+            w.simplefilter("always")
+            call(spec)
+        assert caught and all(c.filename == __file__ for c in caught)
+
     def test_scaling_hpc(self):
         assert erasure_scaling(preset_hpc(10, 2)) == pytest.approx(1.0, abs=1e-14)
 
@@ -387,6 +406,18 @@ class TestRateBounds:
 
 
 class TestSerialization:
+    def test_pickle_keeps_arrays_read_only(self):
+        # pool workers get specs by pickle: the round trip goes through the
+        # constructor and leaves the cached capability table behind
+        spec = preset_staircase(6, 36, 3)
+        table = spec.tau_table
+        again = pickle.loads(pickle.dumps(spec))
+        assert "tau_table" not in again.__dict__
+        assert spec_to_json(again) == spec_to_json(spec) and again.tau == spec.tau
+        assert np.array_equal(again.tau_table, table)
+        for arr in (again.eta, again.gamma, again.tau_table):
+            assert not arr.flags.writeable
+
     def test_roundtrip_bit_exact(self, rng):
         for _ in range(10):
             spec = random_spec(rng)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -421,6 +422,36 @@ class TestIncidenceKeyWidth:
         assert (nbr if nbr.base is None else nbr.base).nbytes == 4 * nbr.size
 
 
+class TestTracedIncidence:
+    """A tracer or profiler holds one more reference to the incidence's keys,
+    so the int64 keys of more than 32768 vertices cannot shrink in place."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return sample_residual(preset_hpc(40000, 4), 6.0, 1)
+
+    @pytest.mark.parametrize("hooks", [(sys.settrace, sys.gettrace),
+                                       (sys.setprofile, sys.getprofile)],
+                             ids=["settrace", "setprofile"])
+    def test_peel_matches_untraced(self, graph, hooks):
+        fresh = lambda: ResidualGraph(graph.vertex_position, graph.vertex_capability, graph.edges)
+        want = fields(peel(fresh()))
+        set_hook, get_hook = hooks
+        old = get_hook()
+        set_hook(lambda *args: None)
+        try:
+            got = fields(peel(fresh()))
+        finally:
+            set_hook(old)
+        assert got == want
+
+    def test_rounds_past_one_removal_pass(self, graph):
+        # the first round removes more vertices than one pass of _removal holds
+        result = fields(peel(graph))
+        assert result[1][0] > 1 << 13
+        assert result == recount_peel(graph)
+
+
 class TestKeptIncidence:
     def test_one_incidence_per_graph(self, monkeypatch):
         spec, _, c_high = REFERENCE_FAMILIES[2]  # staircase: peeling gets stuck
@@ -742,35 +773,45 @@ class TestMemory:
             tracemalloc.stop()
 
     @staticmethod
-    def traced_peak(graph, phase):
+    def traced_peak(graph, *phases):
         tracemalloc.start()
         try:
-            # a copy made under tracing puts the graph itself in the peak
+            # a copy made under tracing puts the graph itself in the peak, and
+            # so does what every phase but the last keeps on it
             traced = ResidualGraph(graph.vertex_position.copy(),
                                    graph.vertex_capability.copy(), graph.edges.copy())
-            tracemalloc.reset_peak()
-            phase(traced)
+            for phase in phases:
+                tracemalloc.reset_peak()
+                phase(traced)
             return tracemalloc.get_traced_memory()[1] / graph.num_edges
         finally:
             tracemalloc.stop()
 
+    def test_vertex_arrays_are_int32(self, sampled):
+        graph = sampled[0]
+        assert graph.vertex_position.dtype == graph.vertex_capability.dtype == np.int32
+
     def test_sampling_peak(self, sampled):
-        # the vertex arrays (about 5 B/edge), the edge list and every block's
-        # ranks (view of a block of 1.2 gaps per edge): 25.2
-        assert sampled[1] <= 26
+        # the int32 vertex arrays (about 2.4 B/edge), the edge list and every
+        # block's ranks (each cast in place into its block of 1.2 gaps per
+        # edge): 22.8
+        assert sampled[1] <= 24
 
     def test_incidence_peak(self, sampled):
-        # the graph (about 13 B/edge with its vertex arrays) and the int64
+        # the graph (about 10.4 B/edge with its vertex arrays) and the int64
         # sort keys (16), which shrink to the neighbour list before start is
-        # counted: 29.5
-        assert self.traced_peak(sampled[0], _incidence) <= 34
+        # counted: 27.2
+        assert self.traced_peak(sampled[0], _incidence) <= 28
 
     @pytest.mark.parametrize("phase", [peel, core_oracle], ids=["peel", "core_oracle"])
     def test_peeling_peak(self, sampled, phase):
-        # the building of the incidence, or the graph, the neighbour list (8),
-        # start and slack and the first round's slots: 30.1 for peel and 29.5
-        # for core_oracle
-        assert self.traced_peak(sampled[0], phase) <= 32
+        # the building of the incidence sets both: 27.2
+        assert self.traced_peak(sampled[0], phase) <= 28
+
+    def test_indexed_peeling_peak(self, sampled):
+        # the graph, the neighbour list (8), start and slack (2.4 each) and
+        # one removal pass of at most 8192 vertices' slots: 25.4
+        assert self.traced_peak(sampled[0], lambda g: g.incidence, peel) <= 26
 
 
 class TestVertexLimit:
