@@ -5,7 +5,8 @@ Each command's fields (name, int or float, default, flag help) are declared
 once, in ``COMMANDS``: the flags, the merge into the config and the typed
 reads all come from there.  Every CSV starts with a comment line carrying the
 hash of the fully resolved config, so identical inputs are byte-identical and
-auditable.
+auditable.  Only this module formats CSV; ``_write`` writes each line as it is
+made, opening ``--out`` after the run, so a failed run writes no file.
 
 Exit codes: 0 success/converged, 1 input error, 2 analytic non-convergence,
 3 solver failure.
@@ -14,12 +15,14 @@ Exit codes: 0 success/converged, 1 input error, 2 analytic non-convergence,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import de
 from .codespec import (
@@ -81,15 +84,21 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _emit(rows: list[list[str]], config: dict, args) -> None:
-    lines = [f"# config_hash={_config_hash(config)}"]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    if args.csv or not args.out:
-        sys.stdout.write(text)
+def _write(lines: Iterable[str], args) -> None:
+    """Write each line as it comes: to --out, and to stdout with --csv or without --out."""
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    with out as fh:
+        for line in lines:
+            fh.write(line + "\n")
+            if args.csv and args.out:
+                sys.stdout.write(line + "\n")
+
+
+def _emit(rows: Iterable[list[str]], config: dict, args) -> None:
+    _write(itertools.chain([f"# config_hash={_config_hash(config)}"], map(",".join, rows)), args)
 
 
 class Field(NamedTuple):
@@ -167,7 +176,9 @@ def cmd_de(args) -> int:
     config, v = _settings(args)
     spec = _resolve_spec(config)
     traj = de.de_run(spec, v["c"], v["ell"], schedule=_schedule(config, spec.num_positions))
-    _emit(traj.to_csv_rows(), config, args)
+    x_names = (f"x_{i + 1}" for i in range(spec.num_positions))
+    rows = ([str(k), *map(repr, x.tolist()), repr(float(z))] for k, (x, z) in enumerate(zip(traj.x, traj.z)))
+    _emit(itertools.chain([["iteration", *x_names, "z"]], rows), config, args)
     return EXIT_OK if traj.verdict == de.CONVERGED else EXIT_NONCONVERGED
 
 
@@ -241,25 +252,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    name = args.name
-    t = args.t
-    if name == "hpc":
-        spec = preset_hpc(args.n, t)
-    elif name == "pc":
-        split = (args.split, 1.0 - args.split)
-        spec = preset_pc(args.n, split, t_row=t, t_col=args.t_col)
-    elif name == "staircase":
-        spec = preset_staircase(args.L, args.n, t)
-    elif name == "braided":
-        spec = preset_braided(args.L, args.n, t)
-    else:
-        raise InputError(f"unknown preset {name!r}")
-    doc = spec_to_json(spec)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
-    else:
-        sys.stdout.write(doc + "\n")
+    presets = {
+        "hpc": lambda: preset_hpc(args.n, args.t),
+        "pc": lambda: preset_pc(args.n, (args.split, 1.0 - args.split), t_row=args.t, t_col=args.t_col),
+        "staircase": lambda: preset_staircase(args.L, args.n, args.t),
+        "braided": lambda: preset_braided(args.L, args.n, args.t),
+    }
+    if args.name not in presets:
+        raise InputError(f"unknown preset {args.name!r}")
+    _write([spec_to_json(presets[args.name]())], args)
     return EXIT_OK
 
 
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--t-col", dest="t_col", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_preset)
+    p.set_defaults(func=cmd_preset, csv=False)
 
     return parser
 

@@ -103,12 +103,6 @@ class DeTrajectory:
     def final_z(self) -> float:
         return float(self.z[-1])
 
-    def to_csv_rows(self) -> list[list[str]]:
-        L = self.x.shape[1]
-        header = ["iteration"] + [f"x_{i+1}" for i in range(L)] + ["z"]
-        return [header] + [[str(k)] + [repr(float(v)) for v in self.x[k]] + [repr(float(self.z[k]))]
-                           for k in range(self.iterations_run + 1)]
-
 
 class _PositionArrays:
     """Neighbour lists padded to the largest degree d (padding weight 0) and

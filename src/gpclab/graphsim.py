@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -367,7 +368,9 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
 def _mc_block(args: tuple) -> list[tuple[float, float, float]]:
     """(W, scaled BER, surviving-edge fraction) of trials first..last - 1."""
     spec, c, ell, master_seed, first, last = args
-    sample, m = _sampler(spec, c), code_length(spec)
+    with warnings.catch_warnings():  # monte_carlo warned already, naming its caller
+        warnings.filterwarnings("ignore", "rounded non-integral CN counts")
+        sample, m = _sampler(spec, c), code_length(spec)
     rows = []
     for r in range(first, last):
         graph = sample(_stream_rng(int(master_seed), r))
@@ -400,6 +403,7 @@ def monte_carlo(
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("need jobs >= 1")
+    cn_counts(spec)  # its rounding warning, once, for any jobs
     size = max(1, trials // (4 * jobs))
     work = [(spec, c, ell, master_seed, r, min(r + size, trials)) for r in range(0, trials, size)]
     if jobs > 1:

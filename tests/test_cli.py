@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,60 @@ class TestDe:
         # window (0,1) active in steps 1-2: positions 3..6 frozen there
         assert (xs[1, 2:] == xs[0, 2:]).all()
         assert (xs[2, 2:] == xs[1, 2:]).all()
+
+    def test_csv_rows(self, tmp_path):
+        out = tmp_path / "traj.csv"
+        main(["de", "--spec", write_spec(tmp_path, preset_hpc(10, 4)), "--c", "5.0",
+              "--ell", "3", "--out", str(out)])
+        traj = de.de_run(preset_hpc(10, 4), 5.0, ell_max=3)
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# config_hash=")
+        assert lines[1] == "iteration,x_1,z"
+        assert len(lines[2:]) == traj.iterations_run + 1
+
+    def test_rows_are_written_as_they_are_made(self, tmp_path):
+        # the trajectory's CSV used to be held twice, as string lists and as
+        # one joined text: 18.8 times the trajectory's bytes at this size
+        spec = preset_staircase(20, 200, 3)
+        schedule = {"type": "full", "steps": 5000}  # no stall stop: 5000 iterations
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"spec": write_spec(tmp_path, spec), "schedule": schedule}))
+        traj = de.de_run(spec, 80.0, schedule=de.full_schedule(20, 5000))  # above c*
+        assert traj.iterations_run == 5000
+        tracemalloc.start()
+        try:
+            code = main(["de", "--config", str(cfg), "--c", "80.0",
+                         "--out", str(tmp_path / "traj.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_NONCONVERGED
+        assert len((tmp_path / "traj.csv").read_text().splitlines()) == 5003
+        assert peak <= 3 * (traj.x.nbytes + traj.z.nbytes)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("argv", [["de", "--c", "4.0", "--ell", "50"], ["bounds"]],
+                             ids=lambda argv: argv[0])
+    def test_out_and_csv_write_the_same_text(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        main(argv + ["--spec", spec_path, "--out", str(out), "--csv"])
+        text = out.read_text()
+        assert text.startswith("# config_hash=") and capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("argv", [["threshold"], ["preset", "hpc", "--n", "100", "--t", "3"]],
+                             ids=lambda argv: argv[0])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, argv):
+        # it used to end in a FileNotFoundError traceback, after the whole run
+        if argv[0] != "preset":
+            argv = argv + ["--spec", write_spec(tmp_path, preset_hpc(100, 4))]
+        path = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--out", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == "" and not path.parent.exists()
 
 
 class TestThresholdCmd:

@@ -221,15 +221,19 @@ class TestStructure:
             m = code_length(spec)
             assert abs(m - q * spec.n**2 / 2) / m < 1e-2
 
+    @staticmethod
+    def rounded_spec():
+        # 10 CNs split 1/3 : 2/3 round to 3 and 7
+        tau = CapabilityDistribution.point_mass(2)
+        return GpcSpec(np.array([[0, 1], [1, 0]]), np.array([1 / 3, 2 / 3]),
+                       (tau, tau), 10, tau_assignment="random")
+
     def test_random_assignment_rounds_counts_with_warning(self):
         import warnings as w
 
-        tau = CapabilityDistribution.point_mass(2)
-        spec = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([1 / 3, 2 / 3]),
-                       (tau, tau), 10, tau_assignment="random")
         with w.catch_warnings(record=True) as caught:
             w.simplefilter("always")
-            counts = cn_counts(spec)
+            counts = cn_counts(self.rounded_spec())
         assert counts.tolist() == [3, 7]
         assert any("rounded" in str(c.message) for c in caught)
 
@@ -242,13 +246,23 @@ class TestStructure:
         # each warning names this file, not a line of gpclab
         import warnings as w
 
-        tau = CapabilityDistribution.point_mass(2)
-        spec = GpcSpec(np.array([[0, 1], [1, 0]]), np.array([1 / 3, 2 / 3]),
-                       (tau, tau), 10, tau_assignment="random")
         with w.catch_warnings(record=True) as caught:
             w.simplefilter("always")
-            call(spec)
+            call(self.rounded_spec())
         assert caught and all(c.filename == __file__ for c in caught)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_monte_carlo_warns_once_for_any_jobs(self, jobs):
+        # every block rounds the counts again, in a worker when jobs > 1: one
+        # jobs = 1 run of 4 blocks warned 12 times, and jobs = 2 not at all
+        # in this process (each worker warned, naming concurrent.futures)
+        import warnings as w
+
+        with w.catch_warnings(record=True) as caught:
+            w.simplefilter("always")
+            monte_carlo(self.rounded_spec(), 1.0, 5, 8, 0, jobs=jobs)
+        assert [c.filename for c in caught] == [__file__]
+        assert "rounded non-integral CN counts" in str(caught[0].message)
 
     def test_scaling_hpc(self):
         assert erasure_scaling(preset_hpc(10, 2)) == pytest.approx(1.0, abs=1e-14)

@@ -373,12 +373,6 @@ class TestDeRun:
         with pytest.raises(ValueError, match="need ell_max >= 0, got -2"):
             de.de_run(preset_hpc(10, 4), 5.0, ell_max=-2)
 
-    def test_csv_rows(self):
-        traj = de.de_run(preset_hpc(10, 4), 5.0, ell_max=3)
-        rows = traj.to_csv_rows()
-        assert rows[0] == ["iteration", "x_1", "z"]
-        assert len(rows) == traj.iterations_run + 2
-
 
 class TestNonFiniteQuality:
     """A NaN c used to run DE to the iteration cap."""
