@@ -126,6 +126,13 @@ def _record(spec: GpcSpec, values: dict) -> list[list[str]]:
     return [["spec_hash", *values], [spec_hash(spec), *map(repr, values.values())]]
 
 
+def _cp95_bound(rate: float, trials: int) -> str:
+    """One-sided 95% Clopper-Pearson bound on a rate seen in none or all of the
+    trials: 1 - 0.05^(1/trials) above 0, 0.05^(1/trials) below 1, else empty."""
+    edge = 0.05 ** (1.0 / trials)
+    return "" if 0.0 < rate < 1.0 else repr(1.0 - edge if rate == 0.0 else edge)
+
+
 def _number(config: dict, key: str, default: float | Callable[[], int], kind: type):
     """config[key], or the default (called if callable) when absent, read as
     ``kind``, int or float, never from true or a string; an integer field takes
@@ -207,7 +214,9 @@ def cmd_simulate(args) -> int:
     config, v = _settings(args)
     spec = _resolve_spec(config)
     stats = graphsim.monte_carlo(spec, v["c"], v["ell"], v["trials"], v["seed"], jobs=v["jobs"])
-    _emit(_record(spec, dataclasses.asdict(stats)), config, args)
+    head, row = _record(spec, dataclasses.asdict(stats))
+    bound = _cp95_bound(stats.failed_trials / stats.trials, stats.trials)
+    _emit([head + ["cp95_bound"], row + [bound]], config, args)
     return EXIT_OK
 
 
@@ -241,12 +250,9 @@ def cmd_oracle(args) -> int:
             est = branching.survival_mc(spec, v["c"], depth, v["trees"], v["seed"])
         except branching.TreeSizeLimit as exc:
             raise InputError(str(exc)) from exc
-        if 0.0 < est.mean < 1.0:
-            compare = [repr(abs(est.mean - z_de) / est.stderr), ""]
-        else:  # stderr is 0: one-sided 95% Clopper-Pearson bound instead
-            edge = 0.05 ** (1.0 / est.trees)
-            compare = ["", repr(1.0 - edge if est.mean == 0.0 else edge)]
-        rows.append([str(depth), repr(z_de), repr(est.mean), repr(est.stderr)] + compare)
+        bound = _cp95_bound(est.mean, est.trees)
+        diff = "" if bound else repr(abs(est.mean - z_de) / est.stderr)
+        rows.append([str(depth), repr(z_de), repr(est.mean), repr(est.stderr), diff, bound])
     _emit(rows, config, args)
     return EXIT_OK
 

@@ -119,6 +119,8 @@ def _violations(spec: GpcSpec) -> list[str]:
         v.append("gamma entries must be nonnegative")
     if abs(float(gamma.sum()) - 1.0) > 1e-12:
         v.append(f"gamma must sum to 1, got {float(gamma.sum())!r}")
+    if float(gamma @ eta @ gamma) == 0.0:
+        v.append("no variable node: gamma' eta gamma = 0, no two coupled positions both hold CNs")
     if len(spec.tau) != L:
         v.append(f"tau must list {L} capability distributions, got {len(spec.tau)}")
         return v

@@ -17,8 +17,8 @@ iterations, so it computes and discards up to ``_BLOCK - 1`` iterations, and
 nothing reported changes.
 
 The threshold is the fold of the DE fixed points, found without iteration
-counts: in closed form, on a lam grid built once per capability range, for
-position-regular specs, and by continuation of the fixed points for all others.
+counts: in closed form for position-regular specs (a lam grid built once per
+capability range, then Newton on floats), by continuation for all others.
 """
 
 from __future__ import annotations
@@ -141,13 +141,21 @@ def _reciprocals(n: int) -> np.ndarray:
     return r
 
 
+@functools.lru_cache
+def _inverse_factorials(n: int) -> np.ndarray:
+    """[1/0!, 1/1!, ..., 1/(n - 1)!]; shared, so read-only."""
+    inv_fact = np.cumprod(_reciprocals(n))
+    inv_fact.flags.writeable = False
+    return inv_fact
+
+
 def _tail_coefficients(tau_w: np.ndarray):
     """rest[i, k] = sum_{t >= k} tau_t(i) for k = 0..t_max + 1 (rest[i, 0] = S_i)
     and inv_fact[k] = 1 / k! for k = 0..t_max: the Horner tails' coefficients."""
     rest = np.zeros((tau_w.shape[0], tau_w.shape[1] + 2))
-    np.cumsum(tau_w[:, ::-1], axis=1, out=rest[:, -2:0:-1])
+    tau_w[:, ::-1].cumsum(axis=1, out=rest[:, -2:0:-1])
     rest[:, 0] = rest[:, 1]
-    return rest, np.cumprod(_reciprocals(tau_w.shape[1] + 1))
+    return rest, _inverse_factorials(tau_w.shape[1] + 1)
 
 
 def _stepper(spec: GpcSpec, c: float):
@@ -353,9 +361,15 @@ def _pmf(lam: np.ndarray, size: int) -> np.ndarray:
     return pmf
 
 
-def _tail_sums(lam: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _tail_sums(lam: np.ndarray | float, coef: np.ndarray) -> np.ndarray:
     """F and its derivatives at lam: ``_pmf_coefficients`` rows (last axis of
-    the result) dotted with (pmf_0, ..., pmf_{t_max - 1}, 1)."""
+    the result) dotted with (pmf_0, ..., pmf_{t_max - 1}, 1).  At one float lam,
+    a Newton point, ``_pmf``'s cumulative product runs on floats, rounded the same."""
+    if isinstance(lam, float):
+        lam = min(lam, _LAM_CAP)
+        p = float(np.exp(-lam))
+        pmf = [p] + [p := p * (lam * (1.0 / k)) for k in range(1, coef.shape[-1] - 1)]
+        return np.add.reduce(coef * np.array(pmf + [1.0]), axis=-1)
     return (coef * _pmf(lam, coef.shape[-1])[..., None, :]).sum(axis=-1)
 
 
@@ -380,19 +394,19 @@ def _closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float]:
     refines the minimum on a log grid of lam up to 2 t + 2, t the largest
     capability with positive weight; beyond it lam / F >= lam exceeds the
     counting bound."""
-    w = np.asarray(tau.weights)
-    (lam, pmf), coef = _grid(w.size), _pmf_coefficients(w[None, :])[0]
-    f = (coef[0] * pmf).sum(axis=-1)
-    k = int(np.argmax(f / lam))  # a tail may round to 0, and lam / 0 to inf
-    best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
-    x = lam[k]
-    for _ in range(_NEWTON_STEPS if 0 < k < lam.size - 1 else 0):
-        f, f1, f2 = _tail_sums(x, coef)
-        best = min(best, x / f)
-        x, x_prev = x + (f - x * f1) / (x * f2), x
-        if x == x_prev or not lam[k - 1] < x < lam[k + 1]:
-            break
-    return _exact(float(best) / s)
+    (lam, pmf), coef = _grid(tau.t_max), _pmf_coefficients(np.array([tau.weights]))[0]
+    f = np.add.reduce(coef[0] * pmf, axis=-1)
+    k = int((f / lam).argmax())  # a tail may round to 0, and lam / 0 to inf
+    best = min(float(lam[k] / f[k]), 1.0 / tau.weights[0] if tau.weights[0] > 0.0 else math.inf)
+    if 0 < k < lam.size - 1:  # Newton on Python floats
+        lo, x, hi = lam[k - 1 : k + 2].tolist()
+        for _ in range(_NEWTON_STEPS):
+            f, f1, f2 = _tail_sums(x, coef).tolist()
+            best = min(best, x / f)
+            x, x_prev = x + (f - x * f1) / (x * f2), x
+            if x == x_prev or not lo < x < hi:
+                break
+    return _exact(best / s)
 
 
 def _fold(spec: GpcSpec, bracket_tol: float) -> tuple[float, float]:
@@ -480,9 +494,9 @@ def threshold(spec: GpcSpec, bracket_tol: float = 0.01) -> ThresholdResult:
     s = sum_j eta_ij gamma_j, else by ``_fold`` (BracketError if DE never stalls)."""
     if not 0.0 < bracket_tol < np.inf:
         raise ValueError(f"bracket_tol must be > 0 and finite, got {bracket_tol}")
-    s = spec.eta @ spec.gamma
-    regular = all(d == spec.tau[0] for d in spec.tau) and (s == s[0]).all()
-    lo, hi = _closed_form(spec.tau[0], float(s[0])) if regular else _fold(spec, bracket_tol)
+    s = (spec.eta @ spec.gamma).tolist()
+    regular = all(d == spec.tau[0] for d in spec.tau) and s.count(s[0]) == len(s)
+    lo, hi = _closed_form(spec.tau[0], s[0]) if regular else _fold(spec, bracket_tol)
     return ThresholdResult(float(hi), float(lo), float(hi), float(hi - lo))
 
 

@@ -83,6 +83,7 @@ class PeelingResult:
 @dataclass(frozen=True)
 class McStatistics:
     trials: int
+    failed_trials: int  # trials with W > 0
     mean_w: float
     se_w: float
     mean_scaled_ber: float
@@ -367,10 +368,10 @@ def core_oracle(graph: ResidualGraph) -> np.ndarray:
 
 def _mc_block(args: tuple) -> list[tuple[float, float, float]]:
     """(W, scaled BER, surviving-edge fraction) of trials first..last - 1."""
-    spec, c, ell, master_seed, first, last = args
+    spec, c, ell, m, master_seed, first, last = args
     with warnings.catch_warnings():  # monte_carlo warned already, naming its caller
         warnings.filterwarnings("ignore", "rounded non-integral CN counts")
-        sample, m = _sampler(spec, c), code_length(spec)
+        sample = _sampler(spec, c)
     rows = []
     for r in range(first, last):
         graph = sample(_stream_rng(int(master_seed), r))
@@ -390,7 +391,8 @@ def monte_carlo(
     jobs: int = 1,
 ) -> McStatistics:
     """Estimate the failed fraction W, the scaled bit erasure rate
-    surviving_edges * n / (c * m), and the surviving-edge fraction.
+    surviving_edges * n / (c * m), and the surviving-edge fraction, and count
+    the trials with W > 0.  A code with no variable node (m = 0) is refused.
 
     The unit of work is a block of max(1, trials // (4 jobs)) trials that
     share one sampler.  Trial r always uses the stream derived from
@@ -404,8 +406,13 @@ def monte_carlo(
     if jobs < 1:
         raise ValueError("need jobs >= 1")
     cn_counts(spec)  # its rounding warning, once, for any jobs
+    with warnings.catch_warnings():  # code_length rounds the counts twice more
+        warnings.filterwarnings("ignore", "rounded non-integral CN counts")
+        m = code_length(spec)
+    if m == 0:
+        raise ValueError(f"the code has no variable node: every CN has degree 0 at n = {spec.n}")
     size = max(1, trials // (4 * jobs))
-    work = [(spec, c, ell, master_seed, r, min(r + size, trials)) for r in range(0, trials, size)]
+    work = [(spec, c, ell, m, master_seed, r, min(r + size, trials)) for r in range(0, trials, size)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it imports multiprocessing
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
@@ -423,4 +430,4 @@ def monte_carlo(
     mw, sw = stats(0)
     mb, sb = stats(1)
     mf, sf = stats(2)
-    return McStatistics(trials, mw, sw, mb, sb, mf, sf)
+    return McStatistics(trials, int(np.count_nonzero(data[:, 0] > 0.0)), mw, sw, mb, sb, mf, sf)

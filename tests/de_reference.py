@@ -26,6 +26,13 @@ run may take many thousand iterations.  It runs DE through
 `reference_de_run`, which at the small L these tests use is several times
 faster than the array step.
 
+`reference_closed_form` is `gpclab.de._closed_form` as it was before its
+Newton steps ran on Python floats: the coefficients built around inverse
+factorials, the grid pmf from `gpclab.de._pmf`, and each Newton point a 0-d
+array through `_pmf`'s cumulative product, with numpy-scalar arithmetic in
+between.  It also counts the Newton points it evaluated, so a test can ask
+for mixtures whose grid argmax sits at an end, where it evaluates none.
+
 `END_CAPABILITY_BRACKETS` pins DE-bisection brackets for staircases whose
 end positions decode first (`end_capability_staircase`), on which the fold's
 continuation once stalled.  Each came from plain `gpclab.de.de_run`
@@ -240,6 +247,33 @@ def reference_threshold(
         else:
             hi = mid
     return ReferenceBracket(lo, hi, capped)
+
+
+def reference_closed_form(tau: CapabilityDistribution, s: float) -> tuple[float, float, int]:
+    """``de._closed_form``'s bracket by array Newton, and its Newton points."""
+    w = np.asarray(tau.weights)
+    rest = np.zeros((1, w.size + 2))
+    np.cumsum(w[::-1], out=rest[0, -2:0:-1])
+    rest[:, 0] = rest[:, 1]
+    coef = np.zeros((3, w.size + 1))
+    np.negative(rest[0, 1:-1], out=coef[0, :-1])
+    coef[0, -1] = rest[0, 0]
+    coef[1, :-1] = w
+    np.subtract(coef[1, 1:], coef[1, :-1], out=coef[2, :-1])
+    lam = np.geomspace(de._LAM_MIN, 2.0 * w.size + 2.0, de._LAM_POINTS)
+    f = (coef[0] * de._pmf(lam, w.size + 1)).sum(axis=-1)
+    k = int(np.argmax(f / lam))
+    best = min(lam[k] / f[k], 1.0 / w[0] if w[0] > 0.0 else math.inf)
+    x, points = lam[k], 0
+    for _ in range(de._NEWTON_STEPS if 0 < k < lam.size - 1 else 0):
+        f, f1, f2 = (coef * de._pmf(x, w.size + 1)[..., None, :]).sum(axis=-1)
+        points += 1
+        best = min(best, x / f)
+        x, x_prev = x + (f - x * f1) / (x * f2), x
+        if x == x_prev or not lam[k - 1] < x < lam[k + 1]:
+            break
+    lo, hi = de._exact(float(best) / s)
+    return lo, hi, points
 
 
 def end_capability_staircase(L: int, k: int, t_end: int) -> GpcSpec:

@@ -77,6 +77,41 @@ class TestPreset:
         assert capsys.readouterr().err == "error: capability must be >= 1, got 0\n"
 
 
+class TestNoVariableNode:
+    """A code with no variable node used to end in a ZeroDivisionError
+    traceback: gamma' eta gamma = 0 in the erasure scaling and Monte Carlo,
+    or a code length of 0 in Monte Carlo."""
+
+    DOC = {"eta": [[0, 1], [1, 0]], "gamma": [0.0, 1.0], "tau": [{"3": 1.0}, {"3": 1.0}],
+           "n": 100, "assignment": "deterministic"}
+
+    def test_preset_refused(self, tmp_path, capsys):
+        out = tmp_path / "pc0.json"
+        argv = ["preset", "pc", "--n", "100", "--t", "3", "--split", "0", "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec: no variable node") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["threshold"], ["bounds"], ["simulate", "--c", "2", "--trials", "3"],
+    ], ids=["threshold", "bounds", "simulate"])
+    def test_uncoupled_weights_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "pc0.json"
+        path.write_text(json.dumps(self.DOC))
+        assert main(argv[:1] + ["--spec", str(path)] + argv[1:]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid spec: no variable node") and err.count("\n") == 1
+
+    def test_code_length_zero_refused(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, preset_hpc(1, 3))
+        assert main(["simulate", "--spec", spec_path, "--c", "0.5", "--jobs", "2",
+                     "--out", str(tmp_path / "s.csv")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: the code has no variable node: every CN has degree 0 at n = 1\n")
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestDe:
     def test_converged_run(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, preset_hpc(100, 4))
@@ -396,6 +431,30 @@ class TestSimulateCmd:
                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "s.csv")]
         assert main(argv + ["--jobs", flag]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("c, failed, bound", [
+        ("4.0", "0", repr(1.0 - 0.05 ** (1 / 200))),
+        ("25.0", "200", repr(0.05 ** (1 / 200))),
+    ], ids=["all_decode", "all_fail"])
+    def test_certain_estimate_reports_clopper_pearson_bound(self, tmp_path, c, failed, bound):
+        # the README line printed 0.0 +- 0.0 with no bound; a count and the
+        # oracle's one-sided bound now say what 200 trials show
+        spec_path = write_spec(tmp_path, preset_staircase(6, 36, 3))
+        out = tmp_path / "sim.csv"
+        for jobs in ("1", "2"):
+            assert main(["simulate", "--spec", spec_path, "--c", c, "--ell", "50", "--trials",
+                         "200", "--seed", "7", "--jobs", jobs, "--out", str(out)]) == EXIT_OK
+            head, row = (line.split(",") for line in out.read_text().splitlines()[1:])
+            assert head[1:3] == ["trials", "failed_trials"] and head[-1] == "cp95_bound"
+            assert row[1:3] == ["200", failed] and row[-1] == bound
+
+    def test_failing_share_reports_no_bound(self, tmp_path):
+        spec_path = write_spec(tmp_path, preset_hpc(200, 3))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--spec", spec_path, "--c", "5.2", "--ell", "20", "--trials",
+                     "20", "--seed", "3", "--jobs", "1", "--out", str(out)]) == EXIT_OK
+        row = out.read_text().splitlines()[2].split(",")
+        assert 0 < int(row[2]) < 20 and row[-1] == ""
 
     def test_jobs_stays_out_of_the_config_hash(self, tmp_path):
         # --jobs stayed out of the hash, but a config "jobs" went into it

@@ -140,6 +140,15 @@ class TestValidate:
                     (CapabilityDistribution.point_mass(3),) * 2, 100, assignment)
         assert str(err.value) == "invalid spec: gamma entries must be finite"
 
+    @pytest.mark.parametrize("gamma", [(0.0, 1.0), (1.0, 0.0)])
+    def test_no_variable_node_invalid(self, gamma):
+        # gamma' eta gamma = 0: the CNs sit at one position, coupled only to
+        # the other, which holds none; the erasure scaling divided by 0
+        with pytest.raises(ValueError) as err:
+            preset_pc(100, gamma)
+        assert str(err.value) == ("invalid spec: no variable node: gamma' eta gamma = 0, "
+                                  "no two coupled positions both hold CNs")
+
     def test_every_violation_named(self):
         eta = np.array([[0, 1], [0, 1]])
         with pytest.raises(ValueError, match="symmetric") as err:

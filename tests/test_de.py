@@ -34,6 +34,7 @@ from de_reference import (
     end_capability_staircase,
     failure_probability,
     one_step,
+    reference_closed_form,
     reference_de_run,
     reference_success_condition,
     reference_threshold,
@@ -255,6 +256,17 @@ class TestPmfSums:
         assert not de._tail_sums(np.zeros(3), coef)[:, 0].any()  # F(0) = 0 exactly
         far = de._tail_sums(np.full(3, 1e300), coef)
         assert np.array_equal(far[:, 0], coef[:, 0, -1]) and not far[:, 1:].any()
+
+    @pytest.mark.parametrize("t_max", [1, 3, 12, 50, 64])
+    def test_float_point_is_the_array_kernel(self, rng, t_max):
+        # Newton's float branch reproduces the array kernel on a 1-element
+        # array bit for bit, past the cap at 750 too
+        lam = np.append(np.linspace(0.0, 800.0, 641), [1e-300, 749.9999999999999, 750.0, 750.5])
+        for w in self.rows(rng, t_max):
+            coef = de._pmf_coefficients(w[None, :])[0]
+            for v in lam.tolist():
+                got = de._tail_sums(v, coef)
+                assert got.tobytes() == de._tail_sums(np.array([v]), coef)[0].tobytes(), v
 
 
 class TestFailureProbability:
@@ -991,6 +1003,40 @@ class TestClosedForm:
                    15: (12.000000011997455, 11.999999987997455)}
         for k, pair in earlier.items():
             assert (results[k].c_star, results[k].bracket_lo) == pytest.approx(pair, rel=1e-13, abs=0.0)
+
+    def test_benchmark_families_match_array_newton(self):
+        # Newton on Python floats lands on the array Newton's bracket bit for bit
+        specs = [preset_hpc(1000, t) for t in range(3, 9)]
+        specs += [preset_hpc(1000, mix, tau_assignment="random")
+                  for mix in (MIX_TBAR7, MIX_TBAR7_MIN4)]
+        specs += [preset_pc(1000, t_row=t) for t in (3, 5, 7)]
+        specs += [preset_braided(4, 1000, t) for t in (3, 5)]
+        specs += [preset_hpc(1000, CapabilityDistribution.uniform(n), tau_assignment="random")
+                  for n in (4, 8, 12)]
+        for spec in specs:
+            res = de.threshold(spec, 0.005)
+            lo, hi, _ = reference_closed_form(spec.tau[0], float((spec.eta @ spec.gamma)[0]))
+            assert (res.bracket_lo, res.c_star) == (lo, hi)
+
+    def test_random_mixtures_match_array_newton(self):
+        # 2000 mixtures of up to 5 capabilities <= 64, every third with
+        # tau_1 > 0; some have their grid argmax at the low end, where no
+        # Newton step runs, and some with tau_1 > 0 take Newton steps
+        rng, kinds = np.random.default_rng(38), set()
+        for trial in range(2000):
+            t_max = int(rng.integers(1, 65))
+            ts = rng.choice(np.arange(1, t_max + 1), size=min(5, t_max), replace=False)
+            ts = ts[: int(rng.integers(1, ts.size + 1))]
+            if trial % 3 == 0 and 1 not in ts:
+                ts[0] = 1
+            raw = rng.integers(1, 20, size=ts.size)
+            tau = CapabilityDistribution.from_dict(
+                {int(t): int(w) / int(raw.sum()) for t, w in zip(ts, raw)})
+            s = float(rng.choice([1.0, 0.5, 0.25, 2.0 / 3.0]))
+            lo, hi, points = reference_closed_form(tau, s)
+            assert de._closed_form(tau, s) == (lo, hi), tau
+            kinds.add((tau.weights[0] > 0.0, points > 0))
+        assert kinds == {(True, True), (True, False), (False, True)}
 
     def test_newton_evaluates_no_point_twice(self, monkeypatch):
         # Newton stops once a step leaves lam unchanged; on HPC t = 5 and 8

@@ -691,6 +691,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(preset_hpc(10, 2), 1.0, 1, 0, 0)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_variable_node_refused(self, jobs):
+        # one CN of degree 0: the scaled BER divided by c * m = 0 in a block
+        with pytest.raises(ValueError, match="no variable node: every CN has degree 0 at n = 1"):
+            monte_carlo(preset_hpc(1, 3), 0.5, 100, 3, 0, jobs=jobs)
+
+    def test_failed_trials_counts_trials_with_w_above_zero(self):
+        spec, c, ell, trials = preset_hpc(200, 3), 5.2, 20, 20
+        sample = graphsim._sampler(spec, c)
+        w = [peel(sample(graphsim._stream_rng(3, r)), ell).failed_fraction for r in range(trials)]
+        stats = monte_carlo(spec, c, ell, trials, 3)
+        assert stats.failed_trials == sum(v > 0.0 for v in w)
+        assert 0 < stats.failed_trials < trials
+        assert type(stats.failed_trials) is int
+
     def test_negative_rounds_rejected(self):
         # ell = -2 reported W = 1.0 after zero peeling rounds
         with pytest.raises(ValueError, match="need ell >= 0, got -2"):
@@ -752,7 +767,7 @@ class TestPinnedOutputs:
 
     def test_monte_carlo_statistics(self):
         assert monte_carlo(preset_hpc(5000, 4), 7.0, 25, 20, 12, jobs=1) == McStatistics(
-            trials=20, mean_w=0.6934400000000002, se_w=0.00530349636411778,
+            trials=20, failed_trials=20, mean_w=0.6934400000000002, se_w=0.00530349636411778,
             mean_scaled_ber=0.6960020575543682, se_scaled_ber=0.007428637008658387,
             mean_edge_fraction=0.6959501332759759, se_edge_fraction=0.006165152042554143)
 
